@@ -2,16 +2,15 @@
 //! (`qsc-serve`), plus the submit → poll → fetch workflow behind the
 //! `experiments --submit <url>` client mode.
 //!
-//! The client speaks exactly what the service speaks: one request per
-//! connection (`Connection: close`), bodies delimited by `Content-Length`
-//! or chunked transfer coding, JSON via `qsc-json`. It lives in this
-//! crate (not `qsc-serve`) because the service depends on the runner —
-//! the client must not close that cycle.
+//! The client frames bytes with `qsc_sim::http`, the same codec the
+//! service answers with: one request per connection (`Connection:
+//! close`), JSON via `qsc-json`. It lives in this crate (not `qsc-serve`)
+//! because the service depends on the runner — the client must not close
+//! that cycle.
 
 use qsc_json::Value;
+use qsc_sim::http::{self, HttpError};
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Errors of the service client.
@@ -84,7 +83,8 @@ fn authority(base: &str) -> Result<String, ClientError> {
     Ok(authority.to_string())
 }
 
-/// One HTTP/1.1 request on a fresh connection.
+/// One HTTP/1.1 request on a fresh connection, framed by
+/// [`qsc_sim::http`].
 ///
 /// # Errors
 ///
@@ -97,101 +97,23 @@ pub fn http_request(
     path: &str,
     body: Option<&str>,
 ) -> Result<HttpResponse, ClientError> {
-    let authority = authority(base)?;
-    let mut stream = TcpStream::connect(&authority)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-
-    let mut request =
-        format!("{method} {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n");
-    if let Some(body) = body {
-        request.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            body.len()
-        ));
-    }
-    request.push_str("\r\n");
-    if let Some(body) = body {
-        request.push_str(body);
-    }
-    stream.write_all(request.as_bytes())?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &[u8]) -> Result<HttpResponse, ClientError> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| ClientError::Protocol("truncated response (no header end)".into()))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let mut lines = head.split("\r\n");
-    let status_line = lines
-        .next()
-        .ok_or_else(|| ClientError::Protocol("empty response".into()))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line `{status_line}`")))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| {
-            let (k, v) = line.split_once(':')?;
-            Some((k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        })
-        .collect();
-
-    let payload = &raw[head_end + 4..];
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body_bytes = if chunked {
-        decode_chunked(payload)?
-    } else if let Some(len) = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
-        if payload.len() < len {
-            return Err(ClientError::Protocol(format!(
-                "truncated body ({} of {len} bytes)",
-                payload.len()
-            )));
-        }
-        payload[..len].to_vec()
-    } else {
-        // Connection-close delimited.
-        payload.to_vec()
-    };
+    let response = http::request(
+        &authority(base)?,
+        method,
+        path,
+        body,
+        Duration::from_secs(60),
+    )
+    .map_err(|e| match e {
+        HttpError::Io(e) => ClientError::Io(e),
+        HttpError::Framing(_, message) => ClientError::Protocol(message),
+    })?;
     Ok(HttpResponse {
-        status,
-        headers,
-        body: String::from_utf8_lossy(&body_bytes).into_owned(),
+        status: response.status,
+        headers: response.headers,
+        body: String::from_utf8(response.body)
+            .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))?,
     })
-}
-
-fn decode_chunked(mut payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = payload
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| ClientError::Protocol("truncated chunk size line".into()))?;
-        let size_text = String::from_utf8_lossy(&payload[..line_end]);
-        let size = usize::from_str_radix(size_text.trim(), 16)
-            .map_err(|_| ClientError::Protocol(format!("bad chunk size `{size_text}`")))?;
-        payload = &payload[line_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if payload.len() < size + 2 {
-            return Err(ClientError::Protocol("truncated chunk body".into()));
-        }
-        out.extend_from_slice(&payload[..size]);
-        payload = &payload[size + 2..];
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -403,6 +325,7 @@ pub fn fetch_result(base: &str, id: &str, format: &str) -> Result<String, Client
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn authority_normalizes_and_rejects() {
@@ -416,26 +339,28 @@ mod tests {
         assert!(authority("h:1").is_err());
     }
 
-    #[test]
-    fn parses_content_length_response() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}";
-        let r = parse_response(raw).unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(r.body, "{}");
-        assert_eq!(r.header("Content-Type"), Some("application/json"));
+    /// A fake service that answers one connection with `reply`, then
+    /// drains the request so closing never resets the client.
+    fn one_shot(reply: &'static [u8]) -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let base = format!("http://{}", listener.local_addr().unwrap());
+        std::thread::spawn(move || {
+            if let Ok((mut conn, _)) = listener.accept() {
+                let _ = conn.write_all(reply);
+                let _ = conn.shutdown(std::net::Shutdown::Write);
+                let _ = std::io::copy(&mut conn, &mut std::io::sink());
+            }
+        });
+        base
     }
 
     #[test]
-    fn parses_chunked_response() {
-        let raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\na,b\r\n4\r\n\n1,2\r\n0\r\n\r\n";
-        let r = parse_response(raw.as_slice()).unwrap();
-        assert_eq!(r.body, "a,b\n1,2");
-    }
-
-    #[test]
-    fn truncated_responses_error() {
-        assert!(parse_response(b"HTTP/1.1 200 OK\r\n").is_err());
-        assert!(parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort").is_err());
+    fn oversized_chunk_size_is_a_protocol_error() {
+        // The largest 64-bit chunk size: adding the CRLF to it overflows.
+        let base = one_shot(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nabc",
+        );
+        let err = http_request(&base, "GET", "/v1/healthz", None).unwrap_err();
+        assert!(matches!(err, ClientError::Protocol(_)), "{err}");
     }
 }

@@ -40,6 +40,8 @@
 //!   and the exact analytic outcome distribution, cross-validated),
 //! * [`remote`] — the strict-JSON wire codec and [`RemoteBackend`], which
 //!   executes any of the above on a remote executor service bit-identically,
+//! * [`http`] — the workspace's one HTTP/1.1 codec, shared by
+//!   [`RemoteBackend`], the sweep service and its client,
 //! * [`tomography`] — finite-shot vector readout,
 //! * [`amplitude`] — amplitude estimation / amplification models,
 //! * [`resources`] — qubit/gate/depth forecasting.
@@ -93,6 +95,7 @@ pub mod compile;
 pub mod density;
 pub mod error;
 pub mod gates;
+pub mod http;
 pub mod qft;
 pub mod qpe;
 pub mod remote;

@@ -32,12 +32,11 @@
 use crate::backend::{prepare_pooled, Backend, BufferPool};
 use crate::circuit::{Circuit, Mat2, Op};
 use crate::error::SimError;
+use crate::http;
 use crate::state::QuantumState;
 use qsc_json::{num, obj, s, JsonError, Value};
 use qsc_linalg::{CMatrix, Complex64, C_ONE, C_ZERO};
 use rand::rngs::StdRng;
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -712,7 +711,7 @@ pub fn execute(request: &Value, backend: &dyn Backend) -> Result<Value, JsonErro
 }
 
 // ---------------------------------------------------------------------------
-// Client side: a minimal HTTP/1.1 POST (std::net only)
+// Client side
 // ---------------------------------------------------------------------------
 
 fn transport_err(addr: &str, context: impl Into<String>) -> SimError {
@@ -720,69 +719,6 @@ fn transport_err(addr: &str, context: impl Into<String>) -> SimError {
         addr: addr.to_string(),
         context: context.into(),
     }
-}
-
-fn http_post(addr: &str, path: &str, body: &str, timeout: Duration) -> Result<String, SimError> {
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| transport_err(addr, format!("address resolution failed: {e}")))?
-        .next()
-        .ok_or_else(|| transport_err(addr, "address resolved to nothing"))?;
-    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)
-        .map_err(|e| transport_err(addr, format!("connect failed: {e}")))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| transport_err(addr, format!("socket configuration failed: {e}")))?;
-
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| transport_err(addr, format!("request write failed: {e}")))?;
-
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| transport_err(addr, format!("response read failed: {e}")))?;
-    let text = String::from_utf8(raw).map_err(|_| transport_err(addr, "response is not UTF-8"))?;
-
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| transport_err(addr, "response truncated before the body"))?;
-    let status_line = head.lines().next().unwrap_or_default();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| transport_err(addr, format!("malformed status line `{status_line}`")))?;
-    let content_length: Option<usize> = head
-        .lines()
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok());
-    let body_text = match content_length {
-        Some(len) if payload.len() >= len => &payload[..len],
-        Some(len) => {
-            return Err(transport_err(
-                addr,
-                format!("response truncated: {} of {len} body bytes", payload.len()),
-            ))
-        }
-        None => payload,
-    };
-    if status != 200 {
-        // Surface the server's error message if the body carries one.
-        let detail = Value::parse(body_text)
-            .ok()
-            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
-            .unwrap_or_else(|| body_text.chars().take(200).collect());
-        return Err(transport_err(addr, format!("status {status}: {detail}")));
-    }
-    Ok(body_text.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -874,22 +810,35 @@ impl RemoteBackend {
         }
     }
 
+    /// One `/v1/exec` round trip. Every way the exchange can fail —
+    /// transport, framing, a non-UTF-8 body, a non-200 status, a malformed
+    /// document — is [`SimError::Remote`]; in-band simulator errors come
+    /// back as themselves.
     fn call(
         &self,
-        fields: Vec<(&'static str, Value)>,
+        mut fields: Vec<(&'static str, Value)>,
         rng: &mut StdRng,
     ) -> Result<Value, SimError> {
         self.injected_drop()?;
-        let mut all = vec![];
-        let mut fields = fields;
-        all.append(&mut fields);
-        all.push(("backend", self.inner.clone()));
-        all.push(("rng", rng_to_json(rng)));
-        let body = obj(all)
+        fields.push(("backend", self.inner.clone()));
+        fields.push(("rng", rng_to_json(rng)));
+        let body = obj(fields)
             .to_json_canonical()
             .map_err(|e| transport_err(&self.addr, format!("request encoding failed: {e}")))?;
-        let response = http_post(&self.addr, EXEC_PATH, &body, self.timeout)?;
-        let doc = Value::parse(&response)
+        let response = http::request(&self.addr, "POST", EXEC_PATH, Some(&body), self.timeout)
+            .map_err(|e| transport_err(&self.addr, e.to_string()))?;
+        let text = String::from_utf8(response.body)
+            .map_err(|_| transport_err(&self.addr, "response is not UTF-8"))?;
+        if response.status != 200 {
+            // Surface the server's error message if the body carries one.
+            let detail = Value::parse(&text)
+                .ok()
+                .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)))
+                .unwrap_or_else(|| text.chars().take(200).collect());
+            let context = format!("status {}: {detail}", response.status);
+            return Err(transport_err(&self.addr, context));
+        }
+        let doc = Value::parse(&text)
             .map_err(|e| transport_err(&self.addr, format!("malformed response: {e}")))?;
         let rng_v = doc
             .get("rng")
@@ -1361,6 +1310,54 @@ mod tests {
         assert!(matches!(err, SimError::Remote { .. }), "{err}");
         let err = backend.estimate_probability(0.5, &mut rng).unwrap_err();
         assert!(matches!(err, SimError::Remote { .. }), "{err}");
+    }
+
+    /// A fake executor that answers one connection with `reply`, then
+    /// drains the request so closing never resets the client.
+    fn one_shot(reply: &'static [u8]) -> String {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            if let Ok((mut conn, _)) = listener.accept() {
+                let _ = conn.write_all(reply);
+                let _ = conn.shutdown(std::net::Shutdown::Write);
+                let _ = std::io::copy(&mut conn, &mut std::io::sink());
+            }
+        });
+        addr
+    }
+
+    fn remote_context(reply: &'static [u8]) -> String {
+        let backend = RemoteBackend::new(one_shot(reply), obj([("statevector", obj([]))]))
+            .with_timeout(Duration::from_secs(10));
+        let mut rng = StdRng::seed_from_u64(1);
+        match backend.estimate_probability(0.5, &mut rng) {
+            Err(SimError::Remote { context, .. }) => context,
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn remote_backend_classifies_bad_replies_as_transport_errors() {
+        // The resilience layer retries `Remote` errors with the seed
+        // unchanged, so every way a reply can be unusable must land here.
+        let context = remote_context(
+            b"HTTP/1.1 400 Bad Request\r\nContent-Length: 22\r\n\r\n{\"error\":\"no such op\"}",
+        );
+        assert!(
+            context.contains("400") && context.contains("no such op"),
+            "{context}"
+        );
+        remote_context(b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{\"rng\":");
+        remote_context(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe");
+    }
+
+    #[test]
+    fn remote_backend_survives_a_content_length_inside_a_character() {
+        // One declared byte of the two-byte `é`: a typed transport error,
+        // not a panic on a char boundary.
+        remote_context(b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n\xc3\xa9");
     }
 
     #[test]

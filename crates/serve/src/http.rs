@@ -1,11 +1,11 @@
-//! Minimal HTTP/1.1 primitives on `std::net`: request parsing (request
-//! line, headers, `Content-Length` bodies) and response writing
-//! (fixed-length and chunked transfer coding). One request per
-//! connection — the service always answers `Connection: close`, which
-//! keeps the protocol surface tiny and the streaming endpoint's
-//! end-of-body unambiguous.
+//! What routing needs from a request: the method, the path, the query
+//! pairs and the body. Framing — reading the request, the `400` / `413` /
+//! `431` statuses of [`HttpError::Framing`], and writing fixed-length and
+//! chunked responses — is `qsc_sim::http`, the one codec the service
+//! shares with its clients.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use qsc_sim::http::{self, HttpError};
+use std::io::BufReader;
 use std::net::TcpStream;
 
 /// Largest accepted request body (spec documents are kilobytes; anything
@@ -35,158 +35,31 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed — already shaped as a response.
-#[derive(Debug)]
-pub struct BadRequest {
-    /// HTTP status to answer with (400 or 413).
-    pub status: u16,
-    /// Human-readable reason.
-    pub message: String,
-}
-
-fn bad(status: u16, message: impl Into<String>) -> BadRequest {
-    BadRequest {
-        status,
-        message: message.into(),
-    }
-}
-
 /// Reads one request from a connection.
 ///
 /// # Errors
 ///
-/// Returns `Ok(Err(BadRequest))` for malformed/oversized requests (the
-/// caller answers with the contained status) and `Err` for transport
-/// failures (the caller drops the connection).
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, BadRequest>> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(Err(bad(400, "empty request")));
-    }
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Ok(Err(bad(
-            400,
-            format!("malformed request line `{}`", line.trim()),
-        )));
-    };
-    let method = method.to_string();
-    let (path, query_text) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q),
-        None => (target.to_string(), ""),
-    };
-    let query: Vec<(String, String)> = query_text
+/// [`HttpError::Framing`] for malformed or oversized requests (the caller
+/// answers with its status) and [`HttpError::Io`] for transport failures
+/// (the caller drops the connection).
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+    let request = http::read_request(&mut BufReader::new(stream), MAX_BODY_BYTES)?;
+    let (path, query_text) = request
+        .target
+        .split_once('?')
+        .unwrap_or((&request.target, ""));
+    let query = query_text
         .split('&')
         .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (k.to_string(), v.to_string()),
-            None => (kv.to_string(), String::new()),
+        .map(|kv| {
+            let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
+            (k.to_string(), v.to_string())
         })
         .collect();
-
-    // Headers: only Content-Length matters to the service.
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(Err(bad(400, "truncated headers")));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = match value.trim().parse() {
-                    Ok(n) => n,
-                    Err(_) => return Ok(Err(bad(400, "unparseable Content-Length"))),
-                };
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Ok(Err(bad(
-            413,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Ok(Request {
-        method,
-        path,
+    Ok(Request {
+        path: path.to_string(),
         query,
-        body,
-    }))
-}
-
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        _ => "Response",
-    }
-}
-
-/// Writes a complete fixed-length response. `extra_headers` are raw
-/// `Name: value` lines (no CRLF).
-pub fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[String],
-    body: &str,
-) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        reason(status),
-        body.len()
-    );
-    for header in extra_headers {
-        head.push_str(header);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())
-}
-
-/// Starts a chunked response; follow with [`write_chunk`] and
-/// [`finish_chunks`].
-pub fn start_chunked(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
-        reason(status)
-    );
-    stream.write_all(head.as_bytes())
-}
-
-/// Writes one chunk (empty data is skipped — a zero-length chunk would
-/// terminate the body).
-pub fn write_chunk(stream: &mut TcpStream, data: &str) -> std::io::Result<()> {
-    if data.is_empty() {
-        return Ok(());
-    }
-    stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
-    stream.write_all(data.as_bytes())?;
-    stream.write_all(b"\r\n")?;
-    stream.flush()
-}
-
-/// Terminates a chunked body.
-pub fn finish_chunks(stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+        method: request.method,
+        body: request.body,
+    })
 }

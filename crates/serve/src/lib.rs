@@ -23,7 +23,7 @@
 //! | [`sha256`] | FIPS 180-4 SHA-256 (the content-address hash) |
 //! | [`cache`] | checksummed on-disk result cache; corrupt entries evicted, never served |
 //! | [`job`] | bounded backpressure queue, worker pool, per-job progress |
-//! | [`http`] | request parsing + fixed-length/chunked responses |
+//! | [`http`] | the request as routing sees it (framing is `qsc_sim::http`) |
 //! | [`exec`] | the executor endpoint: hosted backends behind `POST /v1/exec` |
 //! | [`server`] | routing, the endpoints, the accept loop |
 //!

@@ -11,12 +11,13 @@
 
 use crate::cache::{cache_key, code_version, ResultCache};
 use crate::exec::{ExecError, ExecHost};
-use crate::http::{finish_chunks, read_request, respond, start_chunked, write_chunk, Request};
+use crate::http::{read_request, Request};
 use crate::job::{failed_cell_kinds, Job, JobSystem, Phase, SubmitError};
 use qsc_bench::{ExperimentSpec, Scale};
 use qsc_core::config::BackendConfig;
 use qsc_core::report::{csv_row, SinkFormat};
 use qsc_json::{ToJson, Value};
+use qsc_sim::http::{finish_chunks, respond, start_chunked, write_chunk, HttpError};
 use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -192,18 +193,12 @@ impl Drop for Server {
 fn handle_connection(mut stream: TcpStream, jobs: &Arc<JobSystem>, exec: &Arc<ExecHost>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let request = match read_request(&mut stream) {
-        Ok(Ok(request)) => request,
-        Ok(Err(bad)) => {
-            let _ = respond(
-                &mut stream,
-                bad.status,
-                "application/json",
-                &[],
-                &error_body(&bad.message),
-            );
+        Ok(request) => request,
+        Err(HttpError::Framing(status, message)) => {
+            let _ = fail(&mut stream, status, &message);
             return;
         }
-        Err(_) => return,
+        Err(HttpError::Io(_)) => return,
     };
     // Route errors are I/O-only from here down; a dropped client is fine.
     let _ = route(&mut stream, &request, jobs, exec);
@@ -211,6 +206,17 @@ fn handle_connection(mut stream: TcpStream, jobs: &Arc<JobSystem>, exec: &Arc<Ex
 
 fn error_body(message: &str) -> String {
     Value::Obj(vec![("error".into(), Value::Str(message.into()))]).to_string()
+}
+
+/// Answers `status` with an `{"error": message}` document.
+fn fail(stream: &mut TcpStream, status: u16, message: &str) -> std::io::Result<()> {
+    respond(
+        stream,
+        status,
+        "application/json",
+        &[],
+        &error_body(message),
+    )
 }
 
 fn route(
@@ -227,32 +233,26 @@ fn route(
         ("POST", ["v1", "searches"]) => handle_submit(stream, request, jobs, SubmitKind::Search),
         ("GET", ["v1", "sweeps", id]) => match jobs.get(id) {
             Some(job) => handle_status(stream, &job),
-            None => not_found(stream, &format!("no job `{id}`")),
+            None => fail(stream, 404, &format!("no job `{id}`")),
         },
         ("GET", ["v1", "sweeps", id, "result"]) => match jobs.get(id) {
             Some(job) => handle_result(stream, request, &job),
-            None => not_found(stream, &format!("no job `{id}`")),
+            None => fail(stream, 404, &format!("no job `{id}`")),
         },
         ("GET", ["v1", "sweeps", id, "stream"]) => match jobs.get(id) {
             Some(job) => handle_stream(stream, &job),
-            None => not_found(stream, &format!("no job `{id}`")),
+            None => fail(stream, 404, &format!("no job `{id}`")),
         },
         (_, ["v1", "sweeps", ..])
         | (_, ["v1", "searches", ..])
         | (_, ["v1", "healthz"])
-        | (_, ["v1", "exec"]) => respond(
+        | (_, ["v1", "exec"]) => fail(
             stream,
             405,
-            "application/json",
-            &[],
-            &error_body(&format!("method {} not allowed here", request.method)),
+            &format!("method {} not allowed here", request.method),
         ),
-        _ => not_found(stream, &format!("no route `{}`", request.path)),
+        _ => fail(stream, 404, &format!("no route `{}`", request.path)),
     }
-}
-
-fn not_found(stream: &mut TcpStream, message: &str) -> std::io::Result<()> {
-    respond(stream, 404, "application/json", &[], &error_body(message))
 }
 
 fn handle_healthz(
@@ -297,22 +297,12 @@ fn handle_exec(
     exec: &Arc<ExecHost>,
 ) -> std::io::Result<()> {
     let Ok(text) = std::str::from_utf8(&request.body) else {
-        return respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            &error_body("body is not UTF-8"),
-        );
+        return fail(stream, 400, "body is not UTF-8");
     };
     match exec.execute(text) {
         Ok(body) => respond(stream, 200, "application/json", &[], &body),
-        Err(ExecError::BadRequest(message)) => {
-            respond(stream, 400, "application/json", &[], &error_body(&message))
-        }
-        Err(ExecError::Internal(message)) => {
-            respond(stream, 500, "application/json", &[], &error_body(&message))
-        }
+        Err(ExecError::BadRequest(message)) => fail(stream, 400, &message),
+        Err(ExecError::Internal(message)) => fail(stream, 500, &message),
     }
 }
 
@@ -337,65 +327,33 @@ fn handle_submit(
         Some(name) => match Scale::parse(name) {
             Some(scale) => scale,
             None => {
-                return respond(
+                return fail(
                     stream,
                     400,
-                    "application/json",
-                    &[],
-                    &error_body(&format!("unknown scale `{name}` (expected quick | full)")),
+                    &format!("unknown scale `{name}` (expected quick | full)"),
                 )
             }
         },
     };
     let Ok(text) = std::str::from_utf8(&request.body) else {
-        return respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            &error_body("body is not UTF-8"),
-        );
+        return fail(stream, 400, "body is not UTF-8");
     };
     // Strict validation: the same qsc-json parser the binary uses, so a
     // syntax error answers with its exact line/col message and a typo'd
     // field with the unknown-field rejection.
     let spec = match ExperimentSpec::parse(text) {
         Ok(spec) => spec,
-        Err(e) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                &error_body(&format!("invalid spec: {e}")),
-            )
-        }
+        Err(e) => return fail(stream, 400, &format!("invalid spec: {e}")),
     };
     let is_search = matches!(spec.kind, qsc_bench::spec::ExperimentKind::Search(_));
     match endpoint {
         SubmitKind::Sweep if is_search => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                &error_body(&format!(
-                    "spec `{}` has kind `search`: submit it to POST /v1/searches",
-                    spec.name
-                )),
-            )
+            let message = "has kind `search`: submit it to POST /v1/searches";
+            return fail(stream, 400, &format!("spec `{}` {message}", spec.name));
         }
         SubmitKind::Search if !is_search => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                &error_body(&format!(
-                "spec `{}` is not a search (kind must be `search`): submit it to POST /v1/sweeps",
-                spec.name
-            )),
-            )
+            let message = "is not a search (kind must be `search`): submit it to POST /v1/sweeps";
+            return fail(stream, 400, &format!("spec `{}` {message}", spec.name));
         }
         _ => {}
     }
@@ -404,15 +362,7 @@ fn handle_submit(
     // split the cache.
     let key = match cache_key(&spec.to_json(), &code_version(), scale.name()) {
         Ok(key) => key,
-        Err(e) => {
-            return respond(
-                stream,
-                500,
-                "application/json",
-                &[],
-                &error_body(&format!("cannot canonicalize spec: {e}")),
-            )
-        }
+        Err(e) => return fail(stream, 500, &format!("cannot canonicalize spec: {e}")),
     };
     match jobs.submit(spec, key, scale) {
         Ok(job) => {
@@ -496,12 +446,10 @@ fn handle_result(stream: &mut TcpStream, request: &Request, job: &Arc<Job>) -> s
         Some(name) => match SinkFormat::parse(name) {
             Some(format) => format,
             None => {
-                return respond(
+                return fail(
                     stream,
                     400,
-                    "application/json",
-                    &[],
-                    &error_body(&format!("unknown format `{name}` (expected csv | json)")),
+                    &format!("unknown format `{name}` (expected csv | json)"),
                 )
             }
         },
@@ -515,22 +463,14 @@ fn handle_result(stream: &mut TcpStream, request: &Request, job: &Arc<Job>) -> s
             };
             respond(stream, 200, content_type, &[], &result.table.render(format))
         }
-        (Phase::Failed, _) => respond(
+        (Phase::Failed, _) => {
+            let error = snapshot.error.as_deref().unwrap_or("unknown error");
+            fail(stream, 409, &format!("job failed: {error}"))
+        }
+        (phase, _) => fail(
             stream,
             409,
-            "application/json",
-            &[],
-            &error_body(&format!(
-                "job failed: {}",
-                snapshot.error.as_deref().unwrap_or("unknown error")
-            )),
-        ),
-        (phase, _) => respond(
-            stream,
-            409,
-            "application/json",
-            &[],
-            &error_body(&format!("job is {}, result not ready", phase.name())),
+            &format!("job is {}, result not ready", phase.name()),
         ),
     }
 }
@@ -542,17 +482,9 @@ fn handle_stream(stream: &mut TcpStream, job: &Arc<Job>) -> std::io::Result<()> 
     // Streams outlive the 30 s request-read timeout by design.
     stream.set_read_timeout(None)?;
     let Some(columns) = job.wait_columns() else {
-        let snapshot = job.snapshot();
-        return respond(
-            stream,
-            409,
-            "application/json",
-            &[],
-            &error_body(&format!(
-                "job produced no table: {}",
-                snapshot.error.as_deref().unwrap_or("no rows")
-            )),
-        );
+        let error = job.snapshot().error;
+        let error = error.as_deref().unwrap_or("no rows");
+        return fail(stream, 409, &format!("job produced no table: {error}"));
     };
     start_chunked(stream, 200, "text/csv")?;
     write_chunk(stream, &csv_row(&columns))?;

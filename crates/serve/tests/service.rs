@@ -235,6 +235,28 @@ fn routing_errors_and_health() {
     assert_eq!(no_result.status, 404);
 }
 
+#[test]
+fn oversized_header_line_answers_431() {
+    use std::io::{BufReader, Write};
+    let server = start("head-cap", 0, 1);
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+    let request = format!(
+        "GET /v1/healthz HTTP/1.1\r\nX-Padding: {}\r\n\r\n",
+        "a".repeat(64 * 1024)
+    );
+    // The server may answer before it has read everything we send.
+    let _ = conn.write_all(request.as_bytes());
+    let response = qsc_sim::http::read_response(&mut BufReader::new(conn)).expect("a response");
+    assert_eq!(response.status, 431);
+    let body = String::from_utf8(response.body).expect("utf-8");
+    assert!(body.contains("8192"), "{body}");
+
+    // The server keeps serving.
+    let health = http_request(&server.base_url(), "GET", "/v1/healthz", None).expect("healthz");
+    assert_eq!(health.status, 200);
+}
+
 /// One wire-encoded `run` request for the executor endpoint (a Bell
 /// circuit from basis 0, seeded).
 fn exec_request_json() -> String {
