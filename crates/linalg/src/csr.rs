@@ -223,6 +223,7 @@ impl CsrMatrix {
         }
     }
 
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail the check
     fn check_hermitian(&self, tol: f64) -> bool {
         if self.nrows != self.ncols {
             return false;
@@ -232,7 +233,7 @@ impl CsrMatrix {
         for i in 0..self.nrows {
             let (cols, vals) = self.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                if (self.get(j, i) - v.conj()).abs() > tol {
+                if !((self.get(j, i) - v.conj()).abs() <= tol) {
                     return false;
                 }
             }

@@ -1,8 +1,24 @@
 //! Householder reduction of a Hermitian matrix to real symmetric tridiagonal
 //! form (the unblocked LAPACK `zhetd2` algorithm), plus accumulation of the
 //! unitary similarity `Q` so that `A = Q · T · Q†`.
+//!
+//! Cost and layout. Step `k` of the reduction costs ~`8·(n−k)²` real flops
+//! for `p = τ·A·v` (one [`kernels::dot`] per row of the trailing block) and
+//! ~`16·(n−k)²` for the full (not half) rank-2 update, ~`8·n³` in all.
+//! Accumulating `Q` touches only the active block `Q[k+1.., k+1..]` for
+//! reflector `k` — the columns `≤ k` of the rows `> k` are still the
+//! identity's zeros there — in two row-major passes of ~`8·(n−k)²` flops
+//! each, ~`16·n³/3` in all (a pass over every column would cost
+//! `8·(n−k)·n`). So the reduction is ~60 % of the flops and `Q` ~40 %.
+//! Every inner loop walks a row of the row-major storage.
+//!
+//! The operations and their order are exactly those of the textbook
+//! column-at-a-time loops, so `d`, `e` and `Q` are bit-identical to them
+//! (the oracle in `tests/kernel_equivalence.rs` pins this on every kernel
+//! tier).
 
-use crate::complex::{Complex64, C_ZERO};
+use crate::complex::{Complex64, C_ONE, C_ZERO};
+use crate::kernels;
 use crate::matrix::CMatrix;
 use crate::vector::cdot;
 
@@ -19,24 +35,35 @@ pub struct Tridiagonal {
     pub q: CMatrix,
 }
 
+/// The elementary reflector `H_k = I − τ·v·v†` of reduction step `k`. `v`
+/// is stored on its support only: `v[0] = 1` sits on row `k + 1`, and the
+/// vector runs to row `n − 1`.
+struct Reflector {
+    tau: Complex64,
+    v: Vec<Complex64>,
+}
+
 /// Generates an elementary reflector `H = I − τ·v·v†` (LAPACK `zlarfg`) such
 /// that `H† · [alpha; x] = [beta; 0]` with `beta` real.
 ///
-/// Returns `(beta, tau, v_rest)` where the full Householder vector is
-/// `[1; v_rest]`.
+/// Returns `(beta, tau, v)` where `v = [1; x / (alpha − beta)]` is the
+/// Householder vector.
 fn larfg(alpha: Complex64, x: &[Complex64]) -> (f64, Complex64, Vec<Complex64>) {
+    let mut v = Vec::with_capacity(x.len() + 1);
+    v.push(C_ONE);
     let xnorm = x.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
     if xnorm == 0.0 && alpha.im == 0.0 {
         // Already in the desired form; no reflection needed.
-        return (alpha.re, C_ZERO, vec![C_ZERO; x.len()]);
+        v.resize(x.len() + 1, C_ZERO);
+        return (alpha.re, C_ZERO, v);
     }
     let norm_all = (alpha.norm_sqr() + xnorm * xnorm).sqrt();
     let beta = if alpha.re >= 0.0 { -norm_all } else { norm_all };
     let tau = Complex64::new((beta - alpha.re) / beta, -alpha.im / beta);
     let denom = alpha - beta;
     let inv = denom.recip();
-    let v_rest: Vec<Complex64> = x.iter().map(|&z| z * inv).collect();
-    (beta, tau, v_rest)
+    v.extend(x.iter().map(|&z| z * inv));
+    (beta, tau, v)
 }
 
 /// Reduces a Hermitian matrix to real symmetric tridiagonal form.
@@ -46,94 +73,99 @@ fn larfg(alpha: Complex64, x: &[Complex64]) -> (f64, Complex64, Vec<Complex64>) 
 /// Panics if the matrix is not square. Hermitian-ness is the caller's
 /// responsibility (the public [`crate::eig::eigh`] entry point validates).
 pub fn tridiagonalize(a: &CMatrix) -> Tridiagonal {
+    let (d, e, reflectors) = reduce(a);
+    let q = accumulate_q(a.nrows(), &reflectors);
+    Tridiagonal { d, e, q }
+}
+
+/// The reduction without `Q`: `(d, e)` bit-identical to [`tridiagonalize`]'s.
+pub(super) fn tridiagonal_only(a: &CMatrix) -> (Vec<f64>, Vec<f64>) {
+    let (d, e, _) = reduce(a);
+    (d, e)
+}
+
+/// Runs the reduction, returning `d`, `e` and the reflectors `H_0 … H_{n−2}`.
+fn reduce(a: &CMatrix) -> (Vec<f64>, Vec<f64>, Vec<Reflector>) {
     assert!(a.is_square(), "tridiagonalize: matrix must be square");
     let n = a.nrows();
     let mut m = a.clone();
-    let mut d = vec![0.0; n];
     let mut e = vec![0.0; n.saturating_sub(1)];
-    // Householder vectors (full length n, zero above their support) and taus,
-    // kept to accumulate Q afterwards.
-    let mut vs: Vec<Vec<Complex64>> = Vec::with_capacity(n.saturating_sub(1));
-    let mut taus: Vec<Complex64> = Vec::with_capacity(n.saturating_sub(1));
+    let mut reflectors = Vec::with_capacity(n.saturating_sub(1));
 
     for k in 0..n.saturating_sub(1) {
         let alpha = m[(k + 1, k)];
         let x: Vec<Complex64> = (k + 2..n).map(|i| m[(i, k)]).collect();
-        let (beta, tau, v_rest) = larfg(alpha, &x);
+        let (beta, tau, v) = larfg(alpha, &x);
         e[k] = beta;
-
-        // Full-length Householder vector: support on rows k+1..n.
-        let mut v = vec![C_ZERO; n];
-        v[k + 1] = Complex64::real(1.0);
-        for (offset, &val) in v_rest.iter().enumerate() {
-            v[k + 2 + offset] = val;
-        }
 
         if tau != C_ZERO {
             // Two-sided update of the trailing block m[k+1.., k+1..]:
             //   p = τ·A·v,  w = p − (τ/2)·⟨p, v⟩·v,  A ← A − v·w† − w·v†.
             let sub = k + 1;
-            let len = n - sub;
-            let mut p = vec![C_ZERO; len];
-            for i in 0..len {
-                let mut acc = C_ZERO;
-                for j in 0..len {
-                    acc += m[(sub + i, sub + j)] * v[sub + j];
-                }
-                p[i] = acc * tau;
-            }
-            let vsub: Vec<Complex64> = v[sub..].to_vec();
-            let coeff = tau.scale(0.5) * cdot(&p, &vsub);
-            let w: Vec<Complex64> = p
-                .iter()
-                .zip(&vsub)
-                .map(|(pi, vi)| *pi - coeff * *vi)
+            let p: Vec<Complex64> = (sub..n)
+                .map(|i| kernels::dot(&m.row(i)[sub..], &v) * tau)
                 .collect();
-            for i in 0..len {
-                for j in 0..len {
-                    let upd = vsub[i] * w[j].conj() + w[i] * vsub[j].conj();
-                    m[(sub + i, sub + j)] -= upd;
+            let coeff = tau.scale(0.5) * cdot(&p, &v);
+            let w: Vec<Complex64> = p.iter().zip(&v).map(|(pi, vi)| *pi - coeff * *vi).collect();
+            let w_conj: Vec<Complex64> = w.iter().map(|z| z.conj()).collect();
+            let v_conj: Vec<Complex64> = v.iter().map(|z| z.conj()).collect();
+            for (i, (&vi, &wi)) in v.iter().zip(&w).enumerate() {
+                let row = &mut m.row_mut(sub + i)[sub..];
+                for ((mij, &wj), &vj) in row.iter_mut().zip(&w_conj).zip(&v_conj) {
+                    *mij -= vi * wj + wi * vj;
                 }
             }
         }
 
-        vs.push(v);
-        taus.push(tau);
+        reflectors.push(Reflector { tau, v });
     }
 
-    for i in 0..n {
-        d[i] = m[(i, i)].re;
-    }
+    let d = (0..n).map(|i| m[(i, i)].re).collect();
+    (d, e, reflectors)
+}
 
-    // Accumulate Q = H_0·H_1⋯H_{n-2} by applying reflectors to the identity
-    // from the left, in reverse order: Q ← H_k·Q. Each H_k touches only rows
-    // k+1..n, and at the moment it is applied, Q has non-identity structure
-    // only in rows/cols k+2..n, keeping the cost at ~n³/3 flops.
+/// Accumulates `Q = H_0·H_1⋯H_{n−2}` by applying the reflectors to the
+/// identity from the left, in reverse order: `Q ← H_k·Q = Q − τ·v·(v†·Q)`.
+///
+/// `H_k` touches rows `k+1..n`. When it is applied, only `H_{k+1} …` have
+/// touched `Q`, so its columns `≤ k` are still identity columns, zero on
+/// rows `k+1..n`: their `v†·Q` entries are exact zeros, which the
+/// column-at-a-time loop skips. Both passes therefore run over the columns
+/// `k+1..n` only — as long as every reflector applied so far is finite.
+/// A non-finite `v` turns those zeros into NaNs, so from then on the passes
+/// cover every column, exactly as the column loop does.
+fn accumulate_q(n: usize, reflectors: &[Reflector]) -> CMatrix {
     let mut q = CMatrix::identity(n);
-    for k in (0..n.saturating_sub(1)).rev() {
-        let tau = taus[k];
-        if tau == C_ZERO {
+    let mut y = vec![C_ZERO; n];
+    let mut f = vec![C_ZERO; n];
+    let mut all_finite = true;
+    for (k, r) in reflectors.iter().enumerate().rev() {
+        if r.tau == C_ZERO {
             continue;
         }
-        let v = &vs[k];
-        // H·Q = Q − τ·v·(v†·Q); v is supported on rows k+1..n.
-        for col in 0..n {
-            let mut dot = C_ZERO;
-            for row in k + 1..n {
-                dot += v[row].conj() * q[(row, col)];
-            }
-            if dot == C_ZERO {
-                continue;
-            }
-            let f = tau * dot;
-            for row in k + 1..n {
-                let delta = f * v[row];
-                q[(row, col)] -= delta;
+        all_finite &= r.v.iter().all(|z| z.is_finite());
+        let sub = k + 1;
+        let c0 = if all_finite { sub } else { 0 };
+        let (y, f) = (&mut y[c0..], &mut f[c0..]);
+        // Pass 1: y = v†·Q, each entry summed over rows in ascending order.
+        y.fill(C_ZERO);
+        for (i, vi) in r.v.iter().enumerate() {
+            kernels::axpy(vi.conj(), &q.row(sub + i)[c0..], y);
+        }
+        // Pass 2: Q[row, c] −= (τ·y_c)·v_row, skipping exact-zero y_c.
+        for (fc, &yc) in f.iter_mut().zip(y.iter()) {
+            *fc = r.tau * yc;
+        }
+        for (i, &vi) in r.v.iter().enumerate() {
+            let row = &mut q.row_mut(sub + i)[c0..];
+            for ((qc, &fc), &yc) in row.iter_mut().zip(f.iter()).zip(y.iter()) {
+                if yc != C_ZERO {
+                    *qc -= fc * vi;
+                }
             }
         }
     }
-
-    Tridiagonal { d, e, q }
+    q
 }
 
 #[cfg(test)]
@@ -161,10 +193,8 @@ mod tests {
     fn larfg_annihilates_tail() {
         let alpha = Complex64::new(1.0, 2.0);
         let x = vec![Complex64::new(0.5, -0.5), Complex64::new(-1.0, 0.25)];
-        let (beta, tau, v_rest) = larfg(alpha, &x);
+        let (beta, tau, v) = larfg(alpha, &x);
         // Build H = I − τ v v† and check H† [alpha; x] = [beta; 0].
-        let mut v = vec![Complex64::real(1.0)];
-        v.extend_from_slice(&v_rest);
         let full = {
             let mut f = vec![alpha];
             f.extend_from_slice(&x);

@@ -10,6 +10,36 @@
 //!
 //! Both return a [`HermitianEigen`] with eigenvalues sorted ascending, which
 //! is the ordering spectral clustering consumes (lowest eigenvectors first).
+//!
+//! # Memory layout of the fast path
+//!
+//! Every `O(n³)` inner loop of [`eigh`] walks contiguous row-major memory:
+//!
+//! * [`tridiagonalize`] forms `p = τ·A·v` one row at a time through
+//!   [`kernels::dot`](crate::kernels::dot), runs the rank-2 update row by
+//!   row over precomputed `conj(w)` / `conj(v)`, and accumulates `Q` in two
+//!   row-major passes per reflector (`y = v†·Q` through
+//!   [`kernels::axpy`](crate::kernels::axpy), then `Q −= v·(τ·y)`) over the
+//!   active columns only.
+//! * [`tql_implicit`] transposes `z` in place, applies each real Givens
+//!   rotation to two adjacent rows, and transposes back on every exit.
+//!
+//! Why this is bit-identical to the column-at-a-time loops it replaced:
+//! each output entry is computed by the same operations on the same
+//! operands in the same order. The reductions (`A·v` rows, `v†·Q` columns)
+//! accumulate in ascending index from a zero accumulator — exactly the
+//! contract of the ordered kernels on every tier; the updates touch each
+//! entry once with the unchanged expression; the rotations are real, so
+//! both components of a complex entry see the same scalar operations in
+//! either orientation; and the `Q` columns left out of the passes are the
+//! ones whose `v†·Q` entry is an exact zero, which the column loop skipped.
+//! The symmetric half-update (mirroring the upper triangle) is *not* done:
+//! [`eigh`] accepts inputs Hermitian only to within [`HERMITICITY_TOL`],
+//! and mirroring would change their results.
+//!
+//! [`eigvalsh`] runs the same reduction and QL recurrence without `Q` and
+//! without rotations; the `d`/`e` recurrence never reads the eigenvectors,
+//! so its eigenvalues are bit-identical to [`eigh`]'s.
 
 mod householder;
 mod jacobi;
@@ -91,6 +121,11 @@ fn validate_hermitian(a: &CMatrix) -> Result<(), LinalgError> {
             context: format!("eigh: matrix is {}×{}", a.nrows(), a.ncols()),
         });
     }
+    if !a.as_slice().iter().all(|z| z.is_finite()) {
+        return Err(LinalgError::InvalidInput {
+            context: "eigh: matrix has non-finite entries".into(),
+        });
+    }
     let scale = a.max_norm().max(1.0);
     if !a.is_hermitian(HERMITICITY_TOL * scale) {
         return Err(LinalgError::InvalidInput {
@@ -164,7 +199,11 @@ pub fn eigh_jacobi(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
 ///
 /// Same contract as [`eigh`].
 pub fn eigvalsh(a: &CMatrix) -> Result<Vec<f64>, LinalgError> {
-    Ok(eigh(a)?.eigenvalues)
+    validate_hermitian(a)?;
+    let (mut d, e) = householder::tridiagonal_only(a);
+    tql::ql(&mut d, &e, None)?;
+    d.sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
+    Ok(d)
 }
 
 #[cfg(test)]
@@ -254,8 +293,39 @@ mod tests {
     #[test]
     fn eigvalsh_matches_eigh() {
         let mut rng = StdRng::seed_from_u64(58);
-        let a = CMatrix::random_hermitian(10, &mut rng);
-        assert_eq!(eigvalsh(&a).unwrap(), eigh(&a).unwrap().eigenvalues);
+        for n in [1usize, 10, 17, 128] {
+            let a = CMatrix::random_hermitian(n, &mut rng);
+            assert_eq!(
+                eigvalsh(&a).unwrap(),
+                eigh(&a).unwrap().eigenvalues,
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_invalid_not_unconverged() {
+        let nan = Complex64::real(f64::NAN);
+        let inf = Complex64::real(f64::INFINITY);
+        let mut diag_nan = CMatrix::identity(4);
+        diag_nan[(1, 1)] = nan;
+        let mut off_inf = CMatrix::identity(4);
+        off_inf[(0, 2)] = inf;
+        off_inf[(2, 0)] = inf;
+        let mut one_sided_inf = CMatrix::identity(4);
+        one_sided_inf[(0, 2)] = inf;
+        for (name, m) in [
+            ("NaN diagonal", diag_nan),
+            ("∞ pair", off_inf),
+            ("one-sided ∞", one_sided_inf),
+        ] {
+            for result in [eigh(&m).map(|_| ()), eigvalsh(&m).map(|_| ())] {
+                assert!(
+                    matches!(result, Err(LinalgError::InvalidInput { .. })),
+                    "{name}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,13 @@
 //! tridiagonal matrices (EISPACK `tql2` lineage), accumulating the real
 //! Givens rotations into a complex eigenvector matrix so it composes with
 //! the Householder reduction of Hermitian matrices.
+//!
+//! Layout. A rotation mixes two *columns* of `z`, which in row-major storage
+//! is a stride-`n` walk. [`tql_implicit`] therefore transposes `z` in place
+//! once on entry, rotates two adjacent contiguous rows instead, and
+//! transposes back on every exit. The rotation is real, so each complex
+//! component sees exactly the operations of the column form and the result
+//! is bit-identical to it.
 
 use crate::error::LinalgError;
 use crate::matrix::CMatrix;
@@ -21,7 +28,8 @@ const MAX_ITER: usize = 64;
 /// # Errors
 ///
 /// Returns [`LinalgError::NoConvergence`] if an eigenvalue fails to converge
-/// within the iteration budget.
+/// within the iteration budget. `z` then holds the rotations applied so far,
+/// in the same (column) orientation.
 ///
 /// # Panics
 ///
@@ -31,6 +39,22 @@ pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(),
     assert_eq!(e.len(), n.saturating_sub(1), "tql: subdiagonal length");
     assert_eq!(z.nrows(), z.ncols(), "tql: z must be square");
     assert_eq!(z.nrows(), n, "tql: z dimension");
+    // Row j of the transpose is eigenvector column j.
+    z.transpose_in_place();
+    let result = ql(d, e, Some(z));
+    z.transpose_in_place();
+    result
+}
+
+/// The QL iteration, rotating the rows of `zt` (the transposed eigenvector
+/// matrix) when given. Without `zt`, `d` still ends bit-identical to
+/// [`tql_implicit`]'s: the `d`/`e` recurrence never reads the eigenvectors.
+pub(super) fn ql(
+    d: &mut [f64],
+    e: &[f64],
+    mut zt: Option<&mut CMatrix>,
+) -> Result<(), LinalgError> {
+    let n = d.len();
     if n <= 1 {
         return Ok(());
     }
@@ -93,12 +117,14 @@ pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(),
                 d[i + 1] = g + p;
                 g = c * r - b;
 
-                // Accumulate the Givens rotation into columns i, i+1 of z.
-                for k in 0..n {
-                    let zk1 = z[(k, i + 1)];
-                    let zk0 = z[(k, i)];
-                    z[(k, i + 1)] = zk0.scale(s) + zk1.scale(c);
-                    z[(k, i)] = zk0.scale(c) - zk1.scale(s);
+                // Accumulate the Givens rotation into eigenvectors i, i+1.
+                if let Some(zt) = zt.as_deref_mut() {
+                    let (z0, z1) = zt.row_pair_mut(i);
+                    for (a, b) in z0.iter_mut().zip(z1.iter_mut()) {
+                        let (zk0, zk1) = (*a, *b);
+                        *b = zk0.scale(s) + zk1.scale(c);
+                        *a = zk0.scale(c) - zk1.scale(s);
+                    }
                 }
             }
 
@@ -200,6 +226,26 @@ mod tests {
                 t.eigen_residual(dj, &col) < 1e-8,
                 "residual too large for eigenpair {j}"
             );
+        }
+    }
+
+    #[test]
+    fn error_path_leaves_z_in_column_orientation() {
+        // d[3] = NaN never deflates: QL spends its budget rotating
+        // eigenvectors 2 and 3 into NaN and leaves 0 and 1 alone.
+        let mut d = vec![1.0, 2.0, 3.0, f64::NAN];
+        let mut e = vec![0.0, 0.0, 1.0];
+        let z0 = CMatrix::from_real_fn(4, 4, |r, c| (10 * r + c) as f64);
+        let mut z = z0.clone();
+        let err = tql_implicit(&mut d, &mut e, &mut z).unwrap_err();
+        assert!(matches!(err, LinalgError::NoConvergence { .. }), "{err}");
+        for r in 0..4 {
+            for c in 0..2 {
+                assert_eq!(z[(r, c)], z0[(r, c)], "column {c} moved at row {r}");
+            }
+            for c in 2..4 {
+                assert!(z[(r, c)].re.is_nan(), "column {c} not rotated at row {r}");
+            }
         }
     }
 

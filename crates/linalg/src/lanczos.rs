@@ -195,6 +195,12 @@ pub fn lanczos_lowest_k_op<Op: HermitianOp, R: Rng>(
         });
     }
     let scale = a.max_norm().max(1.0);
+    if !scale.is_finite() {
+        return Err(LinalgError::InvalidInput {
+            context: "lanczos: matrix has non-finite entries".into(),
+        });
+    }
+    // A NaN entry fails the Hermitian check at any tolerance.
     if !a.is_hermitian_within(1e-9 * scale) {
         return Err(LinalgError::InvalidInput {
             context: "lanczos: matrix is not Hermitian".into(),
@@ -428,5 +434,28 @@ mod tests {
         assert!(lanczos_lowest_k(&a, 9, 1e-8, &mut rng).is_err());
         let bad = CMatrix::random(4, 4, &mut rng);
         assert!(lanczos_lowest_k(&bad, 1, 1e-8, &mut rng).is_err());
+    }
+
+    #[test]
+    fn non_finite_input_is_invalid_not_unconverged() {
+        let mut rng = StdRng::seed_from_u64(98);
+        for (i, j, x) in [(1, 1, f64::NAN), (0, 2, f64::INFINITY)] {
+            let mut m = CMatrix::identity(4);
+            m[(i, j)] = Complex64::real(x);
+            m[(j, i)] = Complex64::real(x);
+            let mut results = vec![lanczos_lowest_k(&m, 2, 1e-8, &mut rng)];
+            if !x.is_nan() {
+                // CSR construction drops NaN entries (their modulus is not
+                // above the drop tolerance), so only ∞ reaches the sparse path.
+                let csr = CsrMatrix::from_dense(&m, 0.0);
+                results.push(lanczos_lowest_k_csr(&csr, 2, 1e-8, &mut rng));
+            }
+            for result in results {
+                assert!(
+                    matches!(result, Err(LinalgError::InvalidInput { .. })),
+                    "{x} at ({i},{j}): {result:?}"
+                );
+            }
+        }
     }
 }

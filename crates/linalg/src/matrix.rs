@@ -180,6 +180,36 @@ impl CMatrix {
         &mut self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
+    /// Mutably borrows the adjacent rows `i` and `i + 1` at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i + 1 >= nrows`.
+    #[inline]
+    pub(crate) fn row_pair_mut(&mut self, i: usize) -> (&mut [Complex64], &mut [Complex64]) {
+        assert!(i + 1 < self.nrows, "row pair {i}, {} out of bounds", i + 1);
+        let n = self.ncols;
+        self.data[i * n..(i + 2) * n].split_at_mut(n)
+    }
+
+    /// Transposes a square matrix in place (no conjugation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
+    pub(crate) fn transpose_in_place(&mut self) {
+        assert!(
+            self.is_square(),
+            "transpose_in_place: matrix must be square"
+        );
+        let n = self.nrows;
+        for i in 0..n {
+            for j in i + 1..n {
+                self.data.swap(i * n + j, j * n + i);
+            }
+        }
+    }
+
     /// Copies the `j`-th column into a new vector.
     ///
     /// # Panics
@@ -433,14 +463,16 @@ impl CMatrix {
         }
     }
 
-    /// `true` if `‖A − A†‖_max ≤ tol`.
+    /// `true` if `‖A − A†‖_max ≤ tol`. A NaN entry makes the matrix
+    /// non-Hermitian at any tolerance.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must fail the check
     pub fn is_hermitian(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }
         for i in 0..self.nrows {
             for j in i..self.ncols {
-                if (self[(i, j)] - self[(j, i)].conj()).abs() > tol {
+                if !((self[(i, j)] - self[(j, i)].conj()).abs() <= tol) {
                     return false;
                 }
             }
@@ -628,6 +660,28 @@ mod tests {
         ])
         .unwrap();
         assert!(!bad.is_hermitian(1e-12));
+    }
+
+    #[test]
+    fn nan_entries_are_never_hermitian() {
+        for (i, j) in [(1, 1), (0, 2)] {
+            let mut m = CMatrix::identity(3);
+            m[(i, j)] = Complex64::real(f64::NAN);
+            m[(j, i)] = Complex64::real(f64::NAN);
+            assert!(!m.is_hermitian(1e-9), "NaN at ({i},{j}) passed");
+            assert!(!m.is_hermitian(f64::INFINITY), "NaN at ({i},{j}) passed");
+        }
+    }
+
+    #[test]
+    fn transpose_in_place_and_row_pairs() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let m = CMatrix::random(5, 5, &mut rng);
+        let mut t = m.clone();
+        t.transpose_in_place();
+        assert_eq!(t, m.transpose());
+        let (a, b) = t.row_pair_mut(3);
+        assert_eq!((a.to_vec(), b.to_vec()), (m.col(3), m.col(4)));
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //!   pinning the *wiring*, not just the kernels;
 //! * the one documented ULP-bound kernel, `dot_unordered`, against its
 //!   reassociation error bound `|Δ| ≤ 2·n·ε·Σ|x_i|·|y_i|`;
+//! * the dense Hermitian eigensolver (`tridiagonalize`, `tql_implicit`,
+//!   `eigh`, `eigvalsh`) against a private copy of its original
+//!   column-strided loops — `d`, `e`, `Q`, eigenvalues and eigenvectors
+//!   bit for bit, so its row-contiguous layout and its `kernels::dot` /
+//!   `kernels::axpy` calls are pinned on whichever tier the run selects;
 //! * proptest generators for gate and reduction inputs.
 //!
 //! CI runs this suite under `QSC_KERNELS` ∈ {scalar, portable, avx2} ×
@@ -26,6 +31,9 @@
 //! environment (tiers the CPU lacks are skipped with a note).
 
 use proptest::prelude::*;
+use qsc_suite::graph::generators::{dsbm, DsbmParams};
+use qsc_suite::graph::normalized_hermitian_laplacian;
+use qsc_suite::linalg::eig::{eigh, eigvalsh, tql_implicit, tridiagonalize};
 use qsc_suite::linalg::kernels::{
     self, axpy_with, cdot_with, dot_unordered_with, dot_with, gate2_with, scale_with, Gate2,
     KernelTier,
@@ -600,6 +608,345 @@ fn matrix_kernels_match_naive_scalar_loops() {
                 &format!("gram {m}x{k} row {i}"),
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dense eigensolver vs its original column-strided loops.
+// ---------------------------------------------------------------------------
+
+/// The Householder reduction and QL iteration as they were before their
+/// loops were made row-contiguous, kept verbatim as the bit-identity
+/// oracle: `Q` accumulated a column at a time, QL rotating two columns of
+/// a row-major `z` with stride `n`.
+mod reference {
+    use qsc_suite::linalg::vector::cdot;
+    use qsc_suite::linalg::{CMatrix, Complex64, LinalgError, C_ZERO};
+
+    pub struct Tridiagonal {
+        pub d: Vec<f64>,
+        pub e: Vec<f64>,
+        pub q: CMatrix,
+    }
+
+    fn larfg(alpha: Complex64, x: &[Complex64]) -> (f64, Complex64, Vec<Complex64>) {
+        let xnorm = x.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+        if xnorm == 0.0 && alpha.im == 0.0 {
+            // Already in the desired form; no reflection needed.
+            return (alpha.re, C_ZERO, vec![C_ZERO; x.len()]);
+        }
+        let norm_all = (alpha.norm_sqr() + xnorm * xnorm).sqrt();
+        let beta = if alpha.re >= 0.0 { -norm_all } else { norm_all };
+        let tau = Complex64::new((beta - alpha.re) / beta, -alpha.im / beta);
+        let denom = alpha - beta;
+        let inv = denom.recip();
+        let v_rest: Vec<Complex64> = x.iter().map(|&z| z * inv).collect();
+        (beta, tau, v_rest)
+    }
+
+    pub fn tridiagonalize(a: &CMatrix) -> Tridiagonal {
+        assert!(a.is_square(), "tridiagonalize: matrix must be square");
+        let n = a.nrows();
+        let mut m = a.clone();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n.saturating_sub(1)];
+        // Householder vectors (full length n, zero above their support) and taus,
+        // kept to accumulate Q afterwards.
+        let mut vs: Vec<Vec<Complex64>> = Vec::with_capacity(n.saturating_sub(1));
+        let mut taus: Vec<Complex64> = Vec::with_capacity(n.saturating_sub(1));
+
+        for k in 0..n.saturating_sub(1) {
+            let alpha = m[(k + 1, k)];
+            let x: Vec<Complex64> = (k + 2..n).map(|i| m[(i, k)]).collect();
+            let (beta, tau, v_rest) = larfg(alpha, &x);
+            e[k] = beta;
+
+            // Full-length Householder vector: support on rows k+1..n.
+            let mut v = vec![C_ZERO; n];
+            v[k + 1] = Complex64::real(1.0);
+            for (offset, &val) in v_rest.iter().enumerate() {
+                v[k + 2 + offset] = val;
+            }
+
+            if tau != C_ZERO {
+                // Two-sided update of the trailing block m[k+1.., k+1..]:
+                //   p = τ·A·v,  w = p − (τ/2)·⟨p, v⟩·v,  A ← A − v·w† − w·v†.
+                let sub = k + 1;
+                let len = n - sub;
+                let mut p = vec![C_ZERO; len];
+                for i in 0..len {
+                    let mut acc = C_ZERO;
+                    for j in 0..len {
+                        acc += m[(sub + i, sub + j)] * v[sub + j];
+                    }
+                    p[i] = acc * tau;
+                }
+                let vsub: Vec<Complex64> = v[sub..].to_vec();
+                let coeff = tau.scale(0.5) * cdot(&p, &vsub);
+                let w: Vec<Complex64> = p
+                    .iter()
+                    .zip(&vsub)
+                    .map(|(pi, vi)| *pi - coeff * *vi)
+                    .collect();
+                for i in 0..len {
+                    for j in 0..len {
+                        let upd = vsub[i] * w[j].conj() + w[i] * vsub[j].conj();
+                        m[(sub + i, sub + j)] -= upd;
+                    }
+                }
+            }
+
+            vs.push(v);
+            taus.push(tau);
+        }
+
+        for i in 0..n {
+            d[i] = m[(i, i)].re;
+        }
+
+        // Accumulate Q = H_0·H_1⋯H_{n-2} by applying reflectors to the identity
+        // from the left, in reverse order: Q ← H_k·Q. Each H_k touches only rows
+        // k+1..n, and at the moment it is applied, Q has non-identity structure
+        // only in rows/cols k+2..n, keeping the cost at ~n³/3 flops.
+        let mut q = CMatrix::identity(n);
+        for k in (0..n.saturating_sub(1)).rev() {
+            let tau = taus[k];
+            if tau == C_ZERO {
+                continue;
+            }
+            let v = &vs[k];
+            // H·Q = Q − τ·v·(v†·Q); v is supported on rows k+1..n.
+            for col in 0..n {
+                let mut dot = C_ZERO;
+                for row in k + 1..n {
+                    dot += v[row].conj() * q[(row, col)];
+                }
+                if dot == C_ZERO {
+                    continue;
+                }
+                let f = tau * dot;
+                for row in k + 1..n {
+                    let delta = f * v[row];
+                    q[(row, col)] -= delta;
+                }
+            }
+        }
+
+        Tridiagonal { d, e, q }
+    }
+
+    const MAX_ITER: usize = 64;
+
+    pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(), LinalgError> {
+        let n = d.len();
+        assert_eq!(e.len(), n.saturating_sub(1), "tql: subdiagonal length");
+        assert_eq!(z.nrows(), z.ncols(), "tql: z must be square");
+        assert_eq!(z.nrows(), n, "tql: z dimension");
+        if n <= 1 {
+            return Ok(());
+        }
+
+        // Work with a sentinel-extended subdiagonal: ee[i] couples i and i+1.
+        let mut ee = vec![0.0; n];
+        ee[..n - 1].copy_from_slice(e);
+
+        for l in 0..n {
+            let mut iter = 0usize;
+            loop {
+                // Find the first negligible subdiagonal element at or after l.
+                let mut m = l;
+                while m + 1 < n {
+                    let dd = d[m].abs() + d[m + 1].abs();
+                    if ee[m].abs() <= f64::EPSILON * dd {
+                        break;
+                    }
+                    m += 1;
+                }
+                if m == l {
+                    break;
+                }
+                iter += 1;
+                if iter > MAX_ITER {
+                    return Err(LinalgError::NoConvergence {
+                        algorithm: "tql_implicit",
+                        iterations: MAX_ITER,
+                        residual: Some(ee[l].abs()),
+                    });
+                }
+
+                // Wilkinson-style shift: g + sign(g)·hypot(g, 1).
+                let g0 = (d[l + 1] - d[l]) / (2.0 * ee[l]);
+                let mut r = g0.hypot(1.0);
+                let mut g = d[m] - d[l] + ee[l] / (g0 + r.copysign(g0));
+
+                let mut s = 1.0;
+                let mut c = 1.0;
+                let mut p = 0.0;
+                let mut underflow = false;
+
+                for i in (l..m).rev() {
+                    let f = s * ee[i];
+                    let b = c * ee[i];
+                    r = f.hypot(g);
+                    ee[i + 1] = r;
+                    if r == 0.0 {
+                        // Rotation underflow: recover and restart this eigenvalue.
+                        d[i + 1] -= p;
+                        ee[m] = 0.0;
+                        underflow = true;
+                        break;
+                    }
+                    s = f / r;
+                    c = g / r;
+                    g = d[i + 1] - p;
+                    r = (d[i] - g) * s + 2.0 * c * b;
+                    p = s * r;
+                    d[i + 1] = g + p;
+                    g = c * r - b;
+
+                    // Accumulate the Givens rotation into columns i, i+1 of z.
+                    for k in 0..n {
+                        let zk1 = z[(k, i + 1)];
+                        let zk0 = z[(k, i)];
+                        z[(k, i + 1)] = zk0.scale(s) + zk1.scale(c);
+                        z[(k, i)] = zk0.scale(c) - zk1.scale(s);
+                    }
+                }
+
+                if underflow {
+                    continue;
+                }
+                d[l] -= p;
+                ee[l] = g;
+                ee[m] = 0.0;
+            }
+        }
+        Ok(())
+    }
+}
+
+fn assert_f64_bits_eq(got: &[f64], want: &[f64], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            w.to_bits(),
+            "{context}[{i}]: got {g}, want {w}"
+        );
+    }
+}
+
+fn assert_matrix_bits_eq(got: &CMatrix, want: &CMatrix, context: &str) {
+    assert_eq!(got.nrows(), want.nrows(), "{context}: rows");
+    for i in 0..want.nrows() {
+        assert_bits_eq(got.row(i), want.row(i), &format!("{context} row {i}"));
+    }
+}
+
+/// Runs the production solver and the reference on `a` and asserts that
+/// `d`, `e`, `Q`, the QL output, and `eigh`/`eigvalsh` agree to the bit.
+fn assert_eigensolver_matches_reference(a: &CMatrix, context: &str) {
+    let got = tridiagonalize(a);
+    let want = reference::tridiagonalize(a);
+    assert_f64_bits_eq(&got.d, &want.d, &format!("{context}: d"));
+    assert_f64_bits_eq(&got.e, &want.e, &format!("{context}: e"));
+    assert_matrix_bits_eq(&got.q, &want.q, &format!("{context}: Q"));
+
+    let (mut gd, mut ge, mut gz) = (got.d, got.e, got.q);
+    let (mut wd, mut we, mut wz) = (want.d, want.e, want.q);
+    let got_ql = tql_implicit(&mut gd, &mut ge, &mut gz);
+    let want_ql = reference::tql_implicit(&mut wd, &mut we, &mut wz);
+    assert_eq!(got_ql, want_ql, "{context}: QL outcome");
+    assert_f64_bits_eq(&gd, &wd, &format!("{context}: QL eigenvalues"));
+    assert_matrix_bits_eq(&gz, &wz, &format!("{context}: QL eigenvectors"));
+
+    // eigh = the two stages + a sort; eigvalsh skips the vectors.
+    let mut order: Vec<usize> = (0..wd.len()).collect();
+    order.sort_by(|&i, &j| wd[i].partial_cmp(&wd[j]).unwrap());
+    let sorted: Vec<f64> = order.iter().map(|&i| wd[i]).collect();
+    let eig = eigh(a).expect("eigh");
+    assert_f64_bits_eq(
+        &eig.eigenvalues,
+        &sorted,
+        &format!("{context}: eigh values"),
+    );
+    assert_matrix_bits_eq(
+        &eig.eigenvectors,
+        &wz.select_columns(&order),
+        &format!("{context}: eigh vectors"),
+    );
+    let values = eigvalsh(a).expect("eigvalsh");
+    assert_f64_bits_eq(&values, &sorted, &format!("{context}: eigvalsh"));
+}
+
+#[test]
+fn eigensolver_is_bit_identical_to_column_strided_reference() {
+    let mut rng = StdRng::seed_from_u64(401);
+    for n in [1usize, 2, 3, 5, 17, 64, 128, 200] {
+        let a = CMatrix::random_hermitian(n, &mut rng);
+        assert_eigensolver_matches_reference(&a, &format!("random Hermitian n={n}"));
+    }
+}
+
+#[test]
+fn eigensolver_is_bit_identical_on_a_flow_dsbm_laplacian() {
+    let inst = dsbm(&DsbmParams {
+        n: 96,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 0.9,
+        seed: 402,
+        ..DsbmParams::default()
+    })
+    .expect("dsbm");
+    let l = normalized_hermitian_laplacian(&inst.graph, 0.25);
+    assert_eigensolver_matches_reference(&l, "flow-DSBM Laplacian n=96");
+}
+
+#[test]
+fn eigensolver_is_bit_identical_on_nearly_hermitian_input() {
+    // Hermitian only to within 1e-10: `eigh` accepts it, and the full
+    // (not mirrored) rank-2 update must keep the asymmetry's bits.
+    let mut rng = StdRng::seed_from_u64(403);
+    for n in [17usize, 64] {
+        let mut a = CMatrix::random_hermitian(n, &mut rng);
+        for i in 0..n {
+            for j in i + 1..n {
+                a[(i, j)] += Complex64::new(rng.gen_range(-1e-10..1e-10), 0.0);
+            }
+        }
+        assert!(!a.is_hermitian(0.0) && a.is_hermitian(1e-9));
+        assert_eigensolver_matches_reference(&a, &format!("nearly Hermitian n={n}"));
+    }
+}
+
+#[test]
+fn eigensolver_stages_keep_the_reference_nan_pattern() {
+    // `eigh` rejects non-finite input, but the public stages do not: a NaN
+    // entry must spread through `Q` and the QL output exactly as in the
+    // reference (NaN positions pinned, payloads not).
+    let mut rng = StdRng::seed_from_u64(404);
+    let n = 9;
+    let mut a = CMatrix::random_hermitian(n, &mut rng);
+    a[(6, 4)] = Complex64::new(f64::NAN, 0.0);
+    a[(4, 6)] = Complex64::new(f64::NAN, 0.0);
+    let got = tridiagonalize(&a);
+    let want = reference::tridiagonalize(&a);
+    for i in 0..n {
+        assert_nan_pattern_eq(
+            got.q.row(i),
+            want.q.row(i),
+            &format!("NaN input: Q row {i}"),
+        );
+    }
+    let (mut gd, mut ge, mut gz) = (got.d, got.e, got.q);
+    let (mut wd, mut we, mut wz) = (want.d, want.e, want.q);
+    let got_ql = tql_implicit(&mut gd, &mut ge, &mut gz).map_err(|e| e.to_string());
+    let want_ql = reference::tql_implicit(&mut wd, &mut we, &mut wz).map_err(|e| e.to_string());
+    assert_eq!(got_ql.is_ok(), want_ql.is_ok(), "NaN input: QL outcome");
+    for i in 0..n {
+        assert_nan_pattern_eq(gz.row(i), wz.row(i), &format!("NaN input: QL row {i}"));
     }
 }
 
