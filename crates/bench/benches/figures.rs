@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsc_core::{Pipeline, QuantumParams};
 use qsc_graph::generators::{dsbm, DsbmParams, MetaGraph};
 use qsc_graph::normalized_hermitian_laplacian;
-use qsc_linalg::eigh;
+use qsc_linalg::eigvalsh;
 use qsc_sim::qpe::qpe_phase_distribution;
 use qsc_sim::PhaseEstimator;
 use std::hint::black_box;
@@ -50,7 +50,7 @@ fn bench_fig3_qpe(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_qpe");
     let inst = dsbm(&flow_params(128)).expect("dsbm");
     let laplacian = normalized_hermitian_laplacian(&inst.graph, 0.25);
-    let eig = eigh(&laplacian).expect("eigh");
+    let eigenvalues = eigvalsh(&laplacian).expect("eigvalsh");
     for t in [4usize, 6, 8, 10] {
         group.bench_with_input(BenchmarkId::new("distribution", t), &t, |b, &t| {
             b.iter(|| qpe_phase_distribution(black_box(0.3137), t))
@@ -58,7 +58,7 @@ fn bench_fig3_qpe(c: &mut Criterion) {
         let est = PhaseEstimator::new(4.0, t).expect("estimator");
         group.bench_with_input(BenchmarkId::new("round_spectrum", t), &t, |b, _| {
             b.iter(|| {
-                eig.eigenvalues
+                eigenvalues
                     .iter()
                     .map(|&l| est.round(black_box(l)))
                     .sum::<f64>()
@@ -68,7 +68,7 @@ fn bench_fig3_qpe(c: &mut Criterion) {
     group.finish();
 }
 
-/// F4: Laplacian construction + eigendecomposition per rotation parameter
+/// F4: Laplacian construction + eigenvalues per rotation parameter
 /// (the per-q cost of the ablation; accuracy rows come from `experiments`).
 fn bench_fig4_ablation_q(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_ablation_q");
@@ -78,7 +78,7 @@ fn bench_fig4_ablation_q(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let l = normalized_hermitian_laplacian(black_box(&inst.graph), q);
-                eigh(&l).expect("eigh").eigenvalues[0]
+                eigvalsh(&l).expect("eigvalsh")[0]
             })
         });
     }

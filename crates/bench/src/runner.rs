@@ -33,7 +33,7 @@ use qsc_core::{
 use qsc_graph::normalized_hermitian_laplacian;
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
 use qsc_json::{JsonError, Value};
-use qsc_linalg::eigh;
+use qsc_linalg::eigvalsh;
 use qsc_linalg::expm::expi;
 use qsc_sim::resources::{pipeline_resources, qpe_resources, qubits_for_dimension};
 use qsc_sim::synthesis::{derived_two_qubit_count, two_level_decompose};
@@ -1077,7 +1077,7 @@ impl SweepRunner {
         let (graph_spec, _) = self.scaled_graph(spec, &q.graph)?;
         let inst = graph_spec.generate()?;
         let laplacian = normalized_hermitian_laplacian(&inst.graph, q.q);
-        let eig = eigh(&laplacian).map_err(qsc_core::Error::from)?;
+        let eigenvalues = eigvalsh(&laplacian).map_err(qsc_core::Error::from)?;
 
         let mut table = Table::new([
             "qpe_bits",
@@ -1087,8 +1087,7 @@ impl SweepRunner {
         ]);
         for &t in &q.bits {
             let est = PhaseEstimator::new(q.qpe_scale, t).map_err(qsc_core::Error::from)?;
-            let errors: Vec<f64> = eig
-                .eigenvalues
+            let errors: Vec<f64> = eigenvalues
                 .iter()
                 .map(|&l| (est.round(l) - l).abs())
                 .collect();

@@ -5,15 +5,17 @@ use crate::embedding::{embed_rows, normalize_rows};
 use crate::error::Error;
 use crate::pipeline::{Embedder, Embedding, StageContext};
 use qsc_graph::MixedGraph;
-use qsc_linalg::eigh;
+use qsc_linalg::eigh_spectrum;
 use qsc_linalg::lanczos::lanczos_lowest_k_csr;
 use qsc_linalg::{CMatrix, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Exact dense eigendecomposition (`O(n³)`) — the reference embedding
-/// stage: the Laplacian is densified, fully decomposed, and every vertex
-/// embedded as its row in the `k` lowest eigenvectors (`C^k → R^{2k}`).
+/// Exact dense eigensolve — the reference embedding stage: the Laplacian is
+/// densified, all its eigenvalues are computed (the `O(n³)` Householder
+/// reduction), only the `k` lowest eigenvectors are built
+/// ([`eigh_spectrum`], `O(n²)` each), and every vertex is embedded as its
+/// row in them (`C^k → R^{2k}`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DenseEig;
 
@@ -28,8 +30,8 @@ impl Embedder for DenseEig {
         laplacian: &CsrMatrix,
         ctx: &StageContext,
     ) -> Result<Embedding, Error> {
-        let eig = eigh(&laplacian.to_dense())?;
-        finish_classical(eig.eigenvectors, eig.eigenvalues, ctx)
+        let eig = eigh_spectrum(laplacian.to_dense())?;
+        finish_classical(eig.lowest_k(ctx.k), eig.eigenvalues, ctx)
     }
 }
 

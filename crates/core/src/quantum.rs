@@ -29,7 +29,7 @@ use crate::error::Error;
 use crate::pipeline::{Embedder, Embedding, StageContext};
 use qsc_graph::MixedGraph;
 use qsc_linalg::vector::interleave_re_im;
-use qsc_linalg::{eigh, CMatrix, Complex64, CsrMatrix};
+use qsc_linalg::{eigh, eigh_spectrum, CMatrix, Complex64, CsrMatrix};
 use qsc_sim::amplitude::estimate_norm;
 use qsc_sim::backend::{Backend, Statevector};
 use qsc_sim::tomography::tomography_complex;
@@ -39,6 +39,10 @@ use rand::SeedableRng;
 
 /// The simulated quantum embedding stage: QPE-binned soft spectral
 /// projection, amplitude-estimated row norms, tomography-read directions.
+///
+/// The simulator computes every eigenvalue of the Laplacian but builds only
+/// the eigenvectors that survive the QPE threshold (at most
+/// `k·max_dims_factor` of them, through [`eigh_spectrum`]).
 ///
 /// The stage owns the full [`QuantumParams`] precision set; its `δ` field
 /// is consumed by the matching `QMeans` clusterer (see
@@ -120,8 +124,9 @@ impl Embedder for QpeTomography {
 
         // The simulator's privilege: the exact spectrum is available; the
         // algorithmic noise is injected downstream exactly where the quantum
-        // subroutines would introduce it.
-        let eig = eigh(&laplacian.to_dense())?;
+        // subroutines would introduce it. Eigenvectors are built below, for
+        // the selected dimensions only.
+        let eig = eigh_spectrum(laplacian.to_dense())?;
 
         // --- QPE: every eigenvalue is known only at t-bit resolution. The
         // threshold ν is placed just above the bin of the k-th smallest
@@ -184,7 +189,7 @@ impl Embedder for QpeTomography {
 
         // --- Project rows through the soft filter, read them out through AE
         // (norms) + tomography (directions). ---
-        let sub = eig.eigenvectors.select_columns(&selected);
+        let sub = eig.eigenvectors(&selected);
         let weights: Vec<f64> = selected.iter().map(|&j| survival[j].sqrt()).collect();
         let n = g.num_vertices();
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);

@@ -38,7 +38,8 @@ pub struct Tridiagonal {
 /// The elementary reflector `H_k = I − τ·v·v†` of reduction step `k`. `v`
 /// is stored on its support only: `v[0] = 1` sits on row `k + 1`, and the
 /// vector runs to row `n − 1`.
-struct Reflector {
+#[derive(Debug, Clone)]
+pub(super) struct Reflector {
     tau: Complex64,
     v: Vec<Complex64>,
 }
@@ -73,22 +74,17 @@ fn larfg(alpha: Complex64, x: &[Complex64]) -> (f64, Complex64, Vec<Complex64>) 
 /// Panics if the matrix is not square. Hermitian-ness is the caller's
 /// responsibility (the public [`crate::eig::eigh`] entry point validates).
 pub fn tridiagonalize(a: &CMatrix) -> Tridiagonal {
-    let (d, e, reflectors) = reduce(a);
+    let (d, e, reflectors) = reduce(a.clone());
     let q = accumulate_q(a.nrows(), &reflectors);
     Tridiagonal { d, e, q }
 }
 
-/// The reduction without `Q`: `(d, e)` bit-identical to [`tridiagonalize`]'s.
-pub(super) fn tridiagonal_only(a: &CMatrix) -> (Vec<f64>, Vec<f64>) {
-    let (d, e, _) = reduce(a);
-    (d, e)
-}
-
-/// Runs the reduction, returning `d`, `e` and the reflectors `H_0 … H_{n−2}`.
-fn reduce(a: &CMatrix) -> (Vec<f64>, Vec<f64>, Vec<Reflector>) {
-    assert!(a.is_square(), "tridiagonalize: matrix must be square");
-    let n = a.nrows();
-    let mut m = a.clone();
+/// Runs the reduction in place on `m`, returning `d`, `e` (bit-identical
+/// to [`tridiagonalize`]'s) and the reflectors `H_0 … H_{n−2}`, without
+/// `Q`.
+pub(super) fn reduce(mut m: CMatrix) -> (Vec<f64>, Vec<f64>, Vec<Reflector>) {
+    assert!(m.is_square(), "tridiagonalize: matrix must be square");
+    let n = m.nrows();
     let mut e = vec![0.0; n.saturating_sub(1)];
     let mut reflectors = Vec::with_capacity(n.saturating_sub(1));
 
@@ -125,47 +121,61 @@ fn reduce(a: &CMatrix) -> (Vec<f64>, Vec<f64>, Vec<Reflector>) {
 }
 
 /// Accumulates `Q = H_0·H_1⋯H_{n−2}` by applying the reflectors to the
-/// identity from the left, in reverse order: `Q ← H_k·Q = Q − τ·v·(v†·Q)`.
-///
-/// `H_k` touches rows `k+1..n`. When it is applied, only `H_{k+1} …` have
-/// touched `Q`, so its columns `≤ k` are still identity columns, zero on
-/// rows `k+1..n`: their `v†·Q` entries are exact zeros, which the
-/// column-at-a-time loop skips. Both passes therefore run over the columns
-/// `k+1..n` only — as long as every reflector applied so far is finite.
-/// A non-finite `v` turns those zeros into NaNs, so from then on the passes
-/// cover every column, exactly as the column loop does.
+/// identity (see [`apply_reflectors`]).
 fn accumulate_q(n: usize, reflectors: &[Reflector]) -> CMatrix {
     let mut q = CMatrix::identity(n);
-    let mut y = vec![C_ZERO; n];
-    let mut f = vec![C_ZERO; n];
-    let mut all_finite = true;
-    for (k, r) in reflectors.iter().enumerate().rev() {
-        if r.tau == C_ZERO {
+    apply_reflectors(reflectors, &mut q, true);
+    q
+}
+
+/// `X ← Q·X` for any `n × k` matrix `X`, `O(n²·k)`: the back-transform of
+/// eigenvectors of `T` into eigenvectors of `A` without forming `Q`.
+pub(super) fn apply_q(reflectors: &[Reflector], x: &mut CMatrix) {
+    apply_reflectors(reflectors, x, false);
+}
+
+/// `X ← H_0·H_1⋯H_{n−2}·X`, applying the reflectors from the left in
+/// reverse order: `X ← H_k·X = X − τ·v·(v†·X)`.
+///
+/// With `identity` set, `X` starts as the identity and only the columns
+/// `k+1..n` are visited for `H_k`: when it is applied, only `H_{k+1} …`
+/// have touched `X`, so its columns `≤ k` are still identity columns, zero
+/// on rows `k+1..n`, and their `v†·X` entries are exact zeros, which the
+/// column-at-a-time loop skips. That holds only while every reflector
+/// applied so far is finite: a non-finite `v` turns those zeros into NaNs,
+/// so from then on the passes cover every column, exactly as the column
+/// loop does.
+fn apply_reflectors(reflectors: &[Reflector], x: &mut CMatrix, identity: bool) {
+    let k = x.ncols();
+    let mut y = vec![C_ZERO; k];
+    let mut f = vec![C_ZERO; k];
+    let mut all_finite = identity;
+    for (r, refl) in reflectors.iter().enumerate().rev() {
+        if refl.tau == C_ZERO {
             continue;
         }
-        all_finite &= r.v.iter().all(|z| z.is_finite());
-        let sub = k + 1;
+        all_finite &= refl.v.iter().all(|z| z.is_finite());
+        let sub = r + 1;
         let c0 = if all_finite { sub } else { 0 };
         let (y, f) = (&mut y[c0..], &mut f[c0..]);
-        // Pass 1: y = v†·Q, each entry summed over rows in ascending order.
+        // Pass 1: y = v†·X, each entry summed over rows in ascending order.
         y.fill(C_ZERO);
-        for (i, vi) in r.v.iter().enumerate() {
-            kernels::axpy(vi.conj(), &q.row(sub + i)[c0..], y);
+        for (i, vi) in refl.v.iter().enumerate() {
+            kernels::axpy(vi.conj(), &x.row(sub + i)[c0..], y);
         }
-        // Pass 2: Q[row, c] −= (τ·y_c)·v_row, skipping exact-zero y_c.
+        // Pass 2: X[row, c] −= (τ·y_c)·v_row, skipping exact-zero y_c.
         for (fc, &yc) in f.iter_mut().zip(y.iter()) {
-            *fc = r.tau * yc;
+            *fc = refl.tau * yc;
         }
-        for (i, &vi) in r.v.iter().enumerate() {
-            let row = &mut q.row_mut(sub + i)[c0..];
-            for ((qc, &fc), &yc) in row.iter_mut().zip(f.iter()).zip(y.iter()) {
+        for (i, &vi) in refl.v.iter().enumerate() {
+            let row = &mut x.row_mut(sub + i)[c0..];
+            for ((xc, &fc), &yc) in row.iter_mut().zip(f.iter()).zip(y.iter()) {
                 if yc != C_ZERO {
-                    *qc -= fc * vi;
+                    *xc -= fc * vi;
                 }
             }
         }
     }
-    q
 }
 
 #[cfg(test)]

@@ -11,6 +11,11 @@
 //! Both return a [`HermitianEigen`] with eigenvalues sorted ascending, which
 //! is the ordering spectral clustering consumes (lowest eigenvectors first).
 //!
+//! Two cheaper entry points share [`eigh`]'s reduction and QL recurrence:
+//! [`eigvalsh`] (eigenvalues only) and the partial eigensolver
+//! [`eigh_spectrum`] (every eigenvalue, eigenvectors on request). Both give
+//! eigenvalues bit-identical to [`eigh`]'s.
+//!
 //! # Memory layout of the fast path
 //!
 //! Every `O(n³)` inner loop of [`eigh`] walks contiguous row-major memory:
@@ -40,6 +45,30 @@
 //! [`eigvalsh`] runs the same reduction and QL recurrence without `Q` and
 //! without rotations; the `d`/`e` recurrence never reads the eigenvectors,
 //! so its eigenvalues are bit-identical to [`eigh`]'s.
+//!
+//! # Only the eigenvectors a caller reads
+//!
+//! Spectral clustering reads `k ≪ n` eigenvectors, yet [`eigh`] spends
+//! most of its time forming `Q` (`~16·n³/3` flops) and rotating all `n`
+//! columns of `z` through QL (`~12·n` flops per rotation, `~1.1·n²`
+//! rotations). [`eigh_spectrum`] does neither: it keeps the reflectors,
+//! and QL writes each rotation `(i, c, s)` to a 20-byte log entry instead
+//! of applying it. Eigenvector `j` is then rebuilt on request in `O(n²)`:
+//!
+//! 1. start from `e_{order[j]}` (`order` is the same stable argsort that
+//!    [`eigh`] sorts with, so tied eigenvalues get the same columns);
+//! 2. replay the log backwards, `x_i ← c·x_i + s·x_{i+1}`,
+//!    `x_{i+1} ← −s·x_i + c·x_{i+1}`, which yields `R·e_{order[j]}`;
+//! 3. apply `Q = H_0⋯H_{n−2}` by the reflectors, `H_{n−2}` first.
+//!
+//! That is `Q·(R·e)` where [`eigh`] computes `(Q·R)·e`: the same rotations
+//! and reflectors in a different association, so the vectors agree with
+//! [`eigh`]'s up to rounding (`max|ΔV| ≤ 4·n·ε`, pinned in
+//! `tests/kernel_equivalence.rs`), with the same sign and phase even inside
+//! degenerate clusters. This is why the path replays a log rather than
+//! running inverse iteration (LAPACK `zstein`), whose vectors are only
+//! defined up to a phase: downstream tomography samples real and imaginary
+//! parts, so a phase change would change its noise realisation.
 
 mod householder;
 mod jacobi;
@@ -50,6 +79,8 @@ pub use householder::{tridiagonalize, Tridiagonal};
 pub use jacobi::{jacobi_hermitian, off_diagonal_norm};
 pub use tql::tql_implicit;
 pub use unitary::{eig_unitary, UnitaryEigen};
+
+pub(crate) use tql::{ql, RotationLog, Rotations};
 
 use crate::complex::Complex64;
 use crate::error::LinalgError;
@@ -135,14 +166,19 @@ fn validate_hermitian(a: &CMatrix) -> Result<(), LinalgError> {
     Ok(())
 }
 
-fn sorted(mut evals: Vec<f64>, evecs: CMatrix) -> HermitianEigen {
+/// Stable ascending argsort: tied eigenvalues keep their QL order, so every
+/// path maps them to the same columns.
+pub(crate) fn ascending_order(evals: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..evals.len()).collect();
     order.sort_by(|&i, &j| evals[i].partial_cmp(&evals[j]).expect("NaN eigenvalue"));
-    let eigenvectors = evecs.select_columns(&order);
-    evals.sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
+    order
+}
+
+fn sorted(evals: Vec<f64>, evecs: CMatrix) -> HermitianEigen {
+    let order = ascending_order(&evals);
     HermitianEigen {
-        eigenvalues: evals,
-        eigenvectors,
+        eigenvalues: order.iter().map(|&i| evals[i]).collect(),
+        eigenvectors: evecs.select_columns(&order),
     }
 }
 
@@ -182,6 +218,110 @@ pub fn eigh(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     Ok(sorted(d, z))
 }
 
+/// All eigenvalues of a Hermitian matrix, with eigenvectors built only on
+/// request — the result of [`eigh_spectrum`].
+///
+/// Instead of `Q` and the rotated `z`, it keeps the Householder reflectors
+/// and the log of QL rotations, about `30·n²` bytes in all.
+#[derive(Debug, Clone)]
+pub struct HermitianSpectrum {
+    /// Eigenvalues in ascending order, bit-identical to [`eigh`]'s.
+    pub eigenvalues: Vec<f64>,
+    /// `order[j]` is the QL index of `eigenvalues[j]`.
+    order: Vec<usize>,
+    reflectors: Vec<householder::Reflector>,
+    rotations: RotationLog,
+}
+
+impl HermitianSpectrum {
+    /// Dimension of the decomposed matrix.
+    pub fn dim(&self) -> usize {
+        self.eigenvalues.len()
+    }
+
+    /// The `n × selected.len()` matrix whose column `c` is the eigenvector
+    /// of `eigenvalues[selected[c]]`: [`eigh`]'s column `selected[c]`, up
+    /// to rounding, with the same sign and phase (inside degenerate
+    /// clusters too). Costs `O(n²)` per column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is `≥ n`.
+    pub fn eigenvectors(&self, selected: &[usize]) -> CMatrix {
+        let n = self.dim();
+        let cols: Vec<usize> = selected
+            .iter()
+            .map(|&j| {
+                assert!(j < n, "eigenvectors: index {j} out of range for n = {n}");
+                self.order[j]
+            })
+            .collect();
+        // Eigenvector j of T is R·e_{order[j]}; Q maps it to one of A.
+        let x = self.rotations.replay(n, &cols);
+        let k = cols.len();
+        let mut v = CMatrix::from_real_fn(n, k, |i, c| x[i * k + c]);
+        householder::apply_q(&self.reflectors, &mut v);
+        v
+    }
+
+    /// The `n × k` matrix of eigenvectors belonging to the `k` smallest
+    /// eigenvalues, as [`HermitianEigen::lowest_k`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn lowest_k(&self, k: usize) -> CMatrix {
+        assert!(k <= self.dim(), "lowest_k: k={} > n={}", k, self.dim());
+        self.eigenvectors(&(0..k).collect::<Vec<_>>())
+    }
+}
+
+/// The partial eigensolver: every eigenvalue of a Hermitian matrix,
+/// bit-identical to [`eigh`]'s, and eigenvectors only for the indices a
+/// caller asks [`HermitianSpectrum::eigenvectors`] for.
+///
+/// It runs [`eigh`]'s Householder reduction and QL recurrence but never
+/// forms `Q` nor rotates `z`, which is most of [`eigh`]'s `O(n³)` work:
+/// the QL rotations go to a log, and each requested eigenvector is rebuilt
+/// from `e_j` by replaying the log backwards and applying the reflectors.
+///
+/// `a` is taken by value because the reduction overwrites it: a caller
+/// done with the matrix hands it over instead of keeping a second `n × n`
+/// copy alive during the solve.
+///
+/// # Errors
+///
+/// Same contract as [`eigh`].
+///
+/// # Examples
+///
+/// ```
+/// use qsc_linalg::{eig::eigh_spectrum, eigh, CMatrix};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// # fn main() -> Result<(), qsc_linalg::LinalgError> {
+/// let a = CMatrix::random_hermitian(20, &mut StdRng::seed_from_u64(1));
+/// let (spectrum, full) = (eigh_spectrum(a.clone())?, eigh(&a)?);
+/// assert_eq!(spectrum.eigenvalues, full.eigenvalues);
+/// let low = spectrum.lowest_k(3);
+/// assert!((&low - &full.lowest_k(3)).max_norm() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+pub fn eigh_spectrum(a: CMatrix) -> Result<HermitianSpectrum, LinalgError> {
+    validate_hermitian(&a)?;
+    let (mut d, e, reflectors) = householder::reduce(a);
+    let mut rotations = RotationLog::default();
+    ql(&mut d, &e, Rotations::Log(&mut rotations))?;
+    let order = ascending_order(&d);
+    Ok(HermitianSpectrum {
+        eigenvalues: order.iter().map(|&i| d[i]).collect(),
+        order,
+        reflectors,
+        rotations,
+    })
+}
+
 /// Full eigendecomposition via cyclic complex Jacobi (reference path).
 ///
 /// # Errors
@@ -200,8 +340,8 @@ pub fn eigh_jacobi(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
 /// Same contract as [`eigh`].
 pub fn eigvalsh(a: &CMatrix) -> Result<Vec<f64>, LinalgError> {
     validate_hermitian(a)?;
-    let (mut d, e) = householder::tridiagonal_only(a);
-    tql::ql(&mut d, &e, None)?;
+    let (mut d, e, _) = householder::reduce(a.clone());
+    ql(&mut d, &e, Rotations::Discard)?;
     d.sort_by(|a, b| a.partial_cmp(b).expect("NaN eigenvalue"));
     Ok(d)
 }

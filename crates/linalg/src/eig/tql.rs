@@ -9,6 +9,11 @@
 //! transposes back on every exit. The rotation is real, so each complex
 //! component sees exactly the operations of the column form and the result
 //! is bit-identical to it.
+//!
+//! Rotation log. A caller that reads only a few eigenvectors need not rotate
+//! all `n` of them: [`ql`] can instead record each rotation `(i, c, s)` in a
+//! [`RotationLog`], and [`RotationLog::replay`] rebuilds the columns it is
+//! asked for afterwards at `O(#rotations)` each.
 
 use crate::error::LinalgError;
 use crate::matrix::CMatrix;
@@ -41,19 +46,93 @@ pub fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut CMatrix) -> Result<(),
     assert_eq!(z.nrows(), n, "tql: z dimension");
     // Row j of the transpose is eigenvector column j.
     z.transpose_in_place();
-    let result = ql(d, e, Some(z));
+    let result = ql(d, e, Rotations::Rows(z));
     z.transpose_in_place();
     result
 }
 
-/// The QL iteration, rotating the rows of `zt` (the transposed eigenvector
-/// matrix) when given. Without `zt`, `d` still ends bit-identical to
-/// [`tql_implicit`]'s: the `d`/`e` recurrence never reads the eigenvectors.
-pub(super) fn ql(
-    d: &mut [f64],
-    e: &[f64],
-    mut zt: Option<&mut CMatrix>,
-) -> Result<(), LinalgError> {
+/// Where [`ql`] sends each Givens rotation it applies. The `d`/`e`
+/// recurrence never reads the eigenvectors, so `d` ends bit-identical
+/// whichever sink is chosen.
+pub(crate) enum Rotations<'a> {
+    /// Nowhere: eigenvalues only.
+    Discard,
+    /// Onto two adjacent rows of `zᵀ`, the transposed eigenvector matrix.
+    Rows(&'a mut CMatrix),
+    /// Into a log, for [`RotationLog::replay`] to rebuild selected columns.
+    Log(&'a mut RotationLog),
+}
+
+/// Rotations per block of a [`RotationLog`]: 80 KB, below the default
+/// `mmap` threshold of the system allocator, so the log never needs one
+/// large allocation nor a copy to grow.
+const BLOCK: usize = 4096;
+
+/// The rotations of one QL run, in the order they were applied, in blocks
+/// of [`BLOCK`]: rotation `t` mixes columns `rows[t]` and `rows[t] + 1` by
+/// `cs[t] = [c, s]`. 20 bytes per rotation; QL applies about `1.1·n²`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RotationLog {
+    blocks: Vec<(Vec<u32>, Vec<[f64; 2]>)>,
+}
+
+impl RotationLog {
+    fn push(&mut self, i: usize, c: f64, s: f64) {
+        if self
+            .blocks
+            .last()
+            .is_none_or(|(rows, _)| rows.len() == BLOCK)
+        {
+            self.blocks
+                .push((Vec::with_capacity(BLOCK), Vec::with_capacity(BLOCK)));
+        }
+        let (rows, cs) = self.blocks.last_mut().expect("a block was just ensured");
+        // i < n, and no n×n matrix has n ≥ 2³².
+        rows.push(i as u32);
+        cs.push([c, s]);
+    }
+
+    /// Columns `cols` of `R = R_1·R_2⋯R_K`, the product of the logged
+    /// rotations, as a row-major `n × cols.len()` real matrix. This is what
+    /// [`tql_implicit`] leaves in those columns of an identity `z`, up to
+    /// rounding: column `j` is `R·e_j`, so the rotations are applied to
+    /// `e_j` last-logged first, `x_i ← c·x_i + s·x_{i+1}`,
+    /// `x_{i+1} ← −s·x_i + c·x_{i+1}`. A pair of exact zeros is left
+    /// alone, so a column's exact zeros (on another diagonal block of `T`,
+    /// say another connected component) stay `+0` rather than taking signs
+    /// from rotations that never touch its support.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is `≥ n` or a logged rotation lies outside `n`.
+    pub(crate) fn replay(&self, n: usize, cols: &[usize]) -> Vec<f64> {
+        let k = cols.len();
+        let mut x = vec![0.0; n * k];
+        for (slot, &col) in cols.iter().enumerate() {
+            x[col * k + slot] = 1.0;
+        }
+        let logged = self
+            .blocks
+            .iter()
+            .rev()
+            .flat_map(|(rows, cs)| rows.iter().zip(cs).rev());
+        for (&i, &[c, s]) in logged {
+            let (xi, xi1) = x[i as usize * k..(i as usize + 2) * k].split_at_mut(k);
+            for (a, b) in xi.iter_mut().zip(xi1.iter_mut()) {
+                let (x0, x1) = (*a, *b);
+                if x0 == 0.0 && x1 == 0.0 {
+                    continue;
+                }
+                *a = c * x0 + s * x1;
+                *b = c * x1 - s * x0;
+            }
+        }
+        x
+    }
+}
+
+/// The QL iteration, sending every rotation it applies to `sink`.
+pub(crate) fn ql(d: &mut [f64], e: &[f64], mut sink: Rotations<'_>) -> Result<(), LinalgError> {
     let n = d.len();
     if n <= 1 {
         return Ok(());
@@ -118,13 +197,17 @@ pub(super) fn ql(
                 g = c * r - b;
 
                 // Accumulate the Givens rotation into eigenvectors i, i+1.
-                if let Some(zt) = zt.as_deref_mut() {
-                    let (z0, z1) = zt.row_pair_mut(i);
-                    for (a, b) in z0.iter_mut().zip(z1.iter_mut()) {
-                        let (zk0, zk1) = (*a, *b);
-                        *b = zk0.scale(s) + zk1.scale(c);
-                        *a = zk0.scale(c) - zk1.scale(s);
+                match &mut sink {
+                    Rotations::Discard => {}
+                    Rotations::Rows(zt) => {
+                        let (z0, z1) = zt.row_pair_mut(i);
+                        for (a, b) in z0.iter_mut().zip(z1.iter_mut()) {
+                            let (zk0, zk1) = (*a, *b);
+                            *b = zk0.scale(s) + zk1.scale(c);
+                            *a = zk0.scale(c) - zk1.scale(s);
+                        }
                     }
+                    Rotations::Log(log) => log.push(i, c, s),
                 }
             }
 
@@ -246,6 +329,50 @@ mod tests {
             for c in 2..4 {
                 assert!(z[(r, c)].re.is_nan(), "column {c} not rotated at row {r}");
             }
+        }
+    }
+
+    #[test]
+    fn log_replay_rebuilds_the_rotated_identity() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(45);
+        let n = 12;
+        let d0: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let e0: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (mut d, mut e, mut z) = (d0.clone(), e0.clone(), CMatrix::identity(n));
+        tql_implicit(&mut d, &mut e, &mut z).unwrap();
+        let mut logged = d0.clone();
+        let mut log = RotationLog::default();
+        ql(&mut logged, &e0, Rotations::Log(&mut log)).unwrap();
+        assert_eq!(logged, d, "eigenvalues must not depend on the sink");
+        assert!(!log.blocks.is_empty());
+        let cols = [7, 0, 3];
+        let x = log.replay(n, &cols);
+        for (slot, &col) in cols.iter().enumerate() {
+            for r in 0..n {
+                let diff = (x[r * cols.len() + slot] - z[(r, col)].re).abs();
+                assert!(diff < 1e-14, "column {col}, row {r}: {diff:e}");
+            }
+        }
+        assert!(log.replay(n, &[]).is_empty());
+    }
+
+    #[test]
+    fn replay_keeps_exact_zeros_off_the_support_positive() {
+        // e[2] = 0 splits T into two blocks: the rotations of the second
+        // block must not give eigenvectors of the first signed zeros.
+        let mut d = vec![1.0, -2.0, 0.5, 3.0, -1.0, 2.0];
+        let e = [0.7, -0.4, 0.0, -0.9, 0.6];
+        let mut log = RotationLog::default();
+        ql(&mut d, &e, Rotations::Log(&mut log)).unwrap();
+        assert!(
+            log.blocks[0].0.iter().any(|&i| i >= 3),
+            "second block rotated"
+        );
+        let x = log.replay(6, &[0, 1, 2]);
+        for (i, xi) in x[9..].iter().enumerate() {
+            assert_eq!(xi.to_bits(), 0.0f64.to_bits(), "entry {i} off the support");
         }
     }
 

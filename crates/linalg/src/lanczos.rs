@@ -11,7 +11,7 @@
 
 use crate::complex::{Complex64, C_ZERO};
 use crate::csr::CsrMatrix;
-use crate::eig::tql_implicit;
+use crate::eig::{ascending_order, ql, RotationLog, Rotations};
 use crate::error::LinalgError;
 use crate::matrix::CMatrix;
 use crate::vector::{axpy, cdot, normalize};
@@ -297,14 +297,16 @@ fn lanczos_run<Op: HermitianOp, R: Rng>(
     }
 
     let m = basis.len();
-    // Diagonalize the tridiagonal (α, β) projection.
+    // Diagonalize the tridiagonal (α, β) projection, logging the rotations
+    // instead of accumulating all m eigenvectors of it.
     let mut d = alpha[..m].to_vec();
-    let mut e = beta[..m.saturating_sub(1)].to_vec();
-    let mut z = CMatrix::identity(m);
-    tql_implicit(&mut d, &mut e, &mut z)?;
-
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).expect("finite Ritz values"));
+    let mut rotations = RotationLog::default();
+    ql(
+        &mut d,
+        &beta[..m.saturating_sub(1)],
+        Rotations::Log(&mut rotations),
+    )?;
+    let order = ascending_order(&d);
 
     if m < k {
         return Ok(LanczosPass::NotConverged {
@@ -312,14 +314,15 @@ fn lanczos_run<Op: HermitianOp, R: Rng>(
         });
     }
 
-    // Assemble the k lowest Ritz vectors: x = Σ_j z[j][col]·v_j.
+    // Assemble the k lowest Ritz vectors: x = Σ_j z[j][col]·v_j, with the
+    // k columns of z replayed from the log (row-major m × k).
+    let z = rotations.replay(m, &order[..k]);
     let mut vectors = CMatrix::zeros(a.dim(), k);
     let mut values = Vec::with_capacity(k);
     for (out_col, &col) in order[..k].iter().enumerate() {
         let mut x = vec![C_ZERO; a.dim()];
         for (j, vj) in basis.iter().enumerate() {
-            let coeff = z[(j, col)];
-            axpy(coeff, vj, &mut x);
+            axpy(Complex64::real(z[j * k + out_col]), vj, &mut x);
         }
         normalize(&mut x);
         // Convergence check: Ritz residual ‖A·x − θ·x‖.

@@ -56,6 +56,6 @@ pub mod vector;
 
 pub use complex::{Complex64, C_I, C_ONE, C_ZERO};
 pub use csr::CsrMatrix;
-pub use eig::{eigh, eigh_jacobi, eigvalsh, HermitianEigen};
+pub use eig::{eigh, eigh_jacobi, eigh_spectrum, eigvalsh, HermitianEigen, HermitianSpectrum};
 pub use error::LinalgError;
 pub use matrix::CMatrix;

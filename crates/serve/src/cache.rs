@@ -26,7 +26,13 @@ use std::sync::Arc;
 /// Bump to invalidate every cached result on a change that affects
 /// numeric output without changing the crate version (kernel tweaks,
 /// seeding changes). Part of every cache key.
-pub const CACHE_EPOCH: u32 = 1;
+///
+/// Epoch 2: dense embeddings build only the eigenvectors they read
+/// (`eigh_spectrum`). Tolerance contract against epoch 1: eigenvalues are
+/// bit-identical; eigenvectors are within `4·n·ε` (max entry modulus) of
+/// `eigh`'s, with the same sign and phase; label and metric columns are
+/// unchanged (the quick-suite goldens still match byte for byte).
+pub const CACHE_EPOCH: u32 = 2;
 
 /// The code-version component of cache keys: crate version + cache
 /// epoch. Two builds that can disagree on any table byte must differ

@@ -23,6 +23,10 @@
 //!   column-strided loops — `d`, `e`, `Q`, eigenvalues and eigenvectors
 //!   bit for bit, so its row-contiguous layout and its `kernels::dot` /
 //!   `kernels::axpy` calls are pinned on whichever tier the run selects;
+//! * the partial eigensolver `eigh_spectrum` against `eigh`: eigenvalues
+//!   bit for bit, selected eigenvectors within `4·n·ε` of `eigh`'s
+//!   columns (degenerate spectra and arbitrary selections included), and
+//!   against the `eigh_jacobi` residual and orthonormality oracle;
 //! * proptest generators for gate and reduction inputs.
 //!
 //! CI runs this suite under `QSC_KERNELS` ∈ {scalar, portable, avx2} ×
@@ -33,12 +37,14 @@
 use proptest::prelude::*;
 use qsc_suite::graph::generators::{dsbm, DsbmParams};
 use qsc_suite::graph::normalized_hermitian_laplacian;
-use qsc_suite::linalg::eig::{eigh, eigvalsh, tql_implicit, tridiagonalize};
+use qsc_suite::linalg::eig::{
+    eigh, eigh_jacobi, eigh_spectrum, eigvalsh, tql_implicit, tridiagonalize,
+};
 use qsc_suite::linalg::kernels::{
     self, axpy_with, cdot_with, dot_unordered_with, dot_with, gate2_with, scale_with, Gate2,
     KernelTier,
 };
-use qsc_suite::linalg::{CMatrix, Complex64, C_ONE, C_ZERO};
+use qsc_suite::linalg::{CMatrix, Complex64, LinalgError, C_ONE, C_ZERO};
 use qsc_suite::sim::QuantumState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -947,6 +953,198 @@ fn eigensolver_stages_keep_the_reference_nan_pattern() {
     assert_eq!(got_ql.is_ok(), want_ql.is_ok(), "NaN input: QL outcome");
     for i in 0..n {
         assert_nan_pattern_eq(gz.row(i), wz.row(i), &format!("NaN input: QL row {i}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Partial eigensolver (`eigh_spectrum`) vs `eigh`.
+// ---------------------------------------------------------------------------
+
+/// The largest entry modulus of `got − want` over the shared shape.
+fn max_abs_diff(got: &CMatrix, want: &CMatrix) -> f64 {
+    assert_eq!(
+        (got.nrows(), got.ncols()),
+        (want.nrows(), want.ncols()),
+        "shape"
+    );
+    (got - want).max_norm()
+}
+
+/// `eigh_spectrum` on `a`: eigenvalues bit-identical to `eigh`'s; every
+/// eigenvector, and the selection `sel` in its own order, within `4·n·ε`
+/// of `eigh`'s columns (the same sign and phase); the selection's columns
+/// bit-identical to the same columns of the full selection.
+fn assert_spectrum_matches_eigh(a: &CMatrix, sel: &[usize], context: &str) {
+    let n = a.nrows();
+    let full = eigh(a).expect("eigh");
+    let spectrum = eigh_spectrum(a.clone()).expect("eigh_spectrum");
+    assert_f64_bits_eq(
+        &spectrum.eigenvalues,
+        &full.eigenvalues,
+        &format!("{context}: eigenvalues"),
+    );
+    let bound = 4.0 * n as f64 * f64::EPSILON;
+    let all: Vec<usize> = (0..n).collect();
+    let v = spectrum.eigenvectors(&all);
+    let diff = max_abs_diff(&v, &full.eigenvectors);
+    assert!(
+        diff <= bound,
+        "{context}: max|ΔV| = {diff:e} > 4·n·ε = {bound:e}"
+    );
+    let picked = spectrum.eigenvectors(sel);
+    assert_matrix_bits_eq(
+        &picked,
+        &v.select_columns(sel),
+        &format!("{context}: selection {sel:?}"),
+    );
+    let diff = max_abs_diff(&picked, &full.eigenvectors.select_columns(sel));
+    assert!(diff <= bound, "{context}: selection {sel:?}: {diff:e}");
+}
+
+/// `[5, 0, 2]` clipped to `n`: unsorted and non-contiguous where it can be.
+fn scattered_selection(n: usize) -> Vec<usize> {
+    [5, 0, 2].into_iter().filter(|&j| j < n).collect()
+}
+
+#[test]
+fn partial_eigensolver_matches_eigh_on_random_hermitian() {
+    let mut rng = StdRng::seed_from_u64(401);
+    for n in [1usize, 2, 3, 5, 17, 64, 128, 200] {
+        let a = CMatrix::random_hermitian(n, &mut rng);
+        let sel = scattered_selection(n);
+        assert_spectrum_matches_eigh(&a, &sel, &format!("random Hermitian n={n}"));
+    }
+}
+
+#[test]
+fn partial_eigensolver_matches_eigh_on_a_flow_dsbm_laplacian() {
+    let inst = dsbm(&DsbmParams {
+        n: 96,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 0.9,
+        seed: 402,
+        ..DsbmParams::default()
+    })
+    .expect("dsbm");
+    let l = normalized_hermitian_laplacian(&inst.graph, 0.25);
+    assert_spectrum_matches_eigh(&l, &[5, 0, 2], "flow-DSBM Laplacian n=96");
+    assert_spectrum_matches_eigh(&l, &[0, 1, 2], "flow-DSBM Laplacian n=96, lowest 3");
+}
+
+#[test]
+fn partial_eigensolver_matches_eigh_on_nearly_hermitian_input() {
+    let mut rng = StdRng::seed_from_u64(403);
+    for n in [17usize, 64] {
+        let mut a = CMatrix::random_hermitian(n, &mut rng);
+        for i in 0..n {
+            for j in i + 1..n {
+                a[(i, j)] += Complex64::new(rng.gen_range(-1e-10..1e-10), 0.0);
+            }
+        }
+        assert!(!a.is_hermitian(0.0) && a.is_hermitian(1e-9));
+        assert_spectrum_matches_eigh(&a, &[5, 0, 2], &format!("nearly Hermitian n={n}"));
+    }
+}
+
+#[test]
+fn partial_eigensolver_picks_eighs_columns_in_degenerate_spectra() {
+    // The identity: every eigenvalue tied, no reflector, no rotation — the
+    // stable argsort must hand out exactly eigh's (identity) columns.
+    let id = CMatrix::identity(7);
+    let spectrum = eigh_spectrum(id.clone()).expect("identity");
+    let full = eigh(&id).expect("identity");
+    assert_matrix_bits_eq(
+        &spectrum.eigenvectors(&[6, 1, 3]),
+        &full.eigenvectors.select_columns(&[6, 1, 3]),
+        "identity",
+    );
+    assert_spectrum_matches_eigh(&id, &[5, 0, 2], "identity n=7");
+
+    // Repeated blocks: one random 4×4 Hermitian block three times on the
+    // diagonal, so every eigenvalue is (at least) triple.
+    let mut rng = StdRng::seed_from_u64(405);
+    let block = CMatrix::random_hermitian(4, &mut rng);
+    let a = CMatrix::from_fn(12, 12, |i, j| {
+        if i / 4 == j / 4 {
+            block[(i % 4, j % 4)]
+        } else {
+            C_ZERO
+        }
+    });
+    assert_spectrum_matches_eigh(&a, &[5, 0, 2, 4, 3], "repeated blocks n=12");
+
+    // Repeated eigenvalues in a dense basis: U·diag(1, 1, 1, 2, 2, 5)·U†.
+    let q = CMatrix::random_hermitian(6, &mut rng);
+    let u = eigh(&q).expect("basis").eigenvectors;
+    let lam = CMatrix::from_real_fn(6, 6, |i, j| {
+        if i == j {
+            [1.0, 1.0, 1.0, 2.0, 2.0, 5.0][i]
+        } else {
+            0.0
+        }
+    });
+    let a = u.matmul(&lam).matmul(&u.adjoint());
+    let a = CMatrix::from_fn(6, 6, |i, j| (a[(i, j)] + a[(j, i)].conj()).scale(0.5));
+    assert_spectrum_matches_eigh(&a, &[5, 0, 2], "dense degenerate n=6");
+}
+
+#[test]
+fn partial_eigensolver_handles_empty_selections_and_bad_input() {
+    let mut rng = StdRng::seed_from_u64(406);
+    let a = CMatrix::random_hermitian(9, &mut rng);
+    let none = eigh_spectrum(a).expect("eigh_spectrum").eigenvectors(&[]);
+    assert_eq!((none.nrows(), none.ncols()), (9, 0));
+
+    let mut nan = CMatrix::identity(4);
+    nan[(1, 2)] = Complex64::real(f64::NAN);
+    nan[(2, 1)] = Complex64::real(f64::NAN);
+    let skew = CMatrix::from_fn(3, 3, |i, j| Complex64::real(i as f64 - j as f64));
+    for (name, m) in [
+        ("NaN", nan),
+        ("not Hermitian", skew),
+        ("not square", CMatrix::zeros(2, 3)),
+    ] {
+        let got = eigh_spectrum(m.clone()).map(|_| ());
+        assert!(
+            matches!(got, Err(LinalgError::InvalidInput { .. })),
+            "{name}: {got:?}"
+        );
+        assert_eq!(got, eigh(&m).map(|_| ()), "{name}: same error as eigh");
+    }
+}
+
+#[test]
+fn partial_eigensolver_passes_the_jacobi_oracle() {
+    // Independent of eigh: eigenvalues close to the Jacobi reference, each
+    // built vector an eigenvector of A to the reference's own residual
+    // level, and the selection orthonormal.
+    let mut rng = StdRng::seed_from_u64(407);
+    for n in [5usize, 17, 64] {
+        let a = CMatrix::random_hermitian(n, &mut rng);
+        let jac = eigh_jacobi(&a).expect("jacobi");
+        let spectrum = eigh_spectrum(a.clone()).expect("eigh_spectrum");
+        let scale = a.max_norm().max(1.0);
+        for (x, y) in spectrum.eigenvalues.iter().zip(&jac.eigenvalues) {
+            assert!((x - y).abs() <= 1e-10 * scale, "n={n}: {x} vs {y}");
+        }
+        let sel = scattered_selection(n);
+        let v = spectrum.eigenvectors(&sel);
+        for (c, &j) in sel.iter().enumerate() {
+            let res = a.eigen_residual(spectrum.eigenvalues[j], &v.col(c));
+            let jac_res = a.eigen_residual(jac.eigenvalues[j], &jac.eigenvectors.col(j));
+            assert!(
+                res <= 1e-12 * scale * n as f64 && res <= 100.0 * jac_res.max(f64::EPSILON),
+                "n={n}, eigenvector {j}: residual {res:e} (Jacobi {jac_res:e})"
+            );
+        }
+        let gram = v.adjoint().matmul(&v);
+        let orth = max_abs_diff(&gram, &CMatrix::identity(sel.len()));
+        assert!(
+            orth <= 4.0 * n as f64 * f64::EPSILON,
+            "n={n}: ‖V†V − I‖ = {orth:e}"
+        );
     }
 }
 
