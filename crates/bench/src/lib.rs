@@ -17,11 +17,12 @@
 //! cargo bench                                                          # micro-benches
 //! ```
 //!
-//! The runner batches repetitions through `Pipeline::run_many_isolated`
-//! (panic-isolated per repetition, failed grid points become explicit
-//! `failed(<kind>)` cells) and routes clusterer-only axes (q-means `δ`)
-//! through `run_many_clusterers_isolated`, so a δ sweep stages each
-//! graph's QPE embedding once. Specs can attach a `"resilience"` block
+//! The runner batches repetitions through
+//! `Pipeline::run_many_clusterers_isolated` (panic-isolated per
+//! repetition, failed grid points become explicit `failed(<kind>)`
+//! cells): each graph's embedding is staged once and clustered with a
+//! list of clusterers, one per clusterer-only (q-means `δ`) point, so a δ
+//! sweep stages each QPE embedding once. Specs can attach a `"resilience"` block
 //! (retries, deadlines, budgets, backend fallbacks, fault injection) —
 //! see `docs/RESILIENCE.md`. Quick-scale output of the spec suite is
 //! pinned bit-identical to the retired hand-written experiment functions

@@ -5,14 +5,14 @@
 //!
 //! * grid layouts expand the cartesian product of the axes; stacked
 //!   layouts sweep each axis independently around the defaults,
-//! * repetition batches fan through [`Pipeline::run_many_isolated`]
-//!   (rayon-parallel over instances, results identical to a sequential
-//!   loop; panics and errors are confined to their repetition, so a
-//!   failing grid point becomes an explicit `failed(<kind>)` cell and
-//!   the sweep keeps going — see `docs/RESILIENCE.md`),
-//! * **clusterer-only axes** (q-means `δ`) are routed through
-//!   [`Pipeline::run_many_clusterers_isolated`], so each graph's
-//!   embedding is staged once and re-clustered per point,
+//! * every repetition batch fans through
+//!   [`Pipeline::run_many_clusterers_isolated`] (rayon-parallel over
+//!   instances, results identical to a sequential loop; panics and errors
+//!   are confined to their repetition, so a failing grid point becomes an
+//!   explicit `failed(<kind>)` cell and the sweep keeps going — see
+//!   `docs/RESILIENCE.md`): each graph's embedding is staged once and
+//!   clustered with one clusterer per **clusterer-only** (q-means `δ`)
+//!   combo, or with the recipe's own clusterer when there is none,
 //! * metrics aggregate through the registry
 //!   ([`qsc_cluster::registry::MetricKind`]) into formatted columns.
 
@@ -27,8 +27,8 @@ use qsc_core::config::{set_backend_field, set_quantum_field, BackendConfig, Quan
 use qsc_core::refine::{refine_partition, RefineConfig};
 use qsc_core::report::{fmt, fmt_mean_std, mean, SinkFormat, Table};
 use qsc_core::{
-    Clusterer, ClusteringOutcome, FailureKind, GraphInstance, LanczosCsr, LanczosDense, Pipeline,
-    QMeans, ResiliencePolicy,
+    Clusterer, ClusteringOutcome, FailureKind, GraphInstance, KMeans, LanczosCsr, LanczosDense,
+    Pipeline, QMeans, ResiliencePolicy,
 };
 use qsc_graph::normalized_hermitian_laplacian;
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
@@ -285,13 +285,21 @@ impl Recipe {
         if let Some(params) = &self.quantum {
             pl = pl.quantum(params);
         }
-        if let Some(delta) = self.delta {
-            pl = pl.clusterer(QMeans::new(delta));
-        }
+        pl = pl.clusterer_shared(self.clusterer());
         if let Some(backend) = &self.backend {
             pl = pl.backend_config(backend)?;
         }
         Ok(pl)
+    }
+
+    /// The clustering stage: q-means at `clusterer.delta` when set, else
+    /// at the quantum parameters' `δ`, else classical k-means.
+    pub(crate) fn clusterer(&self) -> Arc<dyn Clusterer> {
+        match (self.delta, &self.quantum) {
+            (Some(delta), _) => Arc::new(QMeans::new(delta)),
+            (None, Some(params)) => Arc::new(QMeans::new(params.delta)),
+            (None, None) => Arc::new(KMeans),
+        }
     }
 }
 
@@ -740,8 +748,8 @@ impl SweepRunner {
 
         match p.layout {
             SweepLayout::Grid => {
-                // Trailing clusterer-only axes re-cluster a staged
-                // embedding; everything before them re-runs the pipeline.
+                // Trailing clusterer-only axes become the clusterer combos
+                // of one batch per outer point (`[[]]` without them).
                 let split = p
                     .axes
                     .iter()
@@ -749,11 +757,7 @@ impl SweepRunner {
                     .map_or(0, |i| i + 1);
                 let (outer_axes, inner_axes) = p.axes.split_at(split);
                 let outer_points = cartesian(outer_axes, self.scale);
-                let inner_points = if inner_axes.is_empty() {
-                    Vec::new()
-                } else {
-                    cartesian(inner_axes, self.scale)
-                };
+                let inner_points = cartesian(inner_axes, self.scale);
                 for outer in &outer_points {
                     let variants = self.execute_point(
                         p,
@@ -768,62 +772,48 @@ impl SweepRunner {
                 }
             }
             SweepLayout::Stacked => {
-                // One stacked row per axis point, whether the axis swept
-                // clusterers over a staged embedding (one execute_point,
-                // combo index = point index) or re-ran the pipeline per
-                // point (one execute_point each, combo 0).
-                let stacked_row = |table: &mut Table,
-                                   axis: &Axis,
-                                   pt: &AxisPoint,
-                                   combo: usize,
-                                   variants: &[VariantRuns]|
-                 -> Result<(), BenchError> {
-                    let ctx = RowCtx {
-                        labels: pt
-                            .labels
-                            .iter()
-                            .map(|(k, l)| (k.as_str(), l.as_str()))
-                            .collect(),
-                        axis_name: Some(&axis.name),
-                        axis_value: pt
-                            .label(&axis.name)
-                            .or(pt.labels.first().map(|(_, l)| l.as_str())),
-                        row_variant: None,
-                        combo,
-                    };
-                    table.push_row(eval_columns(&p.columns, &ctx, variants)?);
-                    Ok(())
-                };
+                // One stacked row per axis point. A clusterer-only axis is
+                // one batch with a combo per point; any other axis is one
+                // batch per point with the recipe's own clusterer. Either
+                // way, row `i` of a batch reads combo `i`.
                 for axis in &p.axes {
                     let points = axis.points.get(self.scale);
-                    if axis.is_clusterer_only() {
-                        let combos: Vec<Vec<&AxisPoint>> =
-                            points.iter().map(|pt| vec![pt]).collect();
+                    let batches: Vec<(Vec<&AxisPoint>, Vec<Vec<&AxisPoint>>)> =
+                        if axis.is_clusterer_only() {
+                            vec![(Vec::new(), points.iter().map(|pt| vec![pt]).collect())]
+                        } else {
+                            points
+                                .iter()
+                                .map(|pt| (vec![pt], vec![Vec::new()]))
+                                .collect()
+                        };
+                    for (outer, combos) in &batches {
                         let variants = self.execute_point(
                             p,
                             &base_graph,
                             &recipe_scale_set,
                             reps,
-                            &[],
-                            &combos,
+                            outer,
+                            combos,
                         )?;
-                        for (ci, pt) in points.iter().enumerate() {
-                            stacked_row(&mut table, axis, pt, ci, &variants)?;
+                        let rows = outer.iter().chain(combos.iter().flatten());
+                        for (combo, pt) in rows.enumerate() {
+                            let ctx = RowCtx {
+                                labels: pt
+                                    .labels
+                                    .iter()
+                                    .map(|(k, l)| (k.as_str(), l.as_str()))
+                                    .collect(),
+                                axis_name: Some(&axis.name),
+                                axis_value: pt
+                                    .label(&axis.name)
+                                    .or(pt.labels.first().map(|(_, l)| l.as_str())),
+                                row_variant: None,
+                                combo,
+                            };
+                            table.push_row(eval_columns(&p.columns, &ctx, &variants)?);
                         }
                         flush_rows(&table, &mut sent, on_progress);
-                    } else {
-                        for pt in points {
-                            let variants = self.execute_point(
-                                p,
-                                &base_graph,
-                                &recipe_scale_set,
-                                reps,
-                                &[pt],
-                                &[],
-                            )?;
-                            stacked_row(&mut table, axis, pt, 0, &variants)?;
-                            flush_rows(&table, &mut sent, on_progress);
-                        }
                     }
                 }
             }
@@ -831,8 +821,9 @@ impl SweepRunner {
         Ok(table)
     }
 
-    /// Runs every variant at one (outer) grid point; `inner_points` are
-    /// clusterer-only combos swept over the staged embeddings.
+    /// Runs every variant at one (outer) grid point. Each rep's embedding
+    /// is staged once and clustered per `inner_points` combo (clusterer-only
+    /// assignments; `[[]]` for the recipe's own clusterer alone).
     fn execute_point(
         &self,
         p: &PipelineSpec,
@@ -911,55 +902,19 @@ impl SweepRunner {
 
             let (exec_recipe, exec_policy) = self.fleet_wrap(&recipe, &p.resilience);
             let pl = exec_recipe.build()?.resilience(exec_policy)?;
-            let combos: Vec<Vec<RunSlot>> = if inner_points.is_empty() {
-                let outs = pl.run_many_isolated(&batch);
-                let outs = outs.into_iter().map(|r| r.map_err(|e| e.kind)).collect();
-                vec![to_slots(outs, &instances, &recipe)]
-            } else {
-                // Build one clusterer per inner combo and re-cluster each
-                // staged embedding.
-                let clusterers: Vec<Arc<dyn Clusterer>> = inner_points
-                    .iter()
-                    .map(|combo| -> Result<Arc<dyn Clusterer>, BenchError> {
-                        let mut sub = recipe.clone();
-                        for pt in combo {
-                            for (path, value) in &pt.set {
-                                sub.apply_path(path, value)?;
-                            }
-                        }
-                        let delta = sub.delta.ok_or_else(|| {
-                            spec_err("clusterer sweep point without clusterer.delta")
-                        })?;
-                        Ok(Arc::new(QMeans::new(delta)) as Arc<dyn Clusterer>)
-                    })
-                    .collect::<Result<_, _>>()?;
-                let swept = pl.run_many_clusterers_isolated(&batch, &clusterers);
-                // `swept` is [instance][combo]; transpose by value to
-                // [combo][rep] — no outcome (embedding) clones. A failed
-                // instance (the staging failed) fails every combo.
-                let mut per_combo: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = (0
-                    ..clusterers.len())
-                    .map(|_| Vec::with_capacity(instances.len()))
-                    .collect();
-                for per_instance in swept {
-                    match per_instance {
-                        Ok(outs) => {
-                            for (ci, out) in outs.into_iter().enumerate() {
-                                per_combo[ci].push(Ok(out));
-                            }
-                        }
-                        Err(err) => {
-                            for combo in per_combo.iter_mut() {
-                                combo.push(Err(err.kind));
-                            }
+            let combos: Vec<Recipe> = inner_points
+                .iter()
+                .map(|combo| -> Result<Recipe, BenchError> {
+                    let mut sub = recipe.clone();
+                    for pt in combo {
+                        for (path, value) in &pt.set {
+                            sub.apply_path(path, value)?;
                         }
                     }
-                }
-                per_combo
-                    .into_iter()
-                    .map(|outs| to_slots(outs, &instances, &recipe))
-                    .collect()
-            };
+                    Ok(sub)
+                })
+                .collect::<Result<_, _>>()?;
+            let combos = run_combos(&pl, &batch, &instances, &combos);
             results.push(VariantRuns {
                 name: variant.name.clone(),
                 k: recipe.k,
@@ -983,16 +938,13 @@ impl SweepRunner {
             .iter()
             .flat_map(|pt| pt.labels.iter().map(|(k, l)| (k.as_str(), l.as_str())))
             .collect();
-        let combo_count = inner_points.len().max(1);
-        for ci in 0..combo_count {
+        for (ci, combo) in inner_points.iter().enumerate() {
             let mut labels = outer_labels.clone();
-            if let Some(combo) = inner_points.get(ci) {
-                labels.extend(
-                    combo
-                        .iter()
-                        .flat_map(|pt| pt.labels.iter().map(|(k, l)| (k.as_str(), l.as_str()))),
-                );
-            }
+            labels.extend(
+                combo
+                    .iter()
+                    .flat_map(|pt| pt.labels.iter().map(|(k, l)| (k.as_str(), l.as_str()))),
+            );
             match p.rows {
                 RowLayout::Points => {
                     let ctx = RowCtx {
@@ -1166,7 +1118,45 @@ impl SweepRunner {
     }
 }
 
-pub(crate) fn to_slots(
+/// Runs a repetition batch through `pl`: each rep's embedding is staged
+/// once and clustered with every combo recipe's [`Recipe::clusterer`],
+/// all under one guard, so a failed staging fails every combo of that rep.
+/// Returns `[combo][rep]` slots, post-processed under each combo's recipe.
+pub(crate) fn run_combos(
+    pl: &Pipeline,
+    batch: &[GraphInstance<'_>],
+    instances: &[GeneratedInstance],
+    combos: &[Recipe],
+) -> Vec<Vec<RunSlot>> {
+    let clusterers: Vec<Arc<dyn Clusterer>> = combos.iter().map(Recipe::clusterer).collect();
+    // `[instance][combo]` → `[combo][rep]`, by value: no outcome
+    // (embedding) clones.
+    let mut per_combo: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = combos
+        .iter()
+        .map(|_| Vec::with_capacity(batch.len()))
+        .collect();
+    for per_instance in pl.run_many_clusterers_isolated(batch, &clusterers) {
+        match per_instance {
+            Ok(outs) => {
+                for (combo, out) in per_combo.iter_mut().zip(outs) {
+                    combo.push(Ok(out));
+                }
+            }
+            Err(err) => {
+                for combo in per_combo.iter_mut() {
+                    combo.push(Err(err.kind));
+                }
+            }
+        }
+    }
+    per_combo
+        .into_iter()
+        .zip(combos)
+        .map(|(outs, recipe)| to_slots(outs, instances, recipe))
+        .collect()
+}
+
+fn to_slots(
     outs: Vec<Result<ClusteringOutcome, FailureKind>>,
     instances: &[GeneratedInstance],
     recipe: &Recipe,

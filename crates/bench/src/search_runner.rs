@@ -2,31 +2,27 @@
 //! kind: interprets a [`SearchExperiment`] (space + objective + strategy
 //! from [`qsc_search`]) on top of the sweep engine's recipe machinery.
 //!
-//! Every candidate is a pipeline recipe; repetition batches fan through
-//! `Pipeline::run_many_isolated` exactly like a sweep grid point, so the
-//! per-instance seeding discipline carries over and a search's trial
-//! table is bit-identical at any worker count. Candidates that differ
-//! only in `clusterer.delta` are grouped and routed through
-//! `run_many_clusterers_isolated` — one staged embedding per instance,
-//! re-clustered per candidate. A panicking or failing repetition flows
-//! through the resilience layer's `FailureKind` taxonomy; a candidate
-//! with no surviving repetitions is *pruned* (shown as
-//! `pruned(<kind>)`), never fatal.
+//! Every candidate is a pipeline recipe; repetition batches take the
+//! sweep grid point's path (`runner::run_combos`), so the per-instance
+//! seeding discipline carries over and a search's trial table is
+//! bit-identical at any worker count. Candidates that all set
+//! `clusterer.delta` and differ only there share one batch — one staged
+//! embedding per instance, clustered per candidate. A panicking or
+//! failing repetition flows through the resilience layer's `FailureKind`
+//! taxonomy; a candidate with no surviving repetitions is *pruned*
+//! (shown as `pruned(<kind>)`), never fatal.
 //!
 //! Successive halving evaluates repetitions *incrementally*: rung `r`
 //! only runs the repetition range its predecessors have not, and merges
 //! the objective values — per-repetition seeds derive from the
 //! repetition index, so ranges compose without re-evaluation.
 
-use crate::runner::{
-    slot_metric_values, spec_err, to_slots, BenchError, Recipe, RunSlot, SweepRunner,
-};
+use crate::runner::{run_combos, slot_metric_values, BenchError, Recipe, RunSlot, SweepRunner};
 use crate::spec::{ExperimentSpec, SearchExperiment, SeedPolicy};
 use qsc_core::report::{fmt, mean, Table};
-use qsc_core::{Clusterer, FailureKind, GraphInstance, QMeans};
+use qsc_core::{FailureKind, GraphInstance};
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
 use qsc_search::{halving_schedule, select_winner, Candidate, CostAxis, Strategy, TrialScore};
-use std::sync::Arc;
 
 /// One candidate's resolved execution context: workload + recipe with the
 /// candidate's assignments applied.
@@ -374,10 +370,9 @@ pub(crate) fn run_search(
 /// candidates, accumulating objective/cost values and failures into
 /// `states`.
 ///
-/// Candidates whose workload and recipe agree on everything but
-/// `clusterer.delta` share one batch through
-/// `run_many_clusterers_isolated` (embedding staged once per instance);
-/// everyone else runs its own `run_many_isolated` batch.
+/// Candidates that all set `clusterer.delta` and agree on everything else
+/// share one batch (embedding staged once per instance, re-clustered per
+/// candidate); every other candidate is a batch of its own.
 fn evaluate(
     se: &SearchExperiment,
     prepared: &[Prepared],
@@ -409,7 +404,7 @@ fn evaluate(
         }
     }
 
-    for (graph, key_recipe, members) in &groups {
+    for (graph, _, members) in &groups {
         let instances: Vec<GeneratedInstance> = (rep_lo..rep_hi)
             .map(|rep| {
                 let mut g = graph.clone();
@@ -422,57 +417,19 @@ fn evaluate(
             .zip(rep_lo..rep_hi)
             .map(|(inst, rep)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
             .collect();
-
-        let shared_embedding = members.len() > 1
-            && members
+        // Only a δ-only spread shares one batch; any other group runs
+        // each member on its own.
+        let shared = members
+            .iter()
+            .all(|&ci| prepared[ci].recipe.delta.is_some());
+        for combo in members.chunks(if shared { members.len() } else { 1 }) {
+            let recipes: Vec<Recipe> = combo
                 .iter()
-                .all(|&ci| prepared[ci].recipe.delta.is_some());
-        if shared_embedding {
-            // δ-only spread: stage each instance's embedding once and
-            // re-cluster it per candidate.
-            let clusterers: Vec<Arc<dyn Clusterer>> = members
-                .iter()
-                .map(|&ci| -> Result<Arc<dyn Clusterer>, BenchError> {
-                    let delta = prepared[ci]
-                        .recipe
-                        .delta
-                        .ok_or_else(|| spec_err("search: shared-embedding candidate without δ"))?;
-                    Ok(Arc::new(QMeans::new(delta)) as Arc<dyn Clusterer>)
-                })
-                .collect::<Result<_, _>>()?;
-            let pl = key_recipe.build()?.resilience(se.resilience.clone())?;
-            let swept = pl.run_many_clusterers_isolated(&batch, &clusterers);
-            // `swept` is [instance][candidate]; transpose to
-            // [candidate][rep]. A failed staging fails every candidate.
-            let mut per_member: Vec<Vec<Result<qsc_core::ClusteringOutcome, FailureKind>>> =
-                members.iter().map(|_| Vec::new()).collect();
-            for per_instance in swept {
-                match per_instance {
-                    Ok(outs) => {
-                        for (mi, out) in outs.into_iter().enumerate() {
-                            per_member[mi].push(Ok(out));
-                        }
-                    }
-                    Err(err) => {
-                        for member in per_member.iter_mut() {
-                            member.push(Err(err.kind));
-                        }
-                    }
-                }
-            }
-            for (&ci, outs) in members.iter().zip(per_member) {
-                let slots = to_slots(outs, &instances, &prepared[ci].recipe);
-                accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
-            }
-        } else {
-            for &ci in members {
-                let pl = prepared[ci]
-                    .recipe
-                    .build()?
-                    .resilience(se.resilience.clone())?;
-                let outs = pl.run_many_isolated(&batch);
-                let outs = outs.into_iter().map(|r| r.map_err(|e| e.kind)).collect();
-                let slots = to_slots(outs, &instances, &prepared[ci].recipe);
+                .map(|&ci| prepared[ci].recipe.clone())
+                .collect();
+            let pl = recipes[0].build()?.resilience(se.resilience.clone())?;
+            let per_member = run_combos(&pl, &batch, &instances, &recipes);
+            for (&ci, slots) in combo.iter().zip(per_member) {
                 accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
             }
         }

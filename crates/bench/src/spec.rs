@@ -392,8 +392,9 @@ pub struct Axis {
 
 impl Axis {
     /// Whether every assignment of every point (at both scales) touches
-    /// only the clustering stage — such axes re-cluster a staged embedding
-    /// through `run_many_clusterers` instead of re-running the pipeline.
+    /// only the clustering stage — such an axis's points become entries of
+    /// one batch's clusterer list instead of separate batches. An empty
+    /// `set` counts: its point clusters with the recipe's own clusterer.
     pub fn is_clusterer_only(&self) -> bool {
         [&self.points.quick, &self.points.full].iter().all(|pts| {
             pts.iter()

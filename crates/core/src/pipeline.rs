@@ -20,11 +20,12 @@
 //! For parameter sweeps, [`Pipeline::embed`] stages the expensive prefix
 //! (Laplacian + embedding) once and [`Pipeline::cluster`] re-clusters it —
 //! so e.g. a q-means `δ` sweep never recomputes its QPE inputs. For many
-//! graphs, [`Pipeline::run_many`] (and
-//! [`Pipeline::run_many_clusterers`]) fan instances out over the rayon
-//! worker pool; every instance is computed independently from its own seed,
-//! so batched results are identical to a sequential loop regardless of the
-//! worker count.
+//! graphs, [`Pipeline::run_many_clusterers`] fans instances out over the
+//! rayon worker pool, staging each embedding once and clustering it with a
+//! list of clusterers; [`Pipeline::run_many`] is its one-clusterer case,
+//! and the `_isolated` pair adds fault isolation. Every instance is
+//! computed independently from its own seed, so batched results are
+//! identical to a sequential loop regardless of the worker count.
 //!
 //! # Examples
 //!
@@ -551,11 +552,12 @@ impl Pipeline {
     /// cost model would not apply here), and propagates clustering
     /// failures.
     pub fn cluster(&self, staged: &StagedEmbedding) -> Result<ClusteringOutcome, Error> {
-        self.cluster_seeded(staged, self.seed)
+        self.cluster_seeded(self.clusterer.as_ref(), staged, self.seed)
     }
 
     fn cluster_seeded(
         &self,
+        clusterer: &dyn Clusterer,
         staged: &StagedEmbedding,
         seed: u64,
     ) -> Result<ClusteringOutcome, Error> {
@@ -573,7 +575,7 @@ impl Pipeline {
         }
         let start = Instant::now();
         let k = self.embedding.k;
-        let result = self.clusterer.cluster_with_backend(
+        let result = clusterer.cluster_with_backend(
             &staged.embedding.rows,
             &KMeansConfig {
                 k,
@@ -605,9 +607,19 @@ impl Pipeline {
         })
     }
 
-    fn run_seeded(&self, g: &MixedGraph, seed: u64) -> Result<ClusteringOutcome, Error> {
+    /// Stages `g`'s embedding once and clusters it with each stage in
+    /// `clusterers`, in order.
+    fn embed_and_cluster(
+        &self,
+        g: &MixedGraph,
+        seed: u64,
+        clusterers: &[Arc<dyn Clusterer>],
+    ) -> Result<Vec<ClusteringOutcome>, Error> {
         let staged = self.embed_seeded(g, seed)?;
-        self.cluster_seeded(&staged, seed)
+        clusterers
+            .iter()
+            .map(|c| self.cluster_seeded(c.as_ref(), &staged, seed))
+            .collect()
     }
 
     /// Runs the full pipeline on one graph.
@@ -617,7 +629,31 @@ impl Pipeline {
     /// Returns [`Error::InvalidRequest`] for inconsistent requests and
     /// propagates stage failures.
     pub fn run(&self, g: &MixedGraph) -> Result<ClusteringOutcome, Error> {
-        self.run_seeded(g, self.seed)
+        self.cluster(&self.embed(g)?)
+    }
+
+    /// `work(instance, seed)` for every instance, rayon-parallel, collected
+    /// in instance order; `seed` is the instance's override or the
+    /// pipeline seed.
+    fn per_instance<T: Send>(
+        &self,
+        instances: &[GraphInstance<'_>],
+        work: impl Fn(&GraphInstance<'_>, u64) -> T + Sync,
+    ) -> Vec<T> {
+        // Ordered parallel collection via an indexed slot vector: the rayon
+        // compat shim only exposes the par_chunks(_mut) surface (no
+        // par_iter), and this shape is also valid under real rayon, keeping
+        // the planned shim→rayon swap a pure dependency change.
+        let mut slots: Vec<Option<T>> = (0..instances.len()).map(|_| None).collect();
+        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+            let inst = &instances[i];
+            slot[0] = Some(work(inst, inst.seed.unwrap_or(self.seed)));
+        });
+        slots
+            .into_iter()
+            // Every slot was written by the parallel loop above.
+            .map(|slot| slot.expect("batch slot filled"))
+            .collect()
     }
 
     /// Runs the pipeline on a batch of graphs, rayon-parallel over
@@ -633,21 +669,8 @@ impl Pipeline {
         &self,
         instances: &[GraphInstance<'_>],
     ) -> Result<Vec<ClusteringOutcome>, Error> {
-        // Ordered parallel collection via an indexed slot vector: the rayon
-        // compat shim only exposes the par_chunks(_mut) surface (no
-        // par_iter), and this shape is also valid under real rayon, keeping
-        // the planned shim→rayon swap a pure dependency change.
-        let mut slots: Vec<Option<Result<ClusteringOutcome, Error>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            slot[0] = Some(self.run_seeded(inst.graph, inst.seed.unwrap_or(self.seed)));
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
+        let outs = self.run_many_clusterers(instances, std::slice::from_ref(&self.clusterer))?;
+        Ok(outs.into_iter().map(only_outcome).collect())
     }
 
     /// Batch runner for clusterer sweeps: every instance's Laplacian and
@@ -663,31 +686,16 @@ impl Pipeline {
         instances: &[GraphInstance<'_>],
         clusterers: &[Arc<dyn Clusterer>],
     ) -> Result<Vec<Vec<ClusteringOutcome>>, Error> {
-        let mut slots: Vec<Option<Result<Vec<ClusteringOutcome>, Error>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            let seed = inst.seed.unwrap_or(self.seed);
-            let per_instance = self.embed_seeded(inst.graph, seed).and_then(|staged| {
-                clusterers
-                    .iter()
-                    .map(|c| {
-                        self.clone()
-                            .clusterer_arc(c.clone())
-                            .cluster_seeded(&staged, seed)
-                    })
-                    .collect()
-            });
-            slot[0] = Some(per_instance);
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
+        self.per_instance(instances, |inst, seed| {
+            self.embed_and_cluster(inst.graph, seed, clusterers)
+        })
+        .into_iter()
+        .collect()
     }
 
-    fn clusterer_arc(mut self, clusterer: Arc<dyn Clusterer>) -> Self {
+    /// Like [`Pipeline::clusterer`] but sharing an existing stage — the
+    /// form a list of swept clusterers comes in.
+    pub fn clusterer_shared(mut self, clusterer: Arc<dyn Clusterer>) -> Self {
         self.clusterer = clusterer;
         self
     }
@@ -842,17 +850,9 @@ impl Pipeline {
         &self,
         instances: &[GraphInstance<'_>],
     ) -> BatchOutcome<ClusteringOutcome> {
-        let mut slots: Vec<Option<Result<ClusteringOutcome, InstanceError>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            let seed = inst.seed.unwrap_or(self.seed);
-            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| pl.run_seeded(inst.graph, s)));
-        });
-        slots
+        self.run_many_clusterers_isolated(instances, std::slice::from_ref(&self.clusterer))
             .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
+            .map(|outs| outs.map(only_outcome))
             .collect()
     }
 
@@ -865,29 +865,17 @@ impl Pipeline {
         instances: &[GraphInstance<'_>],
         clusterers: &[Arc<dyn Clusterer>],
     ) -> BatchOutcome<Vec<ClusteringOutcome>> {
-        let mut slots: Vec<Option<Result<Vec<ClusteringOutcome>, InstanceError>>> =
-            (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            let seed = inst.seed.unwrap_or(self.seed);
-            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| {
-                let staged = pl.embed_seeded(inst.graph, s)?;
-                clusterers
-                    .iter()
-                    .map(|c| {
-                        pl.clone()
-                            .clusterer_arc(c.clone())
-                            .cluster_seeded(&staged, s)
-                    })
-                    .collect()
-            }));
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
+        self.per_instance(instances, |inst, seed| {
+            self.guarded(seed, &|pl: &Pipeline, s| {
+                pl.embed_and_cluster(inst.graph, s, clusterers)
+            })
+        })
     }
+}
+
+/// The outcome of a one-clusterer batch entry.
+fn only_outcome(mut outs: Vec<ClusteringOutcome>) -> ClusteringOutcome {
+    outs.pop().expect("one outcome per clusterer")
 }
 
 /// Human-readable form of a caught panic payload (panics carry `&str` or

@@ -218,3 +218,40 @@ fn clusterer_axis_reuses_the_staged_embedding() {
         single_rows.iter().map(String::as_str).collect::<Vec<_>>()
     );
 }
+
+#[test]
+fn axis_point_with_an_empty_set_runs_the_recipe_as_is() {
+    // An empty `set` assigns nothing, so the point must produce exactly
+    // what a no-op assignment (`graph.n` to its current value) produces,
+    // clustering with the recipe's own clusterer.
+    let spec = |base: &str, set: &str| {
+        ExperimentSpec::parse(&format!(
+            r#"{{
+                "name": "empty_set",
+                "kind": "pipeline",
+                "graph": {{"family": "dsbm", "n": 45, "k": 3, "p_intra": 0.25,
+                          "p_inter": 0.25, "eta_flow": 0.9, "meta": "cycle"}},
+                "reps": 2,
+                "base": {base},
+                "variants": [{{"name": "v"}}],
+                "layout": "stacked",
+                "axes": [{{"name": "x", "points": [{{"set": {set}, "labels": {{"x": "base"}}}}]}}],
+                "columns": [
+                    {{"header": "value", "axis_value": true}},
+                    {{"header": "acc", "metric": "matched_accuracy", "mean_std": 3}}
+                ]
+            }}"#
+        ))
+        .expect("spec parses")
+    };
+    let runner = SweepRunner::new(Scale::Quick);
+    for base in [r#"{"k": 3}"#, r#"{"k": 3, "quantum": {}}"#] {
+        let empty = runner
+            .run(&spec(base, "{}"))
+            .unwrap_or_else(|e| panic!("base {base}: empty-set point failed: {e}"));
+        let no_op = runner
+            .run(&spec(base, r#"{"graph.n": 45}"#))
+            .expect("no-op point runs");
+        assert_eq!(empty.primary.rows(), no_op.primary.rows(), "base {base}");
+    }
+}

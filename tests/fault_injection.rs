@@ -446,3 +446,20 @@ fn clusterer_sweep_isolation_matches_plain_sweep() {
         }
     }
 }
+
+/// `specs/chaos.json` at quick scale: failed cells and failure counts
+/// follow from the fault plan alone, so the table is pinned byte for byte
+/// (at every worker count the chaos job runs).
+#[test]
+fn chaos_spec_quick_csv_matches_golden() {
+    use qsc_bench::{ExperimentSpec, Scale, SweepRunner};
+    let spec = ExperimentSpec::parse(include_str!("../specs/chaos.json")).expect("spec parses");
+    let output = SweepRunner::new(Scale::Quick)
+        .run(&spec)
+        .expect("chaos sweep runs");
+    assert_eq!(
+        output.primary.to_csv(),
+        include_str!("../crates/bench/goldens/chaos_quick.csv"),
+        "chaos table drifted from its golden"
+    );
+}
