@@ -23,7 +23,7 @@ use crate::spec::{
 };
 use qsc_cluster::clusterability::{measure_clusterability, Clusterability};
 use qsc_cluster::registry::MetricKind;
-use qsc_core::config::{set_backend_field, set_quantum_field, BackendConfig, QuantumParams};
+use qsc_core::config::{BackendConfig, QuantumParams};
 use qsc_core::refine::{refine_partition, RefineConfig};
 use qsc_core::report::{fmt, fmt_mean_std, mean, SinkFormat, Table};
 use qsc_core::{
@@ -32,7 +32,7 @@ use qsc_core::{
 };
 use qsc_graph::normalized_hermitian_laplacian;
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
-use qsc_json::{JsonError, Value};
+use qsc_json::{FromJson, JsonError, ToJson, Value};
 use qsc_linalg::eigvalsh;
 use qsc_linalg::expm::expi;
 use qsc_sim::resources::{pipeline_resources, qpe_resources, qubits_for_dimension};
@@ -88,9 +88,6 @@ impl From<qsc_core::Error> for BenchError {
 pub(crate) fn spec_err(message: impl Into<String>) -> BenchError {
     BenchError::Spec(JsonError::msg(message))
 }
-
-/// Non-graph `scale_set` assignments, applied to each resolved recipe.
-type ScaleAssignments<'a> = Vec<(&'a str, &'a Value)>;
 
 /// The result of interpreting one spec: a display table, the primary
 /// machine-readable table (they differ only for coordinate-dump
@@ -200,70 +197,19 @@ impl Recipe {
         }
     }
 
-    /// Applies one non-graph `set` assignment (`pipeline.*`, `quantum.*`,
-    /// `clusterer.delta`, `backend`).
-    pub(crate) fn apply_path(&mut self, path: &str, value: &Value) -> Result<(), BenchError> {
-        if let Some(field) = path.strip_prefix("quantum.") {
-            let params = self.quantum.get_or_insert_with(QuantumParams::default);
-            set_quantum_field(params, field, value)?;
-            return Ok(());
+    /// The patch [`Recipe::from_patch`] turns back into this recipe.
+    fn to_patch(&self) -> RecipePatch {
+        RecipePatch {
+            k: Some(self.k),
+            q: self.q,
+            symmetrize: Some(self.symmetrize),
+            normalize_rows: Some(self.normalize_rows),
+            embedder: self.embedder,
+            quantum: self.quantum.clone(),
+            delta: self.delta,
+            backend: self.backend.clone(),
+            refine: Some(self.refine),
         }
-        if path == "clusterer.delta" {
-            self.delta = Some(
-                value
-                    .as_f64()
-                    .ok_or_else(|| spec_err("clusterer.delta: expected a number"))?,
-            );
-            return Ok(());
-        }
-        if path == "backend" {
-            self.backend = Some(qsc_json::FromJson::from_json(value).map_err(BenchError::Spec)?);
-            return Ok(());
-        }
-        if let Some(field) = path.strip_prefix("backend.") {
-            // Mutates a field of the already-selected backend kind, so one
-            // axis can drive e.g. `depolarizing` through a trajectory
-            // variant and an exact-channel variant simultaneously.
-            let backend = self.backend.as_mut().ok_or_else(|| {
-                spec_err(format!(
-                    "backend.{field}: no backend kind set (select one in `base` or the variant \
-                     before sweeping its fields)"
-                ))
-            })?;
-            set_backend_field(backend, field, value)?;
-            return Ok(());
-        }
-        match path {
-            "pipeline.k" => {
-                self.k = value
-                    .as_usize()
-                    .ok_or_else(|| spec_err("pipeline.k: expected a positive integer"))?;
-            }
-            "pipeline.q" => {
-                self.q = Some(
-                    value
-                        .as_f64()
-                        .ok_or_else(|| spec_err("pipeline.q: expected a number"))?,
-                );
-            }
-            "pipeline.normalize_rows" => {
-                self.normalize_rows = value
-                    .as_bool()
-                    .ok_or_else(|| spec_err("pipeline.normalize_rows: expected a boolean"))?;
-            }
-            "pipeline.symmetrize" => {
-                self.symmetrize = value
-                    .as_bool()
-                    .ok_or_else(|| spec_err("pipeline.symmetrize: expected a boolean"))?;
-            }
-            other => {
-                return Err(spec_err(format!(
-                    "unknown sweep path `{other}` (expected graph.* | quantum.* | pipeline.* | \
-                     clusterer.delta | backend | backend.*)"
-                )))
-            }
-        }
-        Ok(())
     }
 
     /// Builds the configured [`Pipeline`] (matching exactly what the
@@ -303,19 +249,124 @@ impl Recipe {
     }
 }
 
-fn apply_set_to(
+// ---------------------------------------------------------------------------
+// Assignments
+// ---------------------------------------------------------------------------
+
+/// Applies one sweep assignment — an axis point's, a `scale_set` entry's
+/// or a search candidate's — to the workload `graph` (`graph.<field>`) or
+/// the `recipe` (every other path). The target is encoded with its
+/// [`ToJson`], `value` is written at the path's JSON location, and the
+/// result is decoded by the target's own decoder, so any field a decoder
+/// accepts is sweepable and every rejection is the decoder's.
+pub(crate) fn assign(
     graph: &mut GraphSpec,
     recipe: &mut Recipe,
-    set: &[(String, Value)],
+    path: &str,
+    value: &Value,
 ) -> Result<(), BenchError> {
-    for (path, value) in set {
-        if let Some(field) = path.strip_prefix("graph.") {
-            graph.set_field(field, value).map_err(BenchError::Spec)?;
-        } else {
-            recipe.apply_path(path, value)?;
+    let at_path = |message: String| {
+        BenchError::Spec(JsonError::msg(
+            if message.starts_with(&format!("{path}:")) {
+                message
+            } else {
+                format!("{path}: {message}")
+            },
+        ))
+    };
+    if let Some(key) = path.strip_prefix("graph.") {
+        if key == "family" {
+            return Err(at_path(
+                "the family is not an assignable field (give the variant its own `graph`)".into(),
+            ));
         }
+        let mut json = graph.to_json();
+        *field(&mut json, key) = value.clone();
+        *graph = GraphSpec::from_json(&json).map_err(|e| at_path(e.message))?;
+        return Ok(());
     }
+    let mut json = recipe.to_patch().to_json();
+    *recipe_slot(recipe, &mut json, path).map_err(at_path)? = value.clone();
+    let patch = RecipePatch::from_json(&json).map_err(|e| at_path(e.message))?;
+    *recipe = Recipe::from_patch(&patch);
     Ok(())
+}
+
+/// The location a non-graph sweep path addresses in `json`, the patch
+/// form of `recipe`.
+fn recipe_slot<'v>(
+    recipe: &Recipe,
+    json: &'v mut Value,
+    path: &str,
+) -> Result<&'v mut Value, String> {
+    if let Some(key) = path.strip_prefix("quantum.") {
+        return Ok(field(field(json, "quantum"), key));
+    }
+    if let Some(key) = path.strip_prefix("backend.") {
+        // A field of the already-selected backend kind, so one axis can
+        // drive e.g. `depolarizing` through a trajectory variant and an
+        // exact-channel variant simultaneously.
+        let config = recipe.backend.as_ref().ok_or(
+            "no backend kind set (select one in `base` or the variant before sweeping its fields)",
+        )?;
+        return Ok(field(backend_fields(config, field(json, "backend"))?, key));
+    }
+    let key = match path {
+        "pipeline.k" => "k",
+        "pipeline.q" => "q",
+        "pipeline.symmetrize" => "symmetrize",
+        "pipeline.normalize_rows" => "normalize_rows",
+        "clusterer.delta" => "delta",
+        "backend" => "backend",
+        _ => {
+            return Err(
+                "unknown sweep path (expected graph.* | quantum.* | pipeline.* | \
+                        clusterer.delta | backend | backend.*)"
+                    .into(),
+            )
+        }
+    };
+    Ok(field(json, key))
+}
+
+/// The object holding the fields of `config`'s kind in its JSON form
+/// `json`: the kind's inner object (the bare `"sharded"` becomes
+/// `{"sharded": {}}`), the top level for `{"shots": n}`, and the hosted
+/// backend's for a remote one — the field travels to the executor.
+fn backend_fields<'v>(
+    config: &BackendConfig,
+    json: &'v mut Value,
+) -> Result<&'v mut Value, String> {
+    match config {
+        BackendConfig::Remote { inner, .. } => {
+            backend_fields(inner, field(field(json, "remote"), "inner"))
+        }
+        BackendConfig::Shots { .. } => Ok(json),
+        BackendConfig::Statevector | BackendConfig::FusedStatevector => Err(format!(
+            "the configured `{}` backend has no fields",
+            config.kind_name()
+        )),
+        _ => Ok(field(json, config.kind_name())),
+    }
+}
+
+/// Field `key` of the object `json`, inserted as `null` when absent; a
+/// non-object (`null`, a bare backend name) becomes `{}` first.
+fn field<'v>(json: &'v mut Value, key: &str) -> &'v mut Value {
+    if !matches!(json, Value::Obj(_)) {
+        *json = Value::Obj(Vec::new());
+    }
+    let Value::Obj(fields) = json else {
+        unreachable!("`json` was made an object above")
+    };
+    let i = match fields.iter().position(|(k, _)| k == key) {
+        Some(i) => i,
+        None => {
+            fields.push((key.to_string(), Value::Null));
+            fields.len() - 1
+        }
+    };
+    &mut fields[i].1
 }
 
 // ---------------------------------------------------------------------------
@@ -713,23 +764,19 @@ impl SweepRunner {
         })
     }
 
-    /// The spec's graph with this scale's `scale_set` graph assignments
-    /// applied, plus the non-graph assignments (returned for the recipe).
-    pub(crate) fn scaled_graph<'a>(
+    /// `graph` and `recipe` with this scale's `scale_set` assignments
+    /// applied.
+    pub(crate) fn scaled(
         &self,
-        spec: &'a ExperimentSpec,
+        spec: &ExperimentSpec,
         graph: &GraphSpec,
-    ) -> Result<(GraphSpec, ScaleAssignments<'a>), BenchError> {
+        mut recipe: Recipe,
+    ) -> Result<(GraphSpec, Recipe), BenchError> {
         let mut graph = graph.clone();
-        let mut recipe_assignments = Vec::new();
         for (path, value) in spec.scale_assignments(self.scale) {
-            if let Some(field) = path.strip_prefix("graph.") {
-                graph.set_field(field, value).map_err(BenchError::Spec)?;
-            } else {
-                recipe_assignments.push((path, value));
-            }
+            assign(&mut graph, &mut recipe, path, value)?;
         }
-        Ok((graph, recipe_assignments))
+        Ok((graph, recipe))
     }
 
     // -- pipeline sweeps ---------------------------------------------------
@@ -741,7 +788,6 @@ impl SweepRunner {
         on_progress: &mut dyn FnMut(Progress<'_>),
     ) -> Result<Table, BenchError> {
         let reps = *p.reps.get(self.scale);
-        let (base_graph, recipe_scale_set) = self.scaled_graph(spec, &p.graph)?;
         let mut table = Table::new(p.columns.iter().map(|c| c.header.clone()));
         on_progress(Progress::Columns(table.columns()));
         let mut sent = 0usize;
@@ -759,14 +805,7 @@ impl SweepRunner {
                 let outer_points = cartesian(outer_axes, self.scale);
                 let inner_points = cartesian(inner_axes, self.scale);
                 for outer in &outer_points {
-                    let variants = self.execute_point(
-                        p,
-                        &base_graph,
-                        &recipe_scale_set,
-                        reps,
-                        outer,
-                        &inner_points,
-                    )?;
+                    let variants = self.execute_point(spec, p, reps, outer, &inner_points)?;
                     self.emit_rows(&mut table, p, outer, &inner_points, &variants)?;
                     flush_rows(&table, &mut sent, on_progress);
                 }
@@ -788,14 +827,7 @@ impl SweepRunner {
                                 .collect()
                         };
                     for (outer, combos) in &batches {
-                        let variants = self.execute_point(
-                            p,
-                            &base_graph,
-                            &recipe_scale_set,
-                            reps,
-                            outer,
-                            combos,
-                        )?;
+                        let variants = self.execute_point(spec, p, reps, outer, combos)?;
                         let rows = outer.iter().chain(combos.iter().flatten());
                         for (combo, pt) in rows.enumerate() {
                             let ctx = RowCtx {
@@ -826,28 +858,24 @@ impl SweepRunner {
     /// assignments; `[[]]` for the recipe's own clusterer alone).
     fn execute_point(
         &self,
+        spec: &ExperimentSpec,
         p: &PipelineSpec,
-        base_graph: &GraphSpec,
-        recipe_scale_set: &[(&str, &Value)],
         reps: usize,
         outer: &[&AxisPoint],
         inner_points: &[Vec<&AxisPoint>],
     ) -> Result<Vec<VariantRuns>, BenchError> {
         let mut results = Vec::with_capacity(p.variants.len());
         for variant in &p.variants {
-            // Workload: spec graph (scale-set applied) unless the variant
-            // brings its own; outer axis assignments apply on top.
-            let mut graph = match &variant.graph {
-                Some(g) => g.clone(),
-                None => base_graph.clone(),
-            };
-            // Recipe: defaults ← base ← variant ← scale_set ← axis sets.
-            let mut recipe = Recipe::from_patch(&p.base.merged_with(&variant.patch));
-            for (path, value) in recipe_scale_set {
-                recipe.apply_path(path, value)?;
-            }
-            for pt in outer {
-                apply_set_to(&mut graph, &mut recipe, &pt.set)?;
+            // Workload: the spec graph unless the variant brings its own.
+            // Recipe: defaults ← base ← variant. The scale_set, then the
+            // outer axis assignments, apply to both.
+            let (mut graph, mut recipe) = self.scaled(
+                spec,
+                variant.graph.as_ref().unwrap_or(&p.graph),
+                Recipe::from_patch(&p.base.merged_with(&variant.patch)),
+            )?;
+            for (path, value) in outer.iter().flat_map(|pt| &pt.set) {
+                assign(&mut graph, &mut recipe, path, value)?;
             }
 
             let seeds: SeedPolicy = variant.seeds.unwrap_or(p.seeds);
@@ -905,11 +933,9 @@ impl SweepRunner {
             let combos: Vec<Recipe> = inner_points
                 .iter()
                 .map(|combo| -> Result<Recipe, BenchError> {
-                    let mut sub = recipe.clone();
-                    for pt in combo {
-                        for (path, value) in &pt.set {
-                            sub.apply_path(path, value)?;
-                        }
+                    let (mut graph, mut sub) = (graph.clone(), recipe.clone());
+                    for (path, value) in combo.iter().flat_map(|pt| &pt.set) {
+                        assign(&mut graph, &mut sub, path, value)?;
                     }
                     Ok(sub)
                 })
@@ -980,20 +1006,16 @@ impl SweepRunner {
         spec: &ExperimentSpec,
         e: &EmbeddingSpec,
     ) -> Result<(Table, Table), BenchError> {
-        let (graph_spec, recipe_scale_set) = self.scaled_graph(spec, &e.graph)?;
-        let inst = graph_spec.generate()?;
-        let points = inst
-            .points
-            .as_deref()
-            .ok_or_else(|| spec_err("embedding experiments need a point-cloud graph family"))?;
-
         let mut series = Table::new(["method", "x", "y", "spec0", "spec1", "truth", "predicted"]);
         let mut summary = Table::new(["method", "accuracy", "points", "misclassified"]);
         for variant in &e.variants {
-            let mut recipe = Recipe::from_patch(&e.base.merged_with(&variant.patch));
-            for (path, value) in &recipe_scale_set {
-                recipe.apply_path(path, value)?;
-            }
+            let recipe = Recipe::from_patch(&e.base.merged_with(&variant.patch));
+            let (graph_spec, recipe) = self.scaled(spec, &e.graph, recipe)?;
+            let inst = graph_spec.generate()?;
+            let points = inst
+                .points
+                .as_deref()
+                .ok_or_else(|| spec_err("embedding experiments need a point-cloud graph family"))?;
             let pl = recipe.build()?.seed(e.pipeline_seed);
             let out = pl.run(&inst.graph)?;
             for (i, point) in points.iter().enumerate() {
@@ -1026,7 +1048,7 @@ impl SweepRunner {
         spec: &ExperimentSpec,
         q: &QpeResolutionSpec,
     ) -> Result<Table, BenchError> {
-        let (graph_spec, _) = self.scaled_graph(spec, &q.graph)?;
+        let (graph_spec, _) = self.scaled(spec, &q.graph, Recipe::default())?;
         let inst = graph_spec.generate()?;
         let laplacian = normalized_hermitian_laplacian(&inst.graph, q.q);
         let eigenvalues = eigvalsh(&laplacian).map_err(qsc_core::Error::from)?;
@@ -1075,9 +1097,8 @@ impl SweepRunner {
             // unitary) — the generic-unitary upper bound.
             let derived = if n <= r.synthesis_max_n {
                 let mut graph_spec = r.synthesis_graph.clone();
-                graph_spec
-                    .set_field("n", &Value::Num(n as f64))
-                    .map_err(BenchError::Spec)?;
+                let n_value = Value::Num(n as f64);
+                assign(&mut graph_spec, &mut Recipe::default(), "graph.n", &n_value)?;
                 let inst = graph_spec.generate()?;
                 let l = normalized_hermitian_laplacian(&inst.graph, r.q);
                 let u =
@@ -1103,7 +1124,7 @@ impl SweepRunner {
     // -- Trotterization error (Fig. 6) -------------------------------------
 
     fn run_trotter(&self, spec: &ExperimentSpec, t: &TrotterSpec) -> Result<Table, BenchError> {
-        let (graph_spec, _) = self.scaled_graph(spec, &t.graph)?;
+        let (graph_spec, _) = self.scaled(spec, &t.graph, Recipe::default())?;
         let inst = graph_spec.generate()?;
         let mut table = Table::new(["steps", "max_error", "error_times_steps"]);
         for &m in &t.steps {
@@ -1276,5 +1297,157 @@ mod tests {
         let cubic: Vec<f64> = ns.iter().map(|n: &f64| n.powi(3) * 7.0).collect();
         let slope = log_log_slope(&ns, &cubic);
         assert!((slope - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn assign_edits_the_json_form_and_decodes_it() {
+        const DSBM: &str = r#"{"family": "dsbm", "k": 3}"#;
+        const NOISY: &str = r#"{"backend": {"noisy": {}}}"#;
+        const SHOTS: &str = r#"{"backend": {"shots": 16}}"#;
+        const REMOTE: &str =
+            r#"{"backend": {"remote": {"addr": "127.0.0.1:1", "inner": {"noisy": {}}}}}"#;
+        // `(target, path, value, target after the assignment)`; `None`:
+        // rejected, with an error that names the path once. Graph
+        // targets run with an empty recipe.
+        let graph_cases: &[(&str, &str, &str, Option<&str>)] = &[
+            (
+                DSBM,
+                "graph.n",
+                "120",
+                Some(r#"{"family": "dsbm", "k": 3, "n": 120}"#),
+            ),
+            (
+                DSBM,
+                "graph.eta_flow",
+                "0.7",
+                Some(r#"{"family": "dsbm", "k": 3, "eta_flow": 0.7}"#),
+            ),
+            (DSBM, "graph.inner_radius", "0.4", None),
+            (DSBM, "graph.n", r#""x""#, None),
+            (DSBM, "graph.family", r#""circles""#, None),
+            (
+                r#"{"family": "random_mixed"}"#,
+                "graph.weight_range",
+                "[0.5, 2]",
+                Some(r#"{"family": "random_mixed", "weight_range": [0.5, 2]}"#),
+            ),
+        ];
+        // Recipe targets, as `base` patches, run on the DSBM graph.
+        let recipe_cases: &[(&str, &str, &str, Option<&str>)] = &[
+            ("{}", "pipeline.k", "4", Some(r#"{"k": 4}"#)),
+            ("{}", "pipeline.q", "0.5", Some(r#"{"q": 0.5}"#)),
+            (
+                "{}",
+                "pipeline.symmetrize",
+                "true",
+                Some(r#"{"symmetrize": true}"#),
+            ),
+            (
+                "{}",
+                "pipeline.normalize_rows",
+                "true",
+                Some(r#"{"normalize_rows": true}"#),
+            ),
+            ("{}", "pipeline.embedder", r#""lanczos_csr""#, None),
+            ("{}", "pipeline.k", "-1", None),
+            ("{}", "clusterer.delta", "0.3", Some(r#"{"delta": 0.3}"#)),
+            ("{}", "clusterer.delta", "true", None),
+            ("{}", "delta", "0.3", None),
+            // An absent quantum block starts from the defaults.
+            (
+                "{}",
+                "quantum.tomography_shots",
+                "64",
+                Some(r#"{"quantum": {"tomography_shots": 64}}"#),
+            ),
+            (
+                r#"{"quantum": {"qpe_bits": 4}}"#,
+                "quantum.delta",
+                "0.9",
+                Some(r#"{"quantum": {"qpe_bits": 4, "delta": 0.9}}"#),
+            ),
+            ("{}", "quantum.nope", "1", None),
+            ("{}", "quantum.delta", "true", None),
+            // Backends: the kind, then the fields of the selected kind.
+            (
+                "{}",
+                "backend",
+                r#""sharded""#,
+                Some(r#"{"backend": "sharded"}"#),
+            ),
+            ("{}", "backend", r#""statevctor""#, None),
+            (
+                r#"{"backend": {"density": {}}}"#,
+                "backend.readout_flip",
+                "0.02",
+                Some(r#"{"backend": {"density": {"readout_flip": 0.02}}}"#),
+            ),
+            (
+                NOISY,
+                "backend.depolarizing",
+                "0.3",
+                Some(r#"{"backend": {"noisy": {"depolarizing": 0.3}}}"#),
+            ),
+            (
+                SHOTS,
+                "backend.shots",
+                "512",
+                Some(r#"{"backend": {"shots": 512}}"#),
+            ),
+            (
+                r#"{"backend": "sharded"}"#,
+                "backend.shards",
+                "8",
+                Some(r#"{"backend": {"sharded": {"shards": 8}}}"#),
+            ),
+            (
+                REMOTE,
+                "backend.depolarizing",
+                "0.25",
+                Some(
+                    r#"{"backend": {"remote": {"addr": "127.0.0.1:1", "inner": {"noisy": {"depolarizing": 0.25}}}}}"#,
+                ),
+            ),
+            (REMOTE, "backend.shots", "1", None),
+            ("{}", "backend.depolarizing", "0.1", None),
+            (
+                r#"{"backend": "statevector"}"#,
+                "backend.depolarizing",
+                "0.1",
+                None,
+            ),
+            (SHOTS, "backend.depolarizing", "0.1", None),
+            (NOISY, "backend.shards", "2", None),
+            (NOISY, "backend.nope", "0.1", None),
+            (NOISY, "backend.depolarizing", "true", None),
+        ];
+        let decode = |graph: &str, base: &str| {
+            let graph = GraphSpec::from_json(&Value::parse(graph).unwrap()).unwrap();
+            let patch = RecipePatch::from_json(&Value::parse(base).unwrap()).unwrap();
+            (graph, Recipe::from_patch(&patch))
+        };
+        let check = |(graph, base): (&str, &str), path: &str, value: &str, after| {
+            let (mut g, mut r) = decode(graph, base);
+            match (
+                assign(&mut g, &mut r, path, &Value::parse(value).unwrap()),
+                after,
+            ) {
+                (Ok(()), Some(after)) => assert_eq!((g, r), after, "{path} = {value}"),
+                (Err(BenchError::Spec(e)), None) => {
+                    let rest = e.message.strip_prefix(&format!("{path}: "));
+                    assert!(
+                        rest.is_some_and(|rest| !rest.starts_with(path)),
+                        "{path} = {value}: {e}"
+                    );
+                }
+                (result, _) => panic!("{path} = {value}: unexpected {result:?}"),
+            }
+        };
+        for &(graph, path, value, after) in graph_cases {
+            check((graph, "{}"), path, value, after.map(|g| decode(g, "{}")));
+        }
+        for &(base, path, value, after) in recipe_cases {
+            check((DSBM, base), path, value, after.map(|b| decode(DSBM, b)));
+        }
     }
 }

@@ -17,7 +17,9 @@
 //! the objective values — per-repetition seeds derive from the
 //! repetition index, so ranges compose without re-evaluation.
 
-use crate::runner::{run_combos, slot_metric_values, BenchError, Recipe, RunSlot, SweepRunner};
+use crate::runner::{
+    assign, run_combos, slot_metric_values, BenchError, Recipe, RunSlot, SweepRunner,
+};
 use crate::spec::{ExperimentSpec, SearchExperiment, SeedPolicy};
 use qsc_core::report::{fmt, mean, Table};
 use qsc_core::{FailureKind, GraphInstance};
@@ -108,7 +110,6 @@ pub(crate) fn run_search(
 ) -> Result<(Table, Vec<String>), BenchError> {
     let scale = runner.scale();
     let full_reps = *se.reps.get(scale);
-    let (base_graph, recipe_scale_set) = runner.scaled_graph(spec, &se.graph)?;
 
     // Resolve the candidate pool.
     let candidates = match se.search.strategy {
@@ -122,17 +123,10 @@ pub(crate) fn run_search(
     let prepared: Vec<Prepared> = candidates
         .into_iter()
         .map(|candidate| -> Result<Prepared, BenchError> {
-            let mut graph = base_graph.clone();
-            let mut recipe = Recipe::from_patch(&se.base);
-            for (path, value) in &recipe_scale_set {
-                recipe.apply_path(path, value)?;
-            }
+            let (mut graph, mut recipe) =
+                runner.scaled(spec, &se.graph, Recipe::from_patch(&se.base))?;
             for (path, value) in se.search.space.assignments(&candidate) {
-                if let Some(field) = path.strip_prefix("graph.") {
-                    graph.set_field(field, value).map_err(BenchError::Spec)?;
-                } else {
-                    recipe.apply_path(path, value)?;
-                }
+                assign(&mut graph, &mut recipe, path, value)?;
             }
             let shots_per_rep = recipe
                 .quantum

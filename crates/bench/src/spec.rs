@@ -902,6 +902,15 @@ impl RecipePatch {
     }
 }
 
+impl FromJson for RecipePatch {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let mut r = value.reader("base")?;
+        let patch = RecipePatch::decode_fields(&mut r)?;
+        r.finish()?;
+        Ok(patch)
+    }
+}
+
 impl ToJson for RecipePatch {
     fn to_json(&self) -> Value {
         let mut f = fields();
@@ -1243,12 +1252,7 @@ impl FromJson for ExperimentSpec {
                 };
                 let base = match r.take("base") {
                     None => RecipePatch::default(),
-                    Some(v) => {
-                        let mut br = v.reader("base")?;
-                        let patch = RecipePatch::decode_fields(&mut br)?;
-                        br.finish()?;
-                        patch
-                    }
+                    Some(v) => RecipePatch::from_json(v)?,
                 };
                 let resilience = match r.take("resilience") {
                     None => ResiliencePolicy::default(),
@@ -1330,12 +1334,7 @@ impl FromJson for ExperimentSpec {
                 let graph = GraphSpec::from_json(r.required("graph")?)?;
                 let base = match r.take("base") {
                     None => RecipePatch::default(),
-                    Some(v) => {
-                        let mut br = v.reader("base")?;
-                        let patch = RecipePatch::decode_fields(&mut br)?;
-                        br.finish()?;
-                        patch
-                    }
+                    Some(v) => RecipePatch::from_json(v)?,
                 };
                 let variants = decode_variants(&mut r)?;
                 ExperimentKind::Embedding(EmbeddingSpec {
@@ -1395,12 +1394,7 @@ impl FromJson for ExperimentSpec {
                 };
                 let base = match r.take("base") {
                     None => RecipePatch::default(),
-                    Some(v) => {
-                        let mut br = v.reader("base")?;
-                        let patch = RecipePatch::decode_fields(&mut br)?;
-                        br.finish()?;
-                        patch
-                    }
+                    Some(v) => RecipePatch::from_json(v)?,
                 };
                 let resilience = match r.take("resilience") {
                     None => ResiliencePolicy::default(),

@@ -101,6 +101,16 @@ fn exit_codes_distinguish_usage_from_runtime() {
         .expect("binary runs");
     assert_eq!(unknown_flag.status.code(), Some(2));
 
+    let unknown_experiment = experiments()
+        .args(["tabel1"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        unknown_experiment.status.code(),
+        Some(2),
+        "a misspelled experiment name is a usage error"
+    );
+
     let missing_spec = experiments()
         .args(["--spec", "/nonexistent/spec.json"])
         .output()

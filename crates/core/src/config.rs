@@ -362,73 +362,6 @@ impl FromJson for BackendConfig {
     }
 }
 
-/// Applies one `backend.<field>` assignment from a sweep-axis `set` to an
-/// existing backend config — how the experiment engine sweeps a noise or
-/// shot parameter *across* backend kinds (a `backend.depolarizing` axis
-/// drives a trajectory variant and an exact-channel variant through the
-/// same grid).
-///
-/// The backend **kind** must already be set (by the spec's `base` or the
-/// variant); fields only exist on the kinds that carry them.
-///
-/// # Errors
-///
-/// Returns [`JsonError`] for an unknown field, a mistyped value, or a
-/// field the current backend kind does not have.
-pub fn set_backend_field(
-    config: &mut BackendConfig,
-    field: &str,
-    value: &Value,
-) -> Result<(), JsonError> {
-    let as_f64 = |v: &Value| {
-        v.as_f64()
-            .ok_or_else(|| JsonError::msg(format!("backend.{field}: expected a number")))
-    };
-    let as_usize = |v: &Value| {
-        v.as_usize().ok_or_else(|| {
-            JsonError::msg(format!("backend.{field}: expected a non-negative integer"))
-        })
-    };
-    let kind_mismatch = |kind: &str| {
-        JsonError::msg(format!(
-            "backend.{field}: the configured `{kind}` backend has no such field (set the \
-             backend kind in `base` or the variant first)"
-        ))
-    };
-    // A sweep axis over a remote backend tunes the *hosted* backend: the
-    // field travels to the executor inside the inner config.
-    if let BackendConfig::Remote { inner, .. } = config {
-        return set_backend_field(inner, field, value);
-    }
-    match field {
-        "depolarizing" => match config {
-            BackendConfig::Noisy { depolarizing, .. }
-            | BackendConfig::Density { depolarizing, .. } => *depolarizing = as_f64(value)?,
-            other => return Err(kind_mismatch(other.kind_name())),
-        },
-        "readout_flip" => match config {
-            BackendConfig::Noisy { readout_flip, .. }
-            | BackendConfig::Density { readout_flip, .. } => *readout_flip = as_f64(value)?,
-            other => return Err(kind_mismatch(other.kind_name())),
-        },
-        "shots" => match config {
-            BackendConfig::Shots { shots } => *shots = as_usize(value)?,
-            other => return Err(kind_mismatch(other.kind_name())),
-        },
-        "shards" => match config {
-            BackendConfig::Sharded { shards } => *shards = Some(as_usize(value)?),
-            other => return Err(kind_mismatch(other.kind_name())),
-        },
-        other => {
-            return Err(JsonError::msg(format!(
-                "backend.{other}: no such backend field (expected depolarizing | readout_flip \
-                 | shots | shards)"
-            )))
-        }
-    }
-    Ok(())
-}
-
 /// Precision parameters of the simulated quantum pipeline. Field names
 /// mirror the runtime analysis (DESIGN.md §4.2–4.3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -519,46 +452,6 @@ impl FromJson for QuantumParams {
         r.finish()?;
         Ok(params)
     }
-}
-
-/// Applies one `quantum.<field>` assignment from a sweep-axis `set` — the
-/// path-level mutation the experiment engine uses (unlike
-/// [`FromJson`], this changes a single field of an existing parameter
-/// set).
-///
-/// # Errors
-///
-/// Returns [`JsonError`] for an unknown field or mistyped value.
-pub fn set_quantum_field(
-    params: &mut QuantumParams,
-    field: &str,
-    value: &Value,
-) -> Result<(), JsonError> {
-    let as_f64 = |v: &Value| {
-        v.as_f64()
-            .ok_or_else(|| JsonError::msg(format!("quantum.{field}: expected a number")))
-    };
-    let as_usize = |v: &Value| {
-        v.as_usize().ok_or_else(|| {
-            JsonError::msg(format!("quantum.{field}: expected a non-negative integer"))
-        })
-    };
-    match field {
-        "qpe_bits" => params.qpe_bits = as_usize(value)?,
-        "qpe_scale" => params.qpe_scale = as_f64(value)?,
-        "tomography_shots" => params.tomography_shots = as_usize(value)?,
-        "norm_estimation_iters" => params.norm_estimation_iters = as_usize(value)?,
-        "delta" => params.delta = as_f64(value)?,
-        "epsilon_dist" => params.epsilon_dist = as_f64(value)?,
-        "epsilon_b" => params.epsilon_b = as_f64(value)?,
-        "max_dims_factor" => params.max_dims_factor = as_usize(value)?,
-        other => {
-            return Err(JsonError::msg(format!(
-                "quantum.{other}: no such quantum parameter"
-            )))
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -686,29 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_backend_field_assignment_reaches_the_inner_config() {
-        let mut config = BackendConfig::Remote {
-            addr: "127.0.0.1:1".into(),
-            inner: Box::new(BackendConfig::Noisy {
-                depolarizing: 0.0,
-                readout_flip: 0.0,
-            }),
-        };
-        set_backend_field(&mut config, "depolarizing", &Value::Num(0.25)).unwrap();
-        let BackendConfig::Remote { inner, .. } = &config else {
-            panic!("kind changed");
-        };
-        assert_eq!(
-            **inner,
-            BackendConfig::Noisy {
-                depolarizing: 0.25,
-                readout_flip: 0.0
-            }
-        );
-        assert!(set_backend_field(&mut config, "shots", &Value::Num(1.0)).is_err());
-    }
-
-    #[test]
     fn quantum_params_json_round_trips_with_defaults() {
         let v = Value::parse(r#"{"qpe_bits": 4, "delta": 0.5}"#).unwrap();
         let params = QuantumParams::from_json(&v).unwrap();
@@ -723,17 +593,6 @@ mod tests {
 
         let bad = Value::parse(r#"{"qpe_bitss": 4}"#).unwrap();
         assert!(QuantumParams::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn quantum_field_assignment() {
-        let mut params = QuantumParams::default();
-        set_quantum_field(&mut params, "tomography_shots", &Value::Num(64.0)).unwrap();
-        assert_eq!(params.tomography_shots, 64);
-        set_quantum_field(&mut params, "delta", &Value::Num(0.9)).unwrap();
-        assert_eq!(params.delta, 0.9);
-        assert!(set_quantum_field(&mut params, "nope", &Value::Num(1.0)).is_err());
-        assert!(set_quantum_field(&mut params, "delta", &Value::Bool(true)).is_err());
     }
 
     #[test]
@@ -789,49 +648,5 @@ mod tests {
         }
         .build()
         .is_err());
-    }
-
-    #[test]
-    fn backend_field_assignment() {
-        let mut cfg = BackendConfig::Density {
-            depolarizing: 0.0,
-            readout_flip: 0.0,
-        };
-        set_backend_field(&mut cfg, "depolarizing", &Value::Num(0.15)).unwrap();
-        set_backend_field(&mut cfg, "readout_flip", &Value::Num(0.02)).unwrap();
-        assert_eq!(
-            cfg,
-            BackendConfig::Density {
-                depolarizing: 0.15,
-                readout_flip: 0.02
-            }
-        );
-        let mut noisy = BackendConfig::Noisy {
-            depolarizing: 0.0,
-            readout_flip: 0.0,
-        };
-        set_backend_field(&mut noisy, "depolarizing", &Value::Num(0.3)).unwrap();
-        assert_eq!(
-            noisy,
-            BackendConfig::Noisy {
-                depolarizing: 0.3,
-                readout_flip: 0.0
-            }
-        );
-        let mut shots = BackendConfig::Shots { shots: 16 };
-        set_backend_field(&mut shots, "shots", &Value::Num(512.0)).unwrap();
-        assert_eq!(shots, BackendConfig::Shots { shots: 512 });
-        let mut sharded = BackendConfig::Sharded { shards: None };
-        set_backend_field(&mut sharded, "shards", &Value::Num(8.0)).unwrap();
-        assert_eq!(sharded, BackendConfig::Sharded { shards: Some(8) });
-
-        // Fields only exist on the kinds that carry them, and names are
-        // validated.
-        let mut sv = BackendConfig::Statevector;
-        assert!(set_backend_field(&mut sv, "depolarizing", &Value::Num(0.1)).is_err());
-        assert!(set_backend_field(&mut shots, "depolarizing", &Value::Num(0.1)).is_err());
-        assert!(set_backend_field(&mut noisy, "shards", &Value::Num(2.0)).is_err());
-        assert!(set_backend_field(&mut noisy, "nope", &Value::Num(0.1)).is_err());
-        assert!(set_backend_field(&mut noisy, "depolarizing", &Value::Bool(true)).is_err());
     }
 }

@@ -110,7 +110,6 @@
 
 pub mod baseline;
 pub mod classical;
-pub mod clusterability;
 pub mod config;
 pub mod cost;
 pub mod embedding;

@@ -4,8 +4,8 @@
 //! A [`GraphSpec`] names a generator *family* plus its parameters and can
 //! be (de)serialized through `qsc-json` with unknown-field rejection, so a
 //! sweep over synthetic workloads is data, not code. The sweep engine
-//! mutates specs generically through [`GraphSpec::set_field`] (axis
-//! application) and [`GraphSpec::set_seed`] (per-repetition seeding), then
+//! assigns a swept field by editing the spec's JSON form and decoding it
+//! again, seeds each repetition through [`GraphSpec::set_seed`], then
 //! calls [`GraphSpec::generate`].
 //!
 //! # Examples
@@ -18,9 +18,9 @@
 //!     r#"{"family": "dsbm", "n": 60, "k": 3, "eta_flow": 0.9, "seed": 7}"#,
 //! ).unwrap();
 //! let mut spec = GraphSpec::from_json(&v).unwrap();
-//! spec.set_field("n", &Value::Num(90.0)).unwrap();
+//! spec.set_seed(8);
 //! let inst = spec.generate().unwrap();
-//! assert_eq!(inst.graph.num_vertices(), 90);
+//! assert_eq!(inst.graph.num_vertices(), 60);
 //! assert_eq!(GraphSpec::from_json(&spec.to_json()).unwrap(), spec);
 //! ```
 
@@ -180,83 +180,6 @@ impl GraphSpec {
                 comparator_seed, ..
             } => *comparator_seed = seed,
         }
-    }
-
-    /// Sets one named parameter from a JSON value — how sweep axes with
-    /// `graph.<field>` paths are applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] for a field this family does not have or a
-    /// value of the wrong type.
-    pub fn set_field(&mut self, field: &str, value: &Value) -> Result<(), JsonError> {
-        let family = self.family();
-        let bad_type = |want: &str| {
-            JsonError::msg(format!(
-                "graph.{field}: expected {want} for family `{family}`"
-            ))
-        };
-        let as_f64 = |v: &Value| v.as_f64().ok_or_else(|| bad_type("a number"));
-        let as_usize = |v: &Value| {
-            v.as_usize()
-                .ok_or_else(|| bad_type("a non-negative integer"))
-        };
-        let as_u64 = |v: &Value| v.as_u64().ok_or_else(|| bad_type("a non-negative integer"));
-        let unknown = || {
-            Err(JsonError::msg(format!(
-                "graph.{field}: no such field in family `{family}`"
-            )))
-        };
-        match self {
-            GraphSpec::Dsbm(p) => match field {
-                "n" => p.n = as_usize(value)?,
-                "k" => p.k = as_usize(value)?,
-                "p_intra" => p.p_intra = as_f64(value)?,
-                "p_inter" => p.p_inter = as_f64(value)?,
-                "p_noise" => p.p_noise = as_f64(value)?,
-                "eta_flow" => p.eta_flow = as_f64(value)?,
-                "intra_directed_fraction" => p.intra_directed_fraction = as_f64(value)?,
-                "meta" => p.meta = meta_from_json(value)?,
-                "seed" => p.seed = as_u64(value)?,
-                _ => return unknown(),
-            },
-            GraphSpec::Circles(p) => match field {
-                "n" => p.n = as_usize(value)?,
-                "inner_radius" => p.inner_radius = as_f64(value)?,
-                "noise" => p.noise = as_f64(value)?,
-                "d_min" => p.d_min = as_f64(value)?,
-                "directed_fraction" => p.directed_fraction = as_f64(value)?,
-                "seed" => p.seed = as_u64(value)?,
-                _ => return unknown(),
-            },
-            GraphSpec::Netlist(p) => match field {
-                "num_modules" => p.num_modules = as_usize(value)?,
-                "cells_per_module" => p.cells_per_module = as_usize(value)?,
-                "p_intra" => p.p_intra = as_f64(value)?,
-                "p_signal" => p.p_signal = as_f64(value)?,
-                "p_feedback" => p.p_feedback = as_f64(value)?,
-                "p_skip" => p.p_skip = as_f64(value)?,
-                "seed" => p.seed = as_u64(value)?,
-                _ => return unknown(),
-            },
-            GraphSpec::RandomMixed(p) => match field {
-                "n" => p.n = as_usize(value)?,
-                "p_undirected" => p.p_undirected = as_f64(value)?,
-                "p_directed" => p.p_directed = as_f64(value)?,
-                "seed" => p.seed = as_u64(value)?,
-                _ => return unknown(),
-            },
-            GraphSpec::QuantumCircles {
-                epsilon_dist,
-                comparator_seed,
-                ..
-            } => match field {
-                "epsilon_dist" => *epsilon_dist = as_f64(value)?,
-                "comparator_seed" => *comparator_seed = as_u64(value)?,
-                _ => return unknown(),
-            },
-        }
-        Ok(())
     }
 }
 
@@ -520,23 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn set_field_drives_axes() {
-        let v = Value::parse(r#"{"family": "dsbm", "k": 3}"#).unwrap();
-        let mut spec = GraphSpec::from_json(&v).unwrap();
-        spec.set_field("n", &Value::Num(120.0)).unwrap();
-        spec.set_field("eta_flow", &Value::Num(0.7)).unwrap();
-        match &spec {
-            GraphSpec::Dsbm(p) => {
-                assert_eq!(p.n, 120);
-                assert_eq!(p.eta_flow, 0.7);
-            }
-            _ => unreachable!(),
-        }
-        assert!(spec.set_field("inner_radius", &Value::Num(0.4)).is_err());
-        assert!(spec.set_field("n", &Value::Str("x".into())).is_err());
-    }
-
-    #[test]
     fn generated_instances_match_direct_generator_calls() {
         let params = DsbmParams {
             n: 50,
@@ -553,22 +459,19 @@ mod tests {
 
     #[test]
     fn quantum_circles_reports_disagreement_and_seeding() {
-        let spec = GraphSpec::QuantumCircles {
+        let spec = |epsilon_dist| GraphSpec::QuantumCircles {
             circles: CirclesParams {
                 n: 60,
                 seed: 3,
                 ..CirclesParams::default()
             },
-            epsilon_dist: 0.0,
+            epsilon_dist,
             comparator_seed: 600,
         };
-        let exact = spec.generate().unwrap();
+        let exact = spec(0.0).generate().unwrap();
         assert_eq!(exact.edge_disagreement, Some(0.0));
 
-        let mut noisy_spec = spec.clone();
-        noisy_spec
-            .set_field("epsilon_dist", &Value::Num(0.2))
-            .unwrap();
+        let noisy_spec = spec(0.2);
         let noisy = noisy_spec.generate().unwrap();
         assert!(noisy.edge_disagreement.unwrap() > 0.0);
         // The swept seed is the comparator's, not the point cloud's.

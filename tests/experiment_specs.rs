@@ -255,3 +255,34 @@ fn axis_point_with_an_empty_set_runs_the_recipe_as_is() {
         assert_eq!(empty.primary.rows(), no_op.primary.rows(), "base {base}");
     }
 }
+
+#[test]
+fn scale_set_graph_assignments_reach_a_variants_own_graph() {
+    // `scale_set` uses the same paths as axes, so `graph.n` must resize
+    // every graph a variant runs on: the spec's and a variant's own
+    // (here an identical copy, so both rows must agree).
+    let spec = ExperimentSpec::parse(
+        r#"{
+            "name": "scale_set_own_graph",
+            "kind": "pipeline",
+            "graph": {"family": "dsbm", "n": 60, "k": 3, "eta_flow": 0.9},
+            "scale_set": {"quick": {"graph.n": 90}},
+            "base": {"k": 3},
+            "variants": [
+                {"name": "spec_graph"},
+                {"name": "own_graph", "graph": {"family": "dsbm", "n": 60, "k": 3, "eta_flow": 0.9}}
+            ],
+            "rows": "variants",
+            "axes": [{"name": "k", "path": "pipeline.k", "values": [3]}],
+            "columns": [
+                {"header": "method", "variant_name": true},
+                {"header": "cut_weight", "metric": "cut_weight", "mean": 0}
+            ]
+        }"#,
+    )
+    .expect("spec parses");
+    let output = SweepRunner::new(Scale::Quick).run(&spec).expect("runs");
+    let rows = output.primary.rows();
+    assert_eq!(rows.len(), 2);
+    assert_eq!(rows[0][1], rows[1][1], "{rows:?}");
+}

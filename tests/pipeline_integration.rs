@@ -2,6 +2,7 @@
 //! workload → Hermitian Laplacian → (classical | quantum) pipeline →
 //! metrics, with seeded accuracy floors.
 
+use qsc_suite::cluster::clusterability::measure_clusterability;
 use qsc_suite::cluster::metrics::{adjusted_rand_index, matched_accuracy};
 use qsc_suite::core::{baseline::adjacency_kmeans, Pipeline, QuantumParams};
 use qsc_suite::graph::generators::{dsbm, netlist, DsbmParams, MetaGraph, NetlistParams};
@@ -201,4 +202,46 @@ fn diagnostics_cost_models_positive_and_ordered() {
     assert!(q.diagnostics.kappa >= 1.0);
     assert!(q.diagnostics.mu_b > 0.0);
     assert!(q.diagnostics.eta_embedding >= 1.0);
+}
+
+#[test]
+fn normalized_spectral_embedding_of_flow_dsbm_is_well_clusterable() {
+    // The claim the evaluation verifies: once projected onto the
+    // spectral space *and row-normalized* (the NJW step that collapses
+    // each cluster's shell onto a point), flow clusters satisfy the
+    // q-means assumption. The raw embedding's clusters are thin shells
+    // whose radius is comparable to their separation — measured in T5.
+    let inst = dsbm(&DsbmParams {
+        n: 120,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 1.0,
+        meta: MetaGraph::Cycle,
+        seed: 8,
+        ..DsbmParams::default()
+    })
+    .unwrap();
+    let pl = Pipeline::hermitian(3).seed(2);
+    let out = pl.clone().normalize_rows(true).run(&inst.graph).unwrap();
+    let normalized = measure_clusterability(&out.embedding, &out.labels).unwrap();
+
+    let raw_out = pl.run(&inst.graph).unwrap();
+    let raw = measure_clusterability(&raw_out.embedding, &raw_out.labels).unwrap();
+    assert!(
+        normalized.separation_ratio > raw.separation_ratio,
+        "normalization must tighten the clusters: {normalized:?} vs {raw:?}"
+    );
+
+    // An honest finding of the reproduction (recorded in EXPERIMENTS.md):
+    // even though clustering succeeds, the *strict* Definition-4 bar is
+    // not met on this instance — the 2nd/3rd eigenvectors carry bulk
+    // noise that dilutes the embedding. The structure must still beat a
+    // label-shuffled control decisively.
+    let shuffled: Vec<usize> = (0..out.labels.len()).map(|i| (i * 7 + 1) % 3).collect();
+    let control = measure_clusterability(&out.embedding, &shuffled).unwrap();
+    assert!(
+        normalized.separation_ratio > 3.0 * control.separation_ratio,
+        "true labels must beat shuffled control: {normalized:?} vs {control:?}"
+    );
 }
