@@ -28,7 +28,7 @@ use qsc_core::refine::{refine_partition, RefineConfig};
 use qsc_core::report::{fmt, fmt_mean_std, mean, SinkFormat, Table};
 use qsc_core::{
     Clusterer, ClusteringOutcome, FailureKind, GraphInstance, KMeans, LanczosCsr, LanczosDense,
-    Pipeline, QMeans, ResiliencePolicy,
+    Pipeline, QMeans, ResiliencePolicy, SpectrumCache,
 };
 use qsc_graph::normalized_hermitian_laplacian;
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
@@ -124,6 +124,9 @@ pub struct SweepRunner {
     /// Round-robin cursor over `fleet`, shared across clones so nested
     /// runs (searches) keep rotating instead of restarting at host 0.
     next_host: Arc<AtomicUsize>,
+    /// The running job's spectrum cache, shared by every pipeline the job
+    /// builds; set for the duration of one [`SweepRunner::run_with_cache`].
+    spectrum_cache: Option<Arc<SpectrumCache>>,
 }
 
 /// Incremental completion event fired by
@@ -643,6 +646,7 @@ impl SweepRunner {
             scale,
             fleet: Vec::new(),
             next_host: Arc::new(AtomicUsize::new(0)),
+            spectrum_cache: None,
         }
     }
 
@@ -711,11 +715,43 @@ impl SweepRunner {
     /// The produced output is identical to [`SweepRunner::run`] — the
     /// callback only observes.
     ///
+    /// The call is one job: it creates one [`SpectrumCache`], so each
+    /// distinct Laplacian of the job is Householder-reduced once, and drops
+    /// it on return.
+    ///
     /// # Errors
     ///
     /// Returns [`BenchError`] for inconsistent specs and propagated
     /// generator/pipeline failures.
     pub fn run_with_progress(
+        &self,
+        spec: &ExperimentSpec,
+        on_progress: &mut dyn FnMut(Progress<'_>),
+    ) -> Result<ExperimentOutput, BenchError> {
+        self.run_with_cache(spec, Some(Arc::new(SpectrumCache::new())), on_progress)
+    }
+
+    /// [`SweepRunner::run_with_progress`] with the caller's spectrum cache
+    /// (`None` runs every pipeline without one). The output is identical
+    /// either way; the cache's [`SpectrumCache::stats`] show the reuse.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepRunner::run_with_progress`].
+    pub fn run_with_cache(
+        &self,
+        spec: &ExperimentSpec,
+        spectrum_cache: Option<Arc<SpectrumCache>>,
+        on_progress: &mut dyn FnMut(Progress<'_>),
+    ) -> Result<ExperimentOutput, BenchError> {
+        let job = SweepRunner {
+            spectrum_cache,
+            ..self.clone()
+        };
+        job.run_job(spec, on_progress)
+    }
+
+    fn run_job(
         &self,
         spec: &ExperimentSpec,
         on_progress: &mut dyn FnMut(Progress<'_>),
@@ -761,6 +797,15 @@ impl SweepRunner {
             primary,
             notes,
             sinks: spec.sinks.clone(),
+        })
+    }
+
+    /// `recipe`'s pipeline, sharing the job's spectrum cache.
+    pub(crate) fn pipeline(&self, recipe: &Recipe) -> Result<Pipeline, BenchError> {
+        let pl = recipe.build()?;
+        Ok(match &self.spectrum_cache {
+            Some(cache) => pl.spectrum_cache(Arc::clone(cache)),
+            None => pl,
         })
     }
 
@@ -929,7 +974,7 @@ impl SweepRunner {
                 .collect();
 
             let (exec_recipe, exec_policy) = self.fleet_wrap(&recipe, &p.resilience);
-            let pl = exec_recipe.build()?.resilience(exec_policy)?;
+            let pl = self.pipeline(&exec_recipe)?.resilience(exec_policy)?;
             let combos: Vec<Recipe> = inner_points
                 .iter()
                 .map(|combo| -> Result<Recipe, BenchError> {
@@ -1016,7 +1061,7 @@ impl SweepRunner {
                 .points
                 .as_deref()
                 .ok_or_else(|| spec_err("embedding experiments need a point-cloud graph family"))?;
-            let pl = recipe.build()?.seed(e.pipeline_seed);
+            let pl = self.pipeline(&recipe)?.seed(e.pipeline_seed);
             let out = pl.run(&inst.graph)?;
             for (i, point) in points.iter().enumerate() {
                 series.push_row([
@@ -1142,6 +1187,7 @@ impl SweepRunner {
 /// Runs a repetition batch through `pl`: each rep's embedding is staged
 /// once and clustered with every combo recipe's [`Recipe::clusterer`],
 /// all under one guard, so a failed staging fails every combo of that rep.
+/// The batch is one generation of `pl`'s spectrum cache, if it has one.
 /// Returns `[combo][rep]` slots, post-processed under each combo's recipe.
 pub(crate) fn run_combos(
     pl: &Pipeline,

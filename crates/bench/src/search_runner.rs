@@ -148,7 +148,7 @@ pub(crate) fn run_search(
     let mut strategy_note = match se.search.strategy {
         Strategy::Grid => {
             let all: Vec<usize> = (0..prepared.len()).collect();
-            evaluate(se, &prepared, &all, 0, full_reps, &mut states)?;
+            evaluate(runner, se, &prepared, &all, 0, full_reps, &mut states)?;
             format!(
                 "strategy: grid — {} candidates × {} reps ({} evaluations)",
                 prepared.len(),
@@ -158,7 +158,7 @@ pub(crate) fn run_search(
         }
         Strategy::Random { seed, trials } => {
             let all: Vec<usize> = (0..prepared.len()).collect();
-            evaluate(se, &prepared, &all, 0, full_reps, &mut states)?;
+            evaluate(runner, se, &prepared, &all, 0, full_reps, &mut states)?;
             format!(
                 "strategy: random — {trials} trials (seed {seed}) × {full_reps} reps \
                  ({} evaluations)",
@@ -193,6 +193,7 @@ pub(crate) fn run_search(
                     active.sort_unstable();
                 }
                 evaluate(
+                    runner,
                     se,
                     &prepared,
                     &active,
@@ -368,6 +369,7 @@ pub(crate) fn run_search(
 /// share one batch (embedding staged once per instance, re-clustered per
 /// candidate); every other candidate is a batch of its own.
 fn evaluate(
+    runner: &SweepRunner,
     se: &SearchExperiment,
     prepared: &[Prepared],
     active: &[usize],
@@ -421,7 +423,9 @@ fn evaluate(
                 .iter()
                 .map(|&ci| prepared[ci].recipe.clone())
                 .collect();
-            let pl = recipes[0].build()?.resilience(se.resilience.clone())?;
+            let pl = runner
+                .pipeline(&recipes[0])?
+                .resilience(se.resilience.clone())?;
             let per_member = run_combos(&pl, &batch, &instances, &recipes);
             for (&ci, slots) in combo.iter().zip(per_member) {
                 accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);

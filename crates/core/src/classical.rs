@@ -4,8 +4,8 @@
 use crate::embedding::{embed_rows, normalize_rows};
 use crate::error::Error;
 use crate::pipeline::{Embedder, Embedding, StageContext};
+use crate::spectrum_cache::hermitian_spectrum;
 use qsc_graph::MixedGraph;
-use qsc_linalg::eigh_spectrum;
 use qsc_linalg::lanczos::lanczos_lowest_k_csr;
 use qsc_linalg::{CMatrix, CsrMatrix};
 use rand::rngs::StdRng;
@@ -13,9 +13,10 @@ use rand::SeedableRng;
 
 /// Exact dense eigensolve — the reference embedding stage: the Laplacian is
 /// densified, all its eigenvalues are computed (the `O(n³)` Householder
-/// reduction), only the `k` lowest eigenvectors are built
-/// ([`eigh_spectrum`], `O(n²)` each), and every vertex is embedded as its
-/// row in them (`C^k → R^{2k}`).
+/// reduction, once per distinct Laplacian when the context carries a
+/// [`SpectrumCache`](crate::SpectrumCache)), only the `k` lowest
+/// eigenvectors are built ([`qsc_linalg::eigh_spectrum`], `O(n²)` each),
+/// and every vertex is embedded as its row in them (`C^k → R^{2k}`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DenseEig;
 
@@ -30,8 +31,11 @@ impl Embedder for DenseEig {
         laplacian: &CsrMatrix,
         ctx: &StageContext,
     ) -> Result<Embedding, Error> {
-        let eig = eigh_spectrum(laplacian.to_dense())?;
-        finish_classical(eig.lowest_k(ctx.k), eig.eigenvalues, ctx)
+        let (eig, reused_seconds) = hermitian_spectrum(laplacian, ctx.spectrum_cache.as_deref())?;
+        Ok(Embedding {
+            reused_seconds,
+            ..finish_classical(eig.lowest_k(ctx.k), eig.eigenvalues, ctx)?
+        })
     }
 }
 
@@ -79,6 +83,7 @@ fn finish_classical(
         selected_eigenvalues,
         dims_used: ctx.k,
         lanczos_iterations: None,
+        reused_seconds: 0.0,
     })
 }
 

@@ -121,6 +121,7 @@ pub mod quantum;
 pub mod refine;
 pub mod report;
 pub mod resilience;
+pub mod spectrum_cache;
 pub mod trotter;
 
 pub use classical::{DenseEig, LanczosCsr};
@@ -133,6 +134,7 @@ pub use outcome::{ClusteringOutcome, Diagnostics};
 pub use pipeline::{Embedder, Embedding, GraphInstance, Pipeline, StageContext, StagedEmbedding};
 pub use quantum::{gate_level_projected_row, gate_level_projected_row_on, QpeTomography};
 pub use resilience::{BatchOutcome, FailureKind, InstanceError, ResiliencePolicy};
+pub use spectrum_cache::{SpectrumCache, SpectrumCacheStats};
 
 // The fault-injection surface, re-exported so chaos-testing call sites
 // need only this crate.

@@ -87,6 +87,7 @@ impl Embedder for LanczosDense {
             spectrum: partial.eigenvalues,
             dims_used: ctx.k,
             lanczos_iterations: Some(partial.iterations),
+            reused_seconds: 0.0,
         })
     }
 

@@ -52,6 +52,7 @@ use crate::embedding::eta_of_embedding;
 use crate::error::Error;
 use crate::outcome::{ClusteringOutcome, Diagnostics};
 use crate::resilience::{BatchOutcome, FailureKind, InstanceError, ResiliencePolicy};
+use crate::spectrum_cache::SpectrumCache;
 use qsc_cluster::{Clusterer, KMeans, KMeansConfig, QMeans};
 use qsc_graph::{normalized_hermitian_laplacian_csr, MixedGraph};
 use qsc_linalg::params::condition_number_from_eigenvalues;
@@ -101,6 +102,10 @@ pub struct StageContext {
     /// [`ResiliencePolicy`]; `None` = the global budget of
     /// [`qsc_sim::budget`].
     pub state_budget_bytes: Option<u64>,
+    /// The per-job cache the dense stages reduce each distinct Laplacian
+    /// through once ([`Pipeline::spectrum_cache`]); `None` when none is
+    /// attached or a fault plan is active.
+    pub spectrum_cache: Option<Arc<SpectrumCache>>,
 }
 
 impl fmt::Debug for StageContext {
@@ -111,6 +116,7 @@ impl fmt::Debug for StageContext {
             .field("normalize_rows", &self.normalize_rows)
             .field("backend", &self.backend.name())
             .field("state_budget_bytes", &self.state_budget_bytes)
+            .field("spectrum_cache", &self.spectrum_cache.is_some())
             .finish()
     }
 }
@@ -129,6 +135,11 @@ pub struct Embedding {
     pub dims_used: usize,
     /// Lanczos iterations, for embedders whose cost proxy counts them.
     pub lanczos_iterations: Option<usize>,
+    /// Seconds of work the stage took from the [`SpectrumCache`] instead of
+    /// redoing it. The pipeline charges them to
+    /// [`StagedEmbedding::embed_seconds`], so wall time prices a run as if
+    /// it had run alone.
+    pub reused_seconds: f64,
 }
 
 /// A spectral-embedding stage: Laplacian (+ graph) → feature rows.
@@ -199,7 +210,8 @@ pub struct StagedEmbedding {
     pub quantum_cost: Option<f64>,
     /// Number of vertices.
     pub n: usize,
-    /// Wall-clock seconds spent staging (Laplacian + embedding).
+    /// Wall-clock seconds spent staging (Laplacian + embedding), plus the
+    /// embedding's [`Embedding::reused_seconds`].
     pub embed_seconds: f64,
 }
 
@@ -272,6 +284,7 @@ pub struct Pipeline {
     backend: Arc<dyn Backend>,
     resilience: ResiliencePolicy,
     fallback_backends: Vec<Arc<dyn Backend>>,
+    spectrum_cache: Option<Arc<SpectrumCache>>,
 }
 
 impl fmt::Debug for Pipeline {
@@ -285,6 +298,7 @@ impl fmt::Debug for Pipeline {
             .field("clusterer", &self.clusterer.name())
             .field("backend", &self.backend.name())
             .field("resilience", &self.resilience)
+            .field("spectrum_cache", &self.spectrum_cache.is_some())
             .finish()
     }
 }
@@ -307,6 +321,7 @@ impl Pipeline {
             backend: Arc::new(Statevector::new()),
             resilience: ResiliencePolicy::default(),
             fallback_backends: Vec::new(),
+            spectrum_cache: None,
         }
     }
 
@@ -433,6 +448,21 @@ impl Pipeline {
         Ok(self)
     }
 
+    /// Attaches a per-job [`SpectrumCache`]: the dense stages
+    /// ([`DenseEig`](crate::DenseEig),
+    /// [`QpeTomography`](crate::QpeTomography)) then Householder-reduce
+    /// each distinct Laplacian once across every run of every pipeline that
+    /// shares the cache. Outputs are bit-identical with or without it.
+    ///
+    /// Every runner call ([`Pipeline::embed`], [`Pipeline::run`] and the
+    /// batch runners) is one batch: a miss evicts the entries the batch
+    /// has not looked up. The cache is bypassed while the resilience
+    /// policy carries an active fault plan.
+    pub fn spectrum_cache(mut self, cache: Arc<SpectrumCache>) -> Self {
+        self.spectrum_cache = Some(cache);
+        self
+    }
+
     /// The attached fault-tolerance policy (default when none was set).
     pub fn resilience_policy(&self) -> &ResiliencePolicy {
         &self.resilience
@@ -464,12 +494,23 @@ impl Pipeline {
     }
 
     fn context(&self, seed: u64) -> StageContext {
+        // Fault decisions hang on per-site counters and retries perturb
+        // seeds: a faulted run takes the uncached path.
+        let faulted = self.resilience.fault_plan.is_some_and(|p| p.is_active());
         StageContext {
             k: self.embedding.k,
             seed,
             normalize_rows: self.embedding.normalize_rows,
             backend: self.backend.clone(),
             state_budget_bytes: self.resilience.state_budget_bytes,
+            spectrum_cache: self.spectrum_cache.clone().filter(|_| !faulted),
+        }
+    }
+
+    /// Starts a runner call's batch in the attached cache.
+    fn start_batch(&self) {
+        if let Some(cache) = &self.spectrum_cache {
+            cache.next_generation();
         }
     }
 
@@ -504,6 +545,7 @@ impl Pipeline {
             condition_number_from_eigenvalues(&embedding.selected_eigenvalues, ZERO_EIG_TOL);
         let mu_b = incidence_mu(g_eff);
         let n = g_eff.num_vertices();
+        let reused_seconds = embedding.reused_seconds;
         let quantum = self.embedder.quantum_params().map(|params| {
             quantum_cost(
                 &QuantumCostInputs {
@@ -525,7 +567,7 @@ impl Pipeline {
             mu_b,
             quantum_cost: quantum,
             n,
-            embed_seconds: start.elapsed().as_secs_f64(),
+            embed_seconds: start.elapsed().as_secs_f64() + reused_seconds,
         })
     }
 
@@ -539,6 +581,7 @@ impl Pipeline {
     /// Returns [`Error::InvalidRequest`] for inconsistent requests and
     /// propagates stage failures.
     pub fn embed(&self, g: &MixedGraph) -> Result<StagedEmbedding, Error> {
+        self.start_batch();
         self.embed_seeded(g, self.seed)
     }
 
@@ -640,6 +683,7 @@ impl Pipeline {
         instances: &[GraphInstance<'_>],
         work: impl Fn(&GraphInstance<'_>, u64) -> T + Sync,
     ) -> Vec<T> {
+        self.start_batch();
         // Ordered parallel collection via an indexed slot vector: the rayon
         // compat shim only exposes the par_chunks(_mut) surface (no
         // par_iter), and this shape is also valid under real rayon, keeping
@@ -893,6 +937,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spectrum_cache::SpectrumCacheStats;
     use qsc_cluster::metrics::matched_accuracy;
     use qsc_graph::generators::{dsbm, DsbmParams, MetaGraph};
 
@@ -1076,6 +1121,66 @@ mod tests {
         assert_eq!(a.labels, b.labels, "seeded finite shots are reproducible");
         let acc = matched_accuracy(&inst.labels, &a.labels);
         assert!(acc > 0.6, "2048-shot accuracy collapsed: {acc}");
+    }
+
+    #[test]
+    fn fault_plans_bypass_the_spectrum_cache() {
+        let graphs: Vec<_> = (0..3).map(|s| flow_instance(40, 50 + s)).collect();
+        let batch: Vec<GraphInstance> = graphs
+            .iter()
+            .map(|i| GraphInstance::new(&i.graph))
+            .collect();
+        let cache = Arc::new(SpectrumCache::new());
+        // A plan that never fires is still active: its counters run.
+        let plan =
+            qsc_fault::FaultPlan::seeded(3).with_rate(qsc_fault::FaultPoint::Allocation, 1e-9);
+        assert!(plan.is_active());
+        let faulted = Pipeline::hermitian(3)
+            .spectrum_cache(cache.clone())
+            .resilience(ResiliencePolicy {
+                fault_plan: Some(plan),
+                ..ResiliencePolicy::default()
+            })
+            .unwrap();
+        for _ in 0..2 {
+            for out in faulted.run_many_isolated(&batch) {
+                out.unwrap();
+            }
+        }
+        assert_eq!(cache.stats(), SpectrumCacheStats::default());
+        // Without the plan the same batches go through the cache.
+        let plain = Pipeline::hermitian(3).spectrum_cache(cache.clone());
+        for _ in 0..2 {
+            for out in plain.run_many_isolated(&batch) {
+                out.unwrap();
+            }
+        }
+        assert_eq!(cache.stats(), SpectrumCacheStats { hits: 3, misses: 3 });
+    }
+
+    #[test]
+    fn a_cache_hit_is_charged_its_reduction_seconds() {
+        let inst = flow_instance(120, 17);
+        let cache = Arc::new(SpectrumCache::new());
+        let classical = Pipeline::hermitian(3).seed(1).spectrum_cache(cache.clone());
+        let quantum = classical.clone().quantum(&QuantumParams::default());
+        let miss = classical.run(&inst.graph).unwrap();
+        let hit = quantum.run(&inst.graph).unwrap();
+        assert_eq!(cache.stats(), SpectrumCacheStats { hits: 1, misses: 1 });
+        let laplacian = normalized_hermitian_laplacian_csr(&inst.graph, qsc_graph::Q_CLASSICAL);
+        let reduction_seconds = cache.reduction_seconds(&laplacian).unwrap();
+        assert!(reduction_seconds > 0.0);
+        assert!(hit.diagnostics.wall_seconds >= reduction_seconds);
+        // The hit's outcome is the uncached one, bit for bit.
+        let uncached = Pipeline::hermitian(3)
+            .seed(1)
+            .quantum(&QuantumParams::default())
+            .run(&inst.graph)
+            .unwrap();
+        assert_eq!(hit.labels, uncached.labels);
+        assert_eq!(hit.embedding, uncached.embedding);
+        assert_eq!(hit.spectrum, uncached.spectrum);
+        assert_eq!(miss.spectrum, uncached.spectrum);
     }
 
     #[test]

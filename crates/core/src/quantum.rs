@@ -27,9 +27,10 @@ use crate::config::QuantumParams;
 use crate::embedding::normalize_rows;
 use crate::error::Error;
 use crate::pipeline::{Embedder, Embedding, StageContext};
+use crate::spectrum_cache::hermitian_spectrum;
 use qsc_graph::MixedGraph;
 use qsc_linalg::vector::interleave_re_im;
-use qsc_linalg::{eigh, eigh_spectrum, CMatrix, Complex64, CsrMatrix};
+use qsc_linalg::{eigh, CMatrix, Complex64, CsrMatrix};
 use qsc_sim::amplitude::estimate_norm;
 use qsc_sim::backend::{Backend, Statevector};
 use qsc_sim::tomography::tomography_complex;
@@ -42,7 +43,9 @@ use rand::SeedableRng;
 ///
 /// The simulator computes every eigenvalue of the Laplacian but builds only
 /// the eigenvectors that survive the QPE threshold (at most
-/// `k·max_dims_factor` of them, through [`eigh_spectrum`]).
+/// `k·max_dims_factor` of them, through [`qsc_linalg::eigh_spectrum`]),
+/// reducing each distinct Laplacian once when the context carries a
+/// [`SpectrumCache`](crate::SpectrumCache).
 ///
 /// The stage owns the full [`QuantumParams`] precision set; its `δ` field
 /// is consumed by the matching `QMeans` clusterer (see
@@ -126,7 +129,7 @@ impl Embedder for QpeTomography {
         // algorithmic noise is injected downstream exactly where the quantum
         // subroutines would introduce it. Eigenvectors are built below, for
         // the selected dimensions only.
-        let eig = eigh_spectrum(laplacian.to_dense())?;
+        let (eig, reused_seconds) = hermitian_spectrum(laplacian, ctx.spectrum_cache.as_deref())?;
 
         // --- QPE: every eigenvalue is known only at t-bit resolution. The
         // threshold ν is placed just above the bin of the k-th smallest
@@ -254,6 +257,7 @@ impl Embedder for QpeTomography {
             selected_eigenvalues,
             dims_used,
             lanczos_iterations: None,
+            reused_seconds,
         })
     }
 }

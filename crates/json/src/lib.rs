@@ -11,7 +11,9 @@
 //! * [`ObjReader`] — field-by-field object decoding that **rejects unknown
 //!   fields** (a typo in a spec file is an error, never a silent no-op),
 //! * [`ToJson`] / [`FromJson`] — the conversion traits domain types
-//!   implement by hand.
+//!   implement by hand,
+//! * [`sha256`] — FIPS 180-4 SHA-256, streaming, the one content hash of
+//!   the workspace (service cache keys, per-job spectrum cache keys).
 //!
 //! Numbers are `f64` (as in JSON itself) and round-trip bit-exactly:
 //! parsing uses Rust's correctly-rounded `str::parse::<f64>` and writing
@@ -30,6 +32,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod sha256;
 
 use std::fmt;
 

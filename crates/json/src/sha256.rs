@@ -1,9 +1,12 @@
-//! Dependency-free SHA-256 (FIPS 180-4) — the hash behind the
-//! content-addressed result cache.
+//! Dependency-free SHA-256 (FIPS 180-4) — the hash behind the service's
+//! content-addressed result cache and the pipeline's per-job spectrum
+//! cache keys.
 //!
-//! Straightforward single-block-at-a-time implementation; throughput is
-//! irrelevant here (inputs are kilobyte-sized spec documents and cache
-//! entries), correctness is pinned by the FIPS test vectors below.
+//! [`Sha256`] hashes a stream fed in pieces of any size, so a caller can
+//! digest a large structure without first serializing it into one buffer;
+//! [`sha256`] and [`sha256_hex`] are its one-shot forms. The implementation
+//! is a straightforward single-block-at-a-time one, and correctness is
+//! pinned by the FIPS test vectors below.
 
 /// First 32 bits of the fractional parts of the cube roots of the first
 /// 64 primes (the SHA-256 round constants).
@@ -63,34 +66,100 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// Initial hash values: fractional parts of the square roots of the first
+/// 8 primes.
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// A streaming SHA-256 hasher: [`Sha256::update`] any number of times, then
+/// [`Sha256::finalize`]. The digest depends only on the concatenated input,
+/// not on how it was split.
+///
+/// ```
+/// use qsc_json::sha256::{sha256, Sha256};
+///
+/// let mut hasher = Sha256::new();
+/// hasher.update(b"ab");
+/// hasher.update(b"c");
+/// assert_eq!(hasher.finalize(), sha256(b"abc"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    /// Input not yet compressed (fewer than 64 bytes).
+    buffer: [u8; 64],
+    buffered: usize,
+    /// Total input length in bytes.
+    len: u64,
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sha256 {
+    /// A hasher that has seen no input.
+    pub fn new() -> Self {
+        Self {
+            state: H0,
+            buffer: [0; 64],
+            buffered: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `data` to the hashed stream.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in blocks.by_ref() {
+            compress(&mut self.state, block);
+        }
+        let rem = blocks.remainder();
+        self.buffer[..rem.len()].copy_from_slice(rem);
+        self.buffered = rem.len();
+    }
+
+    /// The digest of everything passed to [`Sha256::update`].
+    pub fn finalize(mut self) -> [u8; 32] {
+        // Padding: 0x80, zeros, 64-bit big-endian bit length.
+        let bit_len = self.len.wrapping_mul(8);
+        let rem = self.buffered;
+        let mut tail = [0u8; 128];
+        tail[..rem].copy_from_slice(&self.buffer[..rem]);
+        tail[rem] = 0x80;
+        let tail_len = if rem < 56 { 64 } else { 128 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+        for block in tail[..tail_len].chunks_exact(64) {
+            compress(&mut self.state, block);
+        }
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(&self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
 /// The SHA-256 digest of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    // Initial hash values: fractional parts of the square roots of the
-    // first 8 primes.
-    let mut state: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let mut blocks = data.chunks_exact(64);
-    for block in blocks.by_ref() {
-        compress(&mut state, block);
-    }
-    // Padding: 0x80, zeros, 64-bit big-endian bit length.
-    let rem = blocks.remainder();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut tail = [0u8; 128];
-    tail[..rem.len()].copy_from_slice(rem);
-    tail[rem.len()] = 0x80;
-    let tail_len = if rem.len() < 56 { 64 } else { 128 };
-    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut state, block);
-    }
-    let mut out = [0u8; 32];
-    for (chunk, word) in out.chunks_exact_mut(4).zip(&state) {
-        chunk.copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut hasher = Sha256::new();
+    hasher.update(data);
+    hasher.finalize()
 }
 
 /// The SHA-256 digest of `data` as lowercase hex — the cache-key format.
@@ -123,6 +192,27 @@ mod tests {
             sha256_hex(&million),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// Any split of the input into `update` calls gives the one-shot
+    /// digest, across block and padding boundaries.
+    #[test]
+    fn streaming_matches_one_shot() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
+        for len in [0, 1, 55, 56, 63, 64, 65, 119, 128, 300] {
+            let whole = sha256(&data[..len]);
+            for split in 0..=len {
+                let mut hasher = Sha256::new();
+                hasher.update(&data[..split]);
+                hasher.update(&data[split..len]);
+                assert_eq!(hasher.finalize(), whole, "len {len}, split {split}");
+            }
+            let mut bytewise = Sha256::new();
+            for byte in &data[..len] {
+                bytewise.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(bytewise.finalize(), whole, "len {len}, byte at a time");
+        }
     }
 
     /// Lengths straddling the 56-byte padding boundary all round-trip the

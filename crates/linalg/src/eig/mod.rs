@@ -14,7 +14,10 @@
 //! Two cheaper entry points share [`eigh`]'s reduction and QL recurrence:
 //! [`eigvalsh`] (eigenvalues only) and the partial eigensolver
 //! [`eigh_spectrum`] (every eigenvalue, eigenvectors on request). Both give
-//! eigenvalues bit-identical to [`eigh`]'s.
+//! eigenvalues bit-identical to [`eigh`]'s. [`eigh_spectrum`] is
+//! [`HermitianReduction::new`] (the `O(n³)` reduction) followed by
+//! [`HermitianReduction::spectrum`] (the `O(n²)` QL), so a caller that
+//! reads one matrix's spectrum many times can keep the reduction.
 //!
 //! # Memory layout of the fast path
 //!
@@ -85,6 +88,7 @@ pub(crate) use tql::{ql, RotationLog, Rotations};
 use crate::complex::Complex64;
 use crate::error::LinalgError;
 use crate::matrix::CMatrix;
+use std::sync::Arc;
 
 /// Default tolerance for validating that an input matrix is Hermitian,
 /// relative to its max-norm.
@@ -222,14 +226,15 @@ pub fn eigh(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
 /// request — the result of [`eigh_spectrum`].
 ///
 /// Instead of `Q` and the rotated `z`, it keeps the Householder reflectors
-/// and the log of QL rotations, about `30·n²` bytes in all.
+/// (shared with the [`HermitianReduction`] it came from) and the log of QL
+/// rotations, about `30·n²` bytes in all.
 #[derive(Debug, Clone)]
 pub struct HermitianSpectrum {
     /// Eigenvalues in ascending order, bit-identical to [`eigh`]'s.
     pub eigenvalues: Vec<f64>,
     /// `order[j]` is the QL index of `eigenvalues[j]`.
     order: Vec<usize>,
-    reflectors: Vec<householder::Reflector>,
+    reflectors: Arc<Vec<householder::Reflector>>,
     rotations: RotationLog,
 }
 
@@ -276,12 +281,67 @@ impl HermitianSpectrum {
     }
 }
 
+/// The `O(n³)` half of [`eigh_spectrum`]: a validated Hermitian matrix
+/// reduced to real tridiagonal form, `A = Q·T·Q†`, with `Q` kept as its
+/// Householder reflectors.
+///
+/// It stores the diagonal and subdiagonal of `T` and the reflectors, about
+/// `8·n²` bytes. [`HermitianReduction::spectrum`] runs the `O(n²)` QL
+/// recurrence on a copy of the diagonal, so one reduction can serve any
+/// number of spectra, each bit-identical to [`eigh_spectrum`]'s.
+#[derive(Debug, Clone)]
+pub struct HermitianReduction {
+    d: Vec<f64>,
+    e: Vec<f64>,
+    reflectors: Arc<Vec<householder::Reflector>>,
+}
+
+impl HermitianReduction {
+    /// Validates `a` and reduces it in place (taken by value, as in
+    /// [`eigh_spectrum`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::InvalidInput`] for non-square, non-finite or
+    /// non-Hermitian inputs, as [`eigh`] does.
+    pub fn new(a: CMatrix) -> Result<Self, LinalgError> {
+        validate_hermitian(&a)?;
+        let (d, e, reflectors) = householder::reduce(a);
+        Ok(Self {
+            d,
+            e,
+            reflectors: Arc::new(reflectors),
+        })
+    }
+
+    /// Every eigenvalue, with eigenvectors on request: QL with a rotation
+    /// log on a copy of the diagonal. QL is deterministic, so every call
+    /// returns the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::NoConvergence`] if the QL iteration stalls.
+    pub fn spectrum(&self) -> Result<HermitianSpectrum, LinalgError> {
+        let mut d = self.d.clone();
+        let mut rotations = RotationLog::default();
+        ql(&mut d, &self.e, Rotations::Log(&mut rotations))?;
+        let order = ascending_order(&d);
+        Ok(HermitianSpectrum {
+            eigenvalues: order.iter().map(|&i| d[i]).collect(),
+            order,
+            reflectors: Arc::clone(&self.reflectors),
+            rotations,
+        })
+    }
+}
+
 /// The partial eigensolver: every eigenvalue of a Hermitian matrix,
 /// bit-identical to [`eigh`]'s, and eigenvectors only for the indices a
 /// caller asks [`HermitianSpectrum::eigenvectors`] for.
 ///
-/// It runs [`eigh`]'s Householder reduction and QL recurrence but never
-/// forms `Q` nor rotates `z`, which is most of [`eigh`]'s `O(n³)` work:
+/// It runs [`eigh`]'s Householder reduction ([`HermitianReduction::new`])
+/// and QL recurrence ([`HermitianReduction::spectrum`]) but never forms `Q`
+/// nor rotates `z`, which is most of [`eigh`]'s `O(n³)` work:
 /// the QL rotations go to a log, and each requested eigenvector is rebuilt
 /// from `e_j` by replaying the log backwards and applying the reflectors.
 ///
@@ -309,17 +369,7 @@ impl HermitianSpectrum {
 /// # }
 /// ```
 pub fn eigh_spectrum(a: CMatrix) -> Result<HermitianSpectrum, LinalgError> {
-    validate_hermitian(&a)?;
-    let (mut d, e, reflectors) = householder::reduce(a);
-    let mut rotations = RotationLog::default();
-    ql(&mut d, &e, Rotations::Log(&mut rotations))?;
-    let order = ascending_order(&d);
-    Ok(HermitianSpectrum {
-        eigenvalues: order.iter().map(|&i| d[i]).collect(),
-        order,
-        reflectors,
-        rotations,
-    })
+    HermitianReduction::new(a)?.spectrum()
 }
 
 /// Full eigendecomposition via cyclic complex Jacobi (reference path).
@@ -440,6 +490,75 @@ mod tests {
                 eigh(&a).unwrap().eigenvalues,
                 "n={n}"
             );
+        }
+    }
+
+    /// `a ⊕ b`: block diagonal, so the reduction leaves an exact zero in
+    /// `e` at the block boundary and QL splits there.
+    fn direct_sum(a: &CMatrix, b: &CMatrix) -> CMatrix {
+        let (na, nb) = (a.nrows(), b.nrows());
+        let mut m = CMatrix::zeros(na + nb, na + nb);
+        for i in 0..na {
+            for j in 0..na {
+                m[(i, j)] = a[(i, j)];
+            }
+        }
+        for i in 0..nb {
+            for j in 0..nb {
+                m[(na + i, na + j)] = b[(i, j)];
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn reduction_serves_repeated_spectra_bit_identically() {
+        let mut rng = StdRng::seed_from_u64(59);
+        let split = direct_sum(
+            &CMatrix::random_hermitian(7, &mut rng),
+            &CMatrix::random_hermitian(5, &mut rng),
+        );
+        let cases = [
+            ("n = 1", CMatrix::random_hermitian(1, &mut rng)),
+            ("random n = 24", CMatrix::random_hermitian(24, &mut rng)),
+            ("split tridiagonal", split),
+        ];
+        for (name, a) in cases {
+            let n = a.nrows();
+            let reduction = HermitianReduction::new(a.clone()).unwrap();
+            if name == "split tridiagonal" {
+                assert_eq!(reduction.e[6], 0.0, "{name}: no exact zero at the split");
+            }
+            let reference = eigh_spectrum(a).unwrap();
+            let sel: Vec<usize> = [0, n / 2, n - 1].into_iter().collect();
+            let bits = |m: &CMatrix| -> Vec<[u64; 2]> {
+                m.as_slice()
+                    .iter()
+                    .map(|z| [z.re.to_bits(), z.im.to_bits()])
+                    .collect()
+            };
+            let ref_vectors = bits(&reference.eigenvectors(&sel));
+            for round in 0..2 {
+                let spectrum = reduction.spectrum().unwrap();
+                assert_eq!(
+                    spectrum
+                        .eigenvalues
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    reference
+                        .eigenvalues
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect::<Vec<_>>(),
+                    "{name}, spectrum {round}: eigenvalues"
+                );
+                assert_eq!(
+                    bits(&spectrum.eigenvectors(&sel)),
+                    ref_vectors,
+                    "{name}, spectrum {round}: eigenvectors"
+                );
+            }
         }
     }
 

@@ -56,6 +56,9 @@ pub mod vector;
 
 pub use complex::{Complex64, C_I, C_ONE, C_ZERO};
 pub use csr::CsrMatrix;
-pub use eig::{eigh, eigh_jacobi, eigh_spectrum, eigvalsh, HermitianEigen, HermitianSpectrum};
+pub use eig::{
+    eigh, eigh_jacobi, eigh_spectrum, eigvalsh, HermitianEigen, HermitianReduction,
+    HermitianSpectrum,
+};
 pub use error::LinalgError;
 pub use matrix::CMatrix;

@@ -15,8 +15,8 @@
 //! **evicted** (deleted) and the result recomputed; a corrupt entry is
 //! never served.
 
-use crate::sha256::sha256_hex;
 use qsc_core::report::{SinkFormat, Table};
+use qsc_json::sha256::sha256_hex;
 use qsc_json::{JsonError, Value};
 use std::fmt;
 use std::path::{Path, PathBuf};

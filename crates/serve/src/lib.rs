@@ -8,7 +8,7 @@
 //! errors answer `400` with the parser's line/col message), executes
 //! them through the existing isolated runners — so served tables are
 //! **bit-identical** to local runs — and keys every finished result in a
-//! content-addressed cache (`SHA-256` of canonical spec JSON + code
+//! content-addressed cache (`SHA-256`, [`qsc_json::sha256`], of canonical spec JSON + code
 //! version + scale). Re-submitting a spec anyone has run before answers
 //! from disk without invoking the simulator.
 //!
@@ -20,7 +20,6 @@
 //!
 //! | Module | Role |
 //! |---|---|
-//! | [`sha256`] | FIPS 180-4 SHA-256 (the content-address hash) |
 //! | [`cache`] | checksummed on-disk result cache; corrupt entries evicted, never served |
 //! | [`job`] | bounded backpressure queue, worker pool, per-job progress |
 //! | [`http`] | the request as routing sees it (framing is `qsc_sim::http`) |
@@ -39,7 +38,6 @@ pub mod exec;
 pub mod http;
 pub mod job;
 pub mod server;
-pub mod sha256;
 
 pub use cache::{cache_key, code_version, CachedResult, ResultCache, CACHE_EPOCH};
 pub use exec::{ExecError, ExecHost};
