@@ -20,9 +20,10 @@
 //! The runner batches repetitions through
 //! `Pipeline::run_many_clusterers_isolated` (panic-isolated per
 //! repetition, failed grid points become explicit `failed(<kind>)`
-//! cells): each graph's embedding is staged once and clustered with a
-//! list of clusterers, one per clusterer-only (q-means `δ`) point, so a δ
-//! sweep stages each QPE embedding once. Specs can attach a `"resilience"` block
+//! cells): runs whose workload, seeds and resolved recipe differ only in
+//! the clustering stage (q-means `δ`, `refine`) stage each graph's
+//! embedding once and cluster it once per run, so a δ sweep stages each
+//! QPE embedding once. Specs can attach a `"resilience"` block
 //! (retries, deadlines, budgets, backend fallbacks, fault injection) —
 //! see `docs/RESILIENCE.md`. Quick-scale output of the spec suite is
 //! pinned bit-identical to the retired hand-written experiment functions

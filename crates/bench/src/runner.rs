@@ -10,9 +10,14 @@
 //!   instances, results identical to a sequential loop; panics and errors
 //!   are confined to their repetition, so a failing grid point becomes an
 //!   explicit `failed(<kind>)` cell and the sweep keeps going — see
-//!   `docs/RESILIENCE.md`): each graph's embedding is staged once and
-//!   clustered with one clusterer per **clusterer-only** (q-means `δ`)
-//!   combo, or with the recipe's own clusterer when there is none,
+//!   `docs/RESILIENCE.md`),
+//! * one rule, applied by `run_shared` to sweeps and searches alike,
+//!   decides which runs share a batch: runs whose workload, seeds and
+//!   resolved recipe agree apart from the clusterer `δ` and `refine` (the
+//!   recipe's stage key) stage each graph's embedding once and cluster it
+//!   once per run. Sweep rows are collected into windows of consecutive
+//!   rows with equal keys (a stacked layout's windows stay within one
+//!   axis), so a q-means `δ` axis is one batch per graph,
 //! * metrics aggregate through the registry
 //!   ([`qsc_cluster::registry::MetricKind`]) into formatted columns.
 
@@ -40,6 +45,8 @@ use qsc_sim::synthesis::{derived_two_qubit_count, two_level_decompose};
 use qsc_sim::PhaseEstimator;
 use std::cell::OnceCell;
 use std::fmt as stdfmt;
+use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -250,6 +257,31 @@ impl Recipe {
             (None, None) => Arc::new(KMeans),
         }
     }
+
+    /// The recipe without the two fields the staged embedding never reads:
+    /// the clusterer `δ` and the `refine` post-step.
+    pub(crate) fn stage_key(&self) -> Recipe {
+        Recipe {
+            delta: None,
+            refine: false,
+            ..self.clone()
+        }
+    }
+}
+
+/// One run: a workload, its seeding and a resolved recipe.
+pub(crate) struct Run {
+    pub(crate) graph: GraphSpec,
+    pub(crate) seeds: SeedPolicy,
+    pub(crate) recipe: Recipe,
+}
+
+impl Run {
+    /// What the run's staged embedding depends on: runs with equal keys
+    /// share one.
+    fn key(&self) -> (&GraphSpec, SeedPolicy, Recipe) {
+        (&self.graph, self.seeds, self.recipe.stage_key())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +419,7 @@ pub(crate) struct RunRecord {
     clusterability: OnceCell<Option<Clusterability>>,
 }
 
-/// One repetition slot of a combo: the executed record, or the failure
+/// One repetition slot of a run: the executed record, or the failure
 /// that exhausted the variant's [`ResiliencePolicy`]. Failed slots stay
 /// in place so surviving records keep their per-rep instance alignment.
 ///
@@ -445,44 +477,27 @@ pub(crate) fn slot_metric_values(
         .collect()
 }
 
-/// What makes two variants' executions interchangeable: same workload,
-/// same seeding, same recipe apart from post-steps (`refine`). A variant
-/// matching an already-executed one reuses its outcomes instead of
-/// re-running the pipeline (the `hermitian` / `hermitian+refine` pair of
-/// Table IV shares one spectral run, as the hand-written code did).
-#[derive(Clone, PartialEq)]
-struct ShareKey {
-    graph: GraphSpec,
-    seeds: SeedPolicy,
-    recipe: Recipe,
-}
-
-/// All executed repetitions of one variant at one grid point, grouped by
-/// clusterer-sweep combo (`combos.len() == 1` without clusterer axes).
-struct VariantRuns {
-    name: String,
+/// All executed repetitions of one variant at one sweep row.
+struct VariantRuns<'a> {
+    name: &'a str,
     k: usize,
-    instances: Vec<GeneratedInstance>,
-    /// `[combo][rep]`.
-    combos: Vec<Vec<RunSlot>>,
-    share: ShareKey,
+    instances: Rc<Vec<GeneratedInstance>>,
+    slots: Vec<RunSlot>,
 }
 
-impl VariantRuns {
-    /// Aggregated values of `metric` at combo `combo` (one per surviving
-    /// rep whose inputs were available).
-    fn metric_values(&self, metric: MetricKind, combo: usize) -> Vec<f64> {
-        slot_metric_values(&self.combos[combo], &self.instances, self.k, metric)
+impl VariantRuns<'_> {
+    /// Aggregated values of `metric` (one per surviving rep whose inputs
+    /// were available).
+    fn metric_values(&self, metric: MetricKind) -> Vec<f64> {
+        slot_metric_values(&self.slots, &self.instances, self.k, metric)
     }
 
-    /// `Some(kind)` when **every** repetition of `combo` failed — the
-    /// cell has no data at all and renders as an explicit
-    /// `failed(<kind>)` marker. With mixed kinds the most frequent wins
-    /// (ties: earliest repetition).
-    fn all_failed_kind(&self, combo: usize) -> Option<FailureKind> {
-        let slots = &self.combos[combo];
+    /// `Some(kind)` when **every** repetition failed — the cell has no
+    /// data at all and renders as an explicit `failed(<kind>)` marker.
+    /// With mixed kinds the most frequent wins (ties: earliest repetition).
+    fn all_failed_kind(&self) -> Option<FailureKind> {
         let mut counts: Vec<(FailureKind, usize)> = Vec::new();
-        for slot in slots {
+        for slot in &self.slots {
             match slot {
                 RunSlot::Ok(_) => return None,
                 RunSlot::Failed(kind) => match counts.iter_mut().find(|(k, _)| k == kind) {
@@ -501,14 +516,14 @@ impl VariantRuns {
         best.map(|(kind, _)| kind)
     }
 
-    /// `(failed, total)` repetition counts of `combo`.
-    fn failure_counts(&self, combo: usize) -> (usize, usize) {
-        let slots = &self.combos[combo];
-        let failed = slots
+    /// `(failed, total)` repetition counts.
+    fn failure_counts(&self) -> (usize, usize) {
+        let failed = self
+            .slots
             .iter()
             .filter(|slot| matches!(slot, RunSlot::Failed(_)))
             .count();
-        (failed, slots.len())
+        (failed, self.slots.len())
     }
 }
 
@@ -540,6 +555,7 @@ fn format_metric(values: &[f64], format: AggFormat) -> String {
 }
 
 /// Everything a row's columns can reference.
+#[derive(Clone)]
 struct RowCtx<'a> {
     /// `(key, label)` pairs contributed by the active axis points.
     labels: Vec<(&'a str, &'a str)>,
@@ -549,21 +565,19 @@ struct RowCtx<'a> {
     axis_value: Option<&'a str>,
     /// The row's variant (variant-rows layouts).
     row_variant: Option<&'a str>,
-    /// Index into each variant's `combos`.
-    combo: usize,
 }
 
 /// The [`VariantRuns`] a metric/failures column refers to: its explicit
 /// `variant`, else the row's variant, else the only variant.
-fn resolve_variant<'a>(
+fn resolve_variant<'v, 'a>(
     col: &ColumnSpec,
     variant: Option<&str>,
     ctx: &RowCtx<'_>,
-    variants: &'a [VariantRuns],
-) -> Result<&'a VariantRuns, BenchError> {
+    variants: &'v [VariantRuns<'a>],
+) -> Result<&'v VariantRuns<'a>, BenchError> {
     let name = variant
         .or(ctx.row_variant)
-        .or_else(|| (variants.len() == 1).then(|| variants[0].name.as_str()))
+        .or_else(|| (variants.len() == 1).then(|| variants[0].name))
         .ok_or_else(|| {
             spec_err(format!(
                 "column `{}`: ambiguous variant (name one explicitly)",
@@ -579,7 +593,7 @@ fn resolve_variant<'a>(
 fn eval_columns(
     columns: &[ColumnSpec],
     ctx: &RowCtx<'_>,
-    variants: &[VariantRuns],
+    variants: &[VariantRuns<'_>],
 ) -> Result<Vec<String>, BenchError> {
     columns
         .iter()
@@ -614,20 +628,17 @@ fn eval_columns(
                     format,
                 } => {
                     let runs = resolve_variant(col, variant.as_deref(), ctx, variants)?;
-                    if let Some(kind) = runs.all_failed_kind(ctx.combo) {
+                    if let Some(kind) = runs.all_failed_kind() {
                         // Every repetition failed: an explicit failed cell
                         // instead of an indistinguishable "n/a".
                         Ok(format!("failed({})", kind.name()))
                     } else {
-                        Ok(format_metric(
-                            &runs.metric_values(*metric, ctx.combo),
-                            *format,
-                        ))
+                        Ok(format_metric(&runs.metric_values(*metric), *format))
                     }
                 }
                 ColumnSource::Failures { variant } => {
                     let runs = resolve_variant(col, variant.as_deref(), ctx, variants)?;
-                    let (failed, total) = runs.failure_counts(ctx.combo);
+                    let (failed, total) = runs.failure_counts();
                     Ok(format!("{failed}/{total}"))
                 }
             }
@@ -837,206 +848,139 @@ impl SweepRunner {
         on_progress(Progress::Columns(table.columns()));
         let mut sent = 0usize;
 
-        match p.layout {
-            SweepLayout::Grid => {
-                // Trailing clusterer-only axes become the clusterer combos
-                // of one batch per outer point (`[[]]` without them).
-                let split = p
-                    .axes
-                    .iter()
-                    .rposition(|a| !a.is_clusterer_only())
-                    .map_or(0, |i| i + 1);
-                let (outer_axes, inner_axes) = p.axes.split_at(split);
-                let outer_points = cartesian(outer_axes, self.scale);
-                let inner_points = cartesian(inner_axes, self.scale);
-                for outer in &outer_points {
-                    let variants = self.execute_point(spec, p, reps, outer, &inner_points)?;
-                    self.emit_rows(&mut table, p, outer, &inner_points, &variants)?;
-                    flush_rows(&table, &mut sent, on_progress);
-                }
-            }
-            SweepLayout::Stacked => {
-                // One stacked row per axis point. A clusterer-only axis is
-                // one batch with a combo per point; any other axis is one
-                // batch per point with the recipe's own clusterer. Either
-                // way, row `i` of a batch reads combo `i`.
-                for axis in &p.axes {
-                    let points = axis.points.get(self.scale);
-                    let batches: Vec<(Vec<&AxisPoint>, Vec<Vec<&AxisPoint>>)> =
-                        if axis.is_clusterer_only() {
-                            vec![(Vec::new(), points.iter().map(|pt| vec![pt]).collect())]
-                        } else {
-                            points
-                                .iter()
-                                .map(|pt| (vec![pt], vec![Vec::new()]))
-                                .collect()
-                        };
-                    for (outer, combos) in &batches {
-                        let variants = self.execute_point(spec, p, reps, outer, combos)?;
-                        let rows = outer.iter().chain(combos.iter().flatten());
-                        for (combo, pt) in rows.enumerate() {
-                            let ctx = RowCtx {
-                                labels: pt
-                                    .labels
-                                    .iter()
-                                    .map(|(k, l)| (k.as_str(), l.as_str()))
-                                    .collect(),
-                                axis_name: Some(&axis.name),
-                                axis_value: pt
-                                    .label(&axis.name)
-                                    .or(pt.labels.first().map(|(_, l)| l.as_str())),
-                                row_variant: None,
-                                combo,
-                            };
-                            table.push_row(eval_columns(&p.columns, &ctx, &variants)?);
-                        }
-                        flush_rows(&table, &mut sent, on_progress);
-                    }
-                }
-            }
-        }
-        Ok(table)
-    }
-
-    /// Runs every variant at one (outer) grid point. Each rep's embedding
-    /// is staged once and clustered per `inner_points` combo (clusterer-only
-    /// assignments; `[[]]` for the recipe's own clusterer alone).
-    fn execute_point(
-        &self,
-        spec: &ExperimentSpec,
-        p: &PipelineSpec,
-        reps: usize,
-        outer: &[&AxisPoint],
-        inner_points: &[Vec<&AxisPoint>],
-    ) -> Result<Vec<VariantRuns>, BenchError> {
-        let mut results = Vec::with_capacity(p.variants.len());
-        for variant in &p.variants {
-            // Workload: the spec graph unless the variant brings its own.
-            // Recipe: defaults ← base ← variant. The scale_set, then the
-            // outer axis assignments, apply to both.
-            let (mut graph, mut recipe) = self.scaled(
-                spec,
-                variant.graph.as_ref().unwrap_or(&p.graph),
-                Recipe::from_patch(&p.base.merged_with(&variant.patch)),
-            )?;
-            for (path, value) in outer.iter().flat_map(|pt| &pt.set) {
-                assign(&mut graph, &mut recipe, path, value)?;
-            }
-
-            let seeds: SeedPolicy = variant.seeds.unwrap_or(p.seeds);
-            let share = ShareKey {
-                graph: graph.clone(),
-                seeds,
-                recipe: Recipe {
-                    refine: false,
-                    ..recipe.clone()
-                },
-            };
-            if let Some(prev) = results.iter().find(|r: &&VariantRuns| r.share == share) {
-                // Same pipeline on the same instances: reuse the computed
-                // outcomes (failures included) and only redo the post-step
-                // (refine) labels.
-                let instances = prev.instances.clone();
-                let combos = prev
-                    .combos
-                    .iter()
-                    .map(|slots| {
-                        let outs: Vec<Result<ClusteringOutcome, FailureKind>> = slots
-                            .iter()
-                            .map(|slot| match slot {
-                                RunSlot::Ok(r) => Ok(r.outcome.clone()),
-                                RunSlot::Failed(kind) => Err(*kind),
-                            })
-                            .collect();
-                        to_slots(outs, &instances, &recipe)
-                    })
-                    .collect();
-                results.push(VariantRuns {
-                    name: variant.name.clone(),
-                    k: recipe.k,
-                    instances,
-                    combos,
-                    share,
-                });
-                continue;
-            }
-            let instances: Vec<GeneratedInstance> = (0..reps)
-                .map(|rep| {
-                    let mut g = graph.clone();
-                    g.set_seed(seeds.graph_seed(rep));
-                    g.generate()
-                })
-                .collect::<Result<_, _>>()?;
-            let batch: Vec<GraphInstance> = instances
-                .iter()
-                .enumerate()
-                .map(|(rep, inst)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
-                .collect();
-
-            let (exec_recipe, exec_policy) = self.fleet_wrap(&recipe, &p.resilience);
-            let pl = self.pipeline(&exec_recipe)?.resilience(exec_policy)?;
-            let combos: Vec<Recipe> = inner_points
-                .iter()
-                .map(|combo| -> Result<Recipe, BenchError> {
-                    let (mut graph, mut sub) = (graph.clone(), recipe.clone());
-                    for (path, value) in combo.iter().flat_map(|pt| &pt.set) {
-                        assign(&mut graph, &mut sub, path, value)?;
-                    }
-                    Ok(sub)
-                })
-                .collect::<Result<_, _>>()?;
-            let combos = run_combos(&pl, &batch, &instances, &combos);
-            results.push(VariantRuns {
-                name: variant.name.clone(),
-                k: recipe.k,
-                instances,
-                combos,
-                share,
-            });
-        }
-        Ok(results)
-    }
-
-    fn emit_rows(
-        &self,
-        table: &mut Table,
-        p: &PipelineSpec,
-        outer: &[&AxisPoint],
-        inner_points: &[Vec<&AxisPoint>],
-        variants: &[VariantRuns],
-    ) -> Result<(), BenchError> {
-        let outer_labels: Vec<(&str, &str)> = outer
-            .iter()
-            .flat_map(|pt| pt.labels.iter().map(|(k, l)| (k.as_str(), l.as_str())))
-            .collect();
-        for (ci, combo) in inner_points.iter().enumerate() {
-            let mut labels = outer_labels.clone();
-            labels.extend(
-                combo
-                    .iter()
-                    .flat_map(|pt| pt.labels.iter().map(|(k, l)| (k.as_str(), l.as_str()))),
-            );
-            match p.rows {
-                RowLayout::Points => {
+        // The sweep rows as `(segment, context, points)`: a grid's rows are
+        // the cartesian product of its axes, a stacked layout's each axis's
+        // points in turn, one segment per axis.
+        let rows: Vec<(usize, RowCtx<'_>, Vec<&AxisPoint>)> = match p.layout {
+            SweepLayout::Grid => cartesian(&p.axes, self.scale)
+                .into_iter()
+                .map(|points| {
                     let ctx = RowCtx {
-                        labels: labels.clone(),
+                        labels: point_labels(&points),
                         axis_name: None,
                         axis_value: None,
                         row_variant: None,
-                        combo: ci,
                     };
-                    table.push_row(eval_columns(&p.columns, &ctx, variants)?);
-                }
-                RowLayout::Variants => {
-                    for variant in variants {
+                    (0, ctx, points)
+                })
+                .collect(),
+            SweepLayout::Stacked => p
+                .axes
+                .iter()
+                .enumerate()
+                .flat_map(|(segment, axis)| {
+                    axis.points.get(self.scale).iter().map(move |pt| {
                         let ctx = RowCtx {
-                            labels: labels.clone(),
-                            axis_name: None,
-                            axis_value: None,
-                            row_variant: Some(&variant.name),
-                            combo: ci,
+                            labels: point_labels(&[pt]),
+                            axis_name: Some(axis.name.as_str()),
+                            axis_value: pt
+                                .label(&axis.name)
+                                .or(pt.labels.first().map(|(_, l)| l.as_str())),
+                            row_variant: None,
                         };
-                        table.push_row(eval_columns(&p.columns, &ctx, variants)?);
+                        (segment, ctx, vec![pt])
+                    })
+                })
+                .collect(),
+        };
+
+        // Consecutive rows of one segment whose runs have pairwise-equal
+        // keys form a window, executed as one `run_shared` call.
+        let mut window: Vec<(RowCtx<'_>, Vec<Run>)> = Vec::new();
+        let mut window_segment = 0;
+        for (segment, ctx, points) in rows {
+            let runs = match self.resolve_row(spec, p, &points) {
+                Ok(runs) => runs,
+                Err(e) => {
+                    self.run_window(p, reps, &window, &mut table)?;
+                    flush_rows(&table, &mut sent, on_progress);
+                    return Err(e);
+                }
+            };
+            let joins = segment == window_segment
+                && window.last().is_some_and(|(_, last)| {
+                    last.iter().zip(&runs).all(|(a, b)| a.key() == b.key())
+                });
+            if !joins {
+                self.run_window(p, reps, &window, &mut table)?;
+                flush_rows(&table, &mut sent, on_progress);
+                window.clear();
+                window_segment = segment;
+            }
+            window.push((ctx, runs));
+        }
+        self.run_window(p, reps, &window, &mut table)?;
+        flush_rows(&table, &mut sent, on_progress);
+        Ok(table)
+    }
+
+    /// Each variant's run at the sweep row that applies `points`. The
+    /// workload is the spec graph unless the variant brings its own; the
+    /// recipe is defaults ← base ← variant. The scale_set, then the points'
+    /// assignments, apply to both.
+    fn resolve_row(
+        &self,
+        spec: &ExperimentSpec,
+        p: &PipelineSpec,
+        points: &[&AxisPoint],
+    ) -> Result<Vec<Run>, BenchError> {
+        p.variants
+            .iter()
+            .map(|variant| {
+                let (mut graph, mut recipe) = self.scaled(
+                    spec,
+                    variant.graph.as_ref().unwrap_or(&p.graph),
+                    Recipe::from_patch(&p.base.merged_with(&variant.patch)),
+                )?;
+                for (path, value) in points.iter().flat_map(|pt| &pt.set) {
+                    assign(&mut graph, &mut recipe, path, value)?;
+                }
+                Ok(Run {
+                    graph,
+                    seeds: variant.seeds.unwrap_or(p.seeds),
+                    recipe,
+                })
+            })
+            .collect()
+    }
+
+    /// Executes one window of sweep rows through [`run_shared`], each
+    /// group's pipeline fleet-wrapped, and appends the rows to `table`.
+    fn run_window(
+        &self,
+        p: &PipelineSpec,
+        reps: usize,
+        window: &[(RowCtx<'_>, Vec<Run>)],
+        table: &mut Table,
+    ) -> Result<(), BenchError> {
+        let runs: Vec<&Run> = window.iter().flat_map(|(_, runs)| runs).collect();
+        let mut batches = run_shared(&runs, 0..reps, |recipe| {
+            let (recipe, policy) = self.fleet_wrap(recipe, &p.resilience);
+            Ok(self.pipeline(&recipe)?.resilience(policy)?)
+        })?
+        .into_iter();
+        for (ctx, runs) in window {
+            let variants: Vec<VariantRuns<'_>> = p
+                .variants
+                .iter()
+                .zip(runs)
+                .zip(batches.by_ref())
+                .map(|((variant, run), (instances, slots))| VariantRuns {
+                    name: &variant.name,
+                    k: run.recipe.k,
+                    instances,
+                    slots,
+                })
+                .collect();
+            match p.rows {
+                RowLayout::Points => table.push_row(eval_columns(&p.columns, ctx, &variants)?),
+                RowLayout::Variants => {
+                    for variant in &variants {
+                        let ctx = RowCtx {
+                            row_variant: Some(variant.name),
+                            ..ctx.clone()
+                        };
+                        table.push_row(eval_columns(&p.columns, &ctx, &variants)?);
                     }
                 }
             }
@@ -1184,41 +1128,95 @@ impl SweepRunner {
     }
 }
 
+/// A run's executed repetitions: its instances, shared with every run of
+/// its group, and one slot per repetition.
+pub(crate) type RunBatch = (Rc<Vec<GeneratedInstance>>, Vec<RunSlot>);
+
+/// Executes `runs` over the repetitions `reps` — the one place that decides
+/// which runs share work. Runs with equal [`Run::key`]s form a group, in
+/// first-appearance order; each group generates its instances once and
+/// makes one [`run_combos`] call through the pipeline `pipeline` builds
+/// from its first recipe, with one clusterer per member. Returns each
+/// run's batch, in `runs` order.
+pub(crate) fn run_shared(
+    runs: &[&Run],
+    reps: Range<usize>,
+    pipeline: impl Fn(&Recipe) -> Result<Pipeline, BenchError>,
+) -> Result<Vec<RunBatch>, BenchError> {
+    let keys: Vec<_> = runs.iter().map(|run| run.key()).collect();
+    let mut batches: Vec<Option<RunBatch>> = runs.iter().map(|_| None).collect();
+    for lead in 0..runs.len() {
+        if batches[lead].is_some() {
+            continue;
+        }
+        let members: Vec<usize> = (lead..runs.len())
+            .filter(|&i| keys[i] == keys[lead])
+            .collect();
+        let Run { graph, seeds, .. } = runs[lead];
+        let instances: Rc<Vec<GeneratedInstance>> = Rc::new(
+            reps.clone()
+                .map(|rep| {
+                    let mut g = graph.clone();
+                    g.set_seed(seeds.graph_seed(rep));
+                    g.generate()
+                })
+                .collect::<Result<_, _>>()?,
+        );
+        let batch: Vec<GraphInstance> = instances
+            .iter()
+            .zip(reps.clone())
+            .map(|(inst, rep)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
+            .collect();
+        let pl = pipeline(&runs[lead].recipe)?;
+        let recipes: Vec<&Recipe> = members.iter().map(|&i| &runs[i].recipe).collect();
+        for (&i, slots) in members
+            .iter()
+            .zip(run_combos(&pl, &batch, &instances, &recipes))
+        {
+            batches[i] = Some((Rc::clone(&instances), slots));
+        }
+    }
+    Ok(batches
+        .into_iter()
+        .map(|batch| batch.expect("every run belongs to a group"))
+        .collect())
+}
+
 /// Runs a repetition batch through `pl`: each rep's embedding is staged
-/// once and clustered with every combo recipe's [`Recipe::clusterer`],
-/// all under one guard, so a failed staging fails every combo of that rep.
-/// The batch is one generation of `pl`'s spectrum cache, if it has one.
-/// Returns `[combo][rep]` slots, post-processed under each combo's recipe.
-pub(crate) fn run_combos(
+/// once and clustered with every recipe's [`Recipe::clusterer`], all under
+/// one guard, so a failed staging fails every recipe of that rep. The
+/// batch is one generation of `pl`'s spectrum cache, if it has one.
+/// Returns `[recipe][rep]` slots, post-processed under each recipe.
+fn run_combos(
     pl: &Pipeline,
     batch: &[GraphInstance<'_>],
     instances: &[GeneratedInstance],
-    combos: &[Recipe],
+    recipes: &[&Recipe],
 ) -> Vec<Vec<RunSlot>> {
-    let clusterers: Vec<Arc<dyn Clusterer>> = combos.iter().map(Recipe::clusterer).collect();
-    // `[instance][combo]` → `[combo][rep]`, by value: no outcome
+    let clusterers: Vec<Arc<dyn Clusterer>> = recipes.iter().map(|r| r.clusterer()).collect();
+    // `[instance][recipe]` → `[recipe][rep]`, by value: no outcome
     // (embedding) clones.
-    let mut per_combo: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = combos
+    let mut per_recipe: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = recipes
         .iter()
         .map(|_| Vec::with_capacity(batch.len()))
         .collect();
     for per_instance in pl.run_many_clusterers_isolated(batch, &clusterers) {
         match per_instance {
             Ok(outs) => {
-                for (combo, out) in per_combo.iter_mut().zip(outs) {
-                    combo.push(Ok(out));
+                for (slots, out) in per_recipe.iter_mut().zip(outs) {
+                    slots.push(Ok(out));
                 }
             }
             Err(err) => {
-                for combo in per_combo.iter_mut() {
-                    combo.push(Err(err.kind));
+                for slots in per_recipe.iter_mut() {
+                    slots.push(Err(err.kind));
                 }
             }
         }
     }
-    per_combo
+    per_recipe
         .into_iter()
-        .zip(combos)
+        .zip(recipes)
         .map(|(outs, recipe)| to_slots(outs, instances, recipe))
         .collect()
 }
@@ -1252,6 +1250,14 @@ fn to_slots(
                 clusterability: OnceCell::new(),
             }))
         })
+        .collect()
+}
+
+/// The `(key, label)` pairs of `points`, in order.
+fn point_labels<'a>(points: &[&'a AxisPoint]) -> Vec<(&'a str, &'a str)> {
+    points
+        .iter()
+        .flat_map(|pt| pt.labels.iter().map(|(k, l)| (k.as_str(), l.as_str())))
         .collect()
 }
 

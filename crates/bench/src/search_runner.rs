@@ -2,11 +2,12 @@
 //! kind: interprets a [`SearchExperiment`] (space + objective + strategy
 //! from [`qsc_search`]) on top of the sweep engine's recipe machinery.
 //!
-//! Every candidate is a pipeline recipe; repetition batches take the
-//! sweep grid point's path (`runner::run_combos`), so the per-instance
-//! seeding discipline carries over and a search's trial table is
-//! bit-identical at any worker count. Candidates that all set
-//! `clusterer.delta` and differ only there share one batch — one staged
+//! Every candidate is a run — workload, seeds and resolved recipe — and
+//! its repetition batches take the sweep's path (`runner::run_shared`), so
+//! the per-instance seeding discipline carries over and a search's trial
+//! table is bit-identical at any worker count. The sweep's sharing rule
+//! applies unchanged: candidates whose recipes differ only in the
+//! clustering stage (`clusterer.delta`) share one batch — one staged
 //! embedding per instance, clustered per candidate. A panicking or
 //! failing repetition flows through the resilience layer's `FailureKind`
 //! taxonomy; a candidate with no surviving repetitions is *pruned*
@@ -18,20 +19,19 @@
 //! repetition index, so ranges compose without re-evaluation.
 
 use crate::runner::{
-    assign, run_combos, slot_metric_values, BenchError, Recipe, RunSlot, SweepRunner,
+    assign, run_shared, slot_metric_values, BenchError, Recipe, Run, RunSlot, SweepRunner,
 };
-use crate::spec::{ExperimentSpec, SearchExperiment, SeedPolicy};
+use crate::spec::{ExperimentSpec, SearchExperiment};
 use qsc_core::report::{fmt, mean, Table};
-use qsc_core::{FailureKind, GraphInstance};
-use qsc_graph::spec::{GeneratedInstance, GraphSpec};
+use qsc_core::FailureKind;
+use qsc_graph::spec::GeneratedInstance;
 use qsc_search::{halving_schedule, select_winner, Candidate, CostAxis, Strategy, TrialScore};
 
-/// One candidate's resolved execution context: workload + recipe with the
-/// candidate's assignments applied.
+/// One candidate's resolved run: workload + recipe with the candidate's
+/// assignments applied.
 struct Prepared {
     candidate: Candidate,
-    graph: GraphSpec,
-    recipe: Recipe,
+    run: Run,
     /// Resolved `quantum.tomography_shots` (0 without a quantum stage) —
     /// the per-repetition unit of the `total_shots` cost axis.
     shots_per_rep: usize,
@@ -134,8 +134,11 @@ pub(crate) fn run_search(
                 .map_or(0, |params| params.tomography_shots);
             Ok(Prepared {
                 candidate,
-                graph,
-                recipe,
+                run: Run {
+                    graph,
+                    seeds: se.seeds,
+                    recipe,
+                },
                 shots_per_rep,
             })
         })
@@ -145,7 +148,7 @@ pub(crate) fn run_search(
     let objective = &se.search.objective;
     let sign = if objective.maximize { 1.0 } else { -1.0 };
 
-    let mut strategy_note = match se.search.strategy {
+    let strategy_note = match se.search.strategy {
         Strategy::Grid => {
             let all: Vec<usize> = (0..prepared.len()).collect();
             evaluate(runner, se, &prepared, &all, 0, full_reps, &mut states)?;
@@ -208,19 +211,13 @@ pub(crate) fn run_search(
                 .map(|r| format!("{}@{}", r.survivors, r.upto_reps))
                 .collect();
             format!(
-                "strategy: successive_halving — rungs {}, {used}/{budget} evaluation budget used",
-                shape.join(" → ")
+                "strategy: successive_halving — rungs {}, {used}/{budget} evaluation budget used \
+                 (vs {} for exhaustive grid)",
+                shape.join(" → "),
+                prepared.len() * full_reps
             )
         }
     };
-    let total_evals: usize = states.iter().map(|st| st.reps_done).sum();
-    if let Strategy::SuccessiveHalving { .. } = se.search.strategy {
-        strategy_note.push_str(&format!(
-            " (vs {} for exhaustive grid)",
-            prepared.len() * full_reps
-        ));
-        let _ = total_evals;
-    }
 
     // Winner: only candidates that were never eliminated compete.
     let finalists: Vec<TrialScore> = prepared
@@ -362,12 +359,8 @@ pub(crate) fn run_search(
 }
 
 /// Evaluates the repetition range `[rep_lo, rep_hi)` of the active
-/// candidates, accumulating objective/cost values and failures into
-/// `states`.
-///
-/// Candidates that all set `clusterer.delta` and agree on everything else
-/// share one batch (embedding staged once per instance, re-clustered per
-/// candidate); every other candidate is a batch of its own.
+/// candidates through `run_shared`, accumulating objective/cost values and
+/// failures into `states`.
 fn evaluate(
     runner: &SweepRunner,
     se: &SearchExperiment,
@@ -380,57 +373,12 @@ fn evaluate(
     if rep_lo >= rep_hi {
         return Ok(());
     }
-    let seeds: SeedPolicy = se.seeds;
-
-    // Group by the embedding-determining part of the configuration
-    // (recipe with the clusterer δ cleared), preserving candidate order.
-    let mut groups: Vec<(GraphSpec, Recipe, Vec<usize>)> = Vec::new();
-    for &ci in active {
-        let p = &prepared[ci];
-        let key = Recipe {
-            delta: None,
-            ..p.recipe.clone()
-        };
-        match groups
-            .iter_mut()
-            .find(|(g, r, _)| *g == p.graph && *r == key)
-        {
-            Some((_, _, members)) => members.push(ci),
-            None => groups.push((p.graph.clone(), key, vec![ci])),
-        }
-    }
-
-    for (graph, _, members) in &groups {
-        let instances: Vec<GeneratedInstance> = (rep_lo..rep_hi)
-            .map(|rep| {
-                let mut g = graph.clone();
-                g.set_seed(seeds.graph_seed(rep));
-                g.generate()
-            })
-            .collect::<Result<_, _>>()?;
-        let batch: Vec<GraphInstance> = instances
-            .iter()
-            .zip(rep_lo..rep_hi)
-            .map(|(inst, rep)| GraphInstance::with_seed(&inst.graph, seeds.pipeline_seed(rep)))
-            .collect();
-        // Only a δ-only spread shares one batch; any other group runs
-        // each member on its own.
-        let shared = members
-            .iter()
-            .all(|&ci| prepared[ci].recipe.delta.is_some());
-        for combo in members.chunks(if shared { members.len() } else { 1 }) {
-            let recipes: Vec<Recipe> = combo
-                .iter()
-                .map(|&ci| prepared[ci].recipe.clone())
-                .collect();
-            let pl = runner
-                .pipeline(&recipes[0])?
-                .resilience(se.resilience.clone())?;
-            let per_member = run_combos(&pl, &batch, &instances, &recipes);
-            for (&ci, slots) in combo.iter().zip(per_member) {
-                accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
-            }
-        }
+    let runs: Vec<&Run> = active.iter().map(|&ci| &prepared[ci].run).collect();
+    let batches = run_shared(&runs, rep_lo..rep_hi, |recipe| {
+        Ok(runner.pipeline(recipe)?.resilience(se.resilience.clone())?)
+    })?;
+    for (&ci, (instances, slots)) in active.iter().zip(batches) {
+        accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
     }
     Ok(())
 }
@@ -443,7 +391,7 @@ fn accumulate(
     prepared: &Prepared,
     se: &SearchExperiment,
 ) {
-    let k = prepared.recipe.k;
+    let k = prepared.run.recipe.k;
     state.values.extend(slot_metric_values(
         slots,
         instances,

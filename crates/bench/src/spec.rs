@@ -391,17 +391,6 @@ pub struct Axis {
 }
 
 impl Axis {
-    /// Whether every assignment of every point (at both scales) touches
-    /// only the clustering stage — such an axis's points become entries of
-    /// one batch's clusterer list instead of separate batches. An empty
-    /// `set` counts: its point clusters with the recipe's own clusterer.
-    pub fn is_clusterer_only(&self) -> bool {
-        [&self.points.quick, &self.points.full].iter().all(|pts| {
-            pts.iter()
-                .all(|p| p.set.iter().all(|(path, _)| path == "clusterer.delta"))
-        })
-    }
-
     fn decode(value: &Value) -> Result<Self, JsonError> {
         let mut r = value.reader("axis")?;
         let name = r.req_str("name")?.to_string();

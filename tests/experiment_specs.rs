@@ -37,8 +37,9 @@ fn table1_quick_csv_is_bit_identical_to_the_handwritten_implementation() {
 
 #[test]
 fn table3_quick_csv_is_bit_identical_to_the_handwritten_implementation() {
-    // Covers all three stacked axes, including the clusterer-only δ axis
-    // that routes through `run_many_clusterers` (staged-embedding reuse).
+    // Covers all three stacked axes, including the δ axis, whose runs
+    // differ only in the clustering stage and so share one staged
+    // embedding per graph.
     let output = run_builtin("table3");
     assert_eq!(
         output.primary.to_csv(),

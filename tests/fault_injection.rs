@@ -449,7 +449,9 @@ fn clusterer_sweep_isolation_matches_plain_sweep() {
 
 /// `specs/chaos.json` at quick scale: failed cells and failure counts
 /// follow from the fault plan alone, so the table is pinned byte for byte
-/// (at every worker count the chaos job runs).
+/// (at every worker count the chaos job runs). The sweep is only a chaos
+/// test if something actually failed: the table must show both
+/// whole-cell failure kinds and a non-zero `failed/total` count.
 #[test]
 fn chaos_spec_quick_csv_matches_golden() {
     use qsc_bench::{ExperimentSpec, Scale, SweepRunner};
@@ -457,9 +459,28 @@ fn chaos_spec_quick_csv_matches_golden() {
     let output = SweepRunner::new(Scale::Quick)
         .run(&spec)
         .expect("chaos sweep runs");
+    let csv = output.primary.to_csv();
     assert_eq!(
-        output.primary.to_csv(),
+        csv,
         include_str!("../crates/bench/goldens/chaos_quick.csv"),
         "chaos table drifted from its golden"
+    );
+    for kind in ["non_convergence", "budget"] {
+        assert!(
+            csv.contains(&format!("failed({kind})")),
+            "no failed({kind}) cell in the chaos CSV"
+        );
+    }
+    // A `failed/total` cell with `failed > 0`.
+    let nonzero_count = |cell: &str| {
+        cell.split_once('/').is_some_and(|(failed, total)| {
+            total.parse::<usize>().is_ok() && failed.parse::<usize>().is_ok_and(|n| n > 0)
+        })
+    };
+    assert!(
+        csv.lines()
+            .flat_map(|row| row.split(','))
+            .any(nonzero_count),
+        "no non-zero failure count in the chaos CSV"
     );
 }

@@ -63,6 +63,48 @@ fn each_spec_reuses_what_its_variants_and_axes_share() {
     }
 }
 
+#[test]
+fn sharing_follows_the_resolved_recipe_not_path_names() {
+    // A stacked δ axis over a 45-node workload, either plain or with each
+    // point also setting `graph.n` to the 45 it already is. Both resolve
+    // to recipes that differ only in δ, so both stage each repetition's
+    // embedding once: one batch, one reduction per graph, no hits.
+    let stacked = |axis: &str| {
+        ExperimentSpec::parse(&format!(
+            r#"{{
+                "name": "delta_sharing",
+                "title": "δ over one staged embedding",
+                "kind": "pipeline",
+                "graph": {{"family": "dsbm", "n": 45, "k": 3, "eta_flow": 0.9, "meta": "cycle"}},
+                "reps": 2,
+                "base": {{"k": 3, "quantum": {{}}}},
+                "variants": [{{"name": "quantum"}}],
+                "layout": "stacked",
+                "axes": [{axis}],
+                "columns": [
+                    {{"header": "parameter", "axis_name": true}},
+                    {{"header": "value", "axis_value": true}},
+                    {{"header": "quantum_acc", "metric": "matched_accuracy", "mean_std": 3}},
+                    {{"header": "quantum_dims", "metric": "dims_used", "mean": 1}}
+                ]
+            }}"#
+        ))
+        .expect("spec parses")
+    };
+    let plain = stacked(
+        r#"{"name": "delta", "path": "clusterer.delta", "label_decimals": 2, "values": [0.05, 0.5]}"#,
+    );
+    let with_n = stacked(
+        r#"{"name": "delta", "points": [
+            {"set": {"clusterer.delta": 0.05, "graph.n": 45}, "labels": {"delta": "0.05"}},
+            {"set": {"clusterer.delta": 0.5, "graph.n": 45}, "labels": {"delta": "0.50"}}
+        ]}"#,
+    );
+    let (hits, misses, csv) = reuse(&with_n);
+    assert_eq!((hits, misses), (0, 2), "one staged embedding per rep");
+    assert_eq!(csv, reuse(&plain).2, "same table as the plain δ axis");
+}
+
 /// The quick-scale repetitions of a pipeline spec's workload, with the
 /// workload's `n` replaced when given.
 fn instances(name: &str, n: Option<usize>) -> Vec<(GeneratedInstance, u64)> {
