@@ -1,4 +1,4 @@
-//! Criterion benches for the design-choice ablations A1–A2 of DESIGN.md.
+//! Criterion benches for the design-choice ablations A1–A3.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsc_linalg::expm::expi;

@@ -244,7 +244,7 @@ fn search_spec_round_trips_through_to_json() {
 }
 
 /// The committed quick-scale goldens match what the shipped search specs
-/// produce today (CI diffs the same pair; this keeps the check local).
+/// produce today.
 #[test]
 fn shipped_search_specs_match_goldens() {
     use qsc_bench::{ExperimentSpec, Scale, SweepRunner};

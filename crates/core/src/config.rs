@@ -363,7 +363,8 @@ impl FromJson for BackendConfig {
 }
 
 /// Precision parameters of the simulated quantum pipeline. Field names
-/// mirror the runtime analysis (DESIGN.md §4.2–4.3).
+/// mirror the paper's runtime analysis; `docs/SPECS.md` lists their
+/// defaults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantumParams {
     /// Phase-register bits `t` of the QPE; eigenvalue resolution is

@@ -463,11 +463,6 @@ impl Pipeline {
         self
     }
 
-    /// The attached fault-tolerance policy (default when none was set).
-    pub fn resilience_policy(&self) -> &ResiliencePolicy {
-        &self.resilience
-    }
-
     /// Configures the simulated quantum path in one call:
     /// [`QpeTomography`](crate::QpeTomography) embedding plus
     /// [`QMeans`] clustering at the parameter set's
@@ -481,11 +476,6 @@ impl Pipeline {
     /// Number of clusters `k` this pipeline produces.
     pub fn k(&self) -> usize {
         self.embedding.k
-    }
-
-    /// Stage names, for reports: `(embedder, clusterer)`.
-    pub fn stage_names(&self) -> (&'static str, &'static str) {
-        (self.embedder.name(), self.clusterer.name())
     }
 
     /// Name of the execution backend.

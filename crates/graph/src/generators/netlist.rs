@@ -1,9 +1,9 @@
 //! Synthetic netlist generator — the EDA workload.
 //!
-//! Substitutes for proprietary industrial netlists (see DESIGN.md §7): a
-//! pipelined datapath with `num_modules` stages. Cells within a module are
-//! coupled by undirected edges (placement affinity, shared nets); signals
-//! flow through directed arcs from each stage to the next, with optional
+//! Substitutes for proprietary industrial netlists: a pipelined datapath
+//! with `num_modules` stages. Cells within a module are coupled by
+//! undirected edges (placement affinity, shared nets); signals flow
+//! through directed arcs from each stage to the next, with optional
 //! feedback arcs. Ground truth is the module membership, so module-recovery
 //! accuracy is measurable, and arc orientation is exactly the structure a
 //! direction-blind partitioner throws away.

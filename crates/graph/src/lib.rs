@@ -43,7 +43,6 @@ pub mod hermitian;
 pub mod io;
 pub mod mixed;
 pub mod similarity;
-pub mod sparsify;
 pub mod spec;
 pub mod stats;
 

@@ -140,13 +140,6 @@ impl Complex64 {
     pub fn is_real(self, tol: f64) -> bool {
         self.im.abs() <= tol
     }
-
-    /// Fused multiply-add: `self * b + c` (no hardware fusion is implied;
-    /// this exists to keep inner loops compact).
-    #[inline]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        self * b + c
-    }
 }
 
 impl From<f64> for Complex64 {

@@ -1,5 +1,4 @@
-//! QR decomposition via modified Gram–Schmidt, plus orthonormalization
-//! helpers used when re-orthogonalizing eigenvector blocks.
+//! QR decomposition via modified Gram–Schmidt.
 
 use crate::complex::{Complex64, C_ZERO};
 use crate::matrix::CMatrix;
@@ -53,11 +52,6 @@ pub fn qr_decompose(a: &CMatrix) -> (CMatrix, CMatrix) {
 
     let q = CMatrix::from_fn(m, n, |i, j| q_cols[j][i]);
     (q, r)
-}
-
-/// Orthonormalizes the columns of `a` in place (thin Q of the QR).
-pub fn orthonormalize_columns(a: &CMatrix) -> CMatrix {
-    qr_decompose(a).0
 }
 
 #[cfg(test)]

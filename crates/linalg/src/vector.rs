@@ -4,7 +4,7 @@
 //! state-vector simulator, the eigensolvers and the clustering code all own
 //! their buffers and only need the operations.
 
-use crate::complex::{Complex64, C_ZERO};
+use crate::complex::Complex64;
 use crate::kernels;
 
 /// Hermitian inner product `⟨a, b⟩ = Σ conj(a_i)·b_i`.
@@ -133,17 +133,10 @@ pub fn interleave_re_im(a: &[Complex64]) -> Vec<f64> {
     out
 }
 
-/// Fills a buffer with zeros.
-pub fn zero_fill(a: &mut [Complex64]) {
-    for z in a.iter_mut() {
-        *z = C_ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::{C_I, C_ONE};
+    use crate::complex::{C_I, C_ONE, C_ZERO};
 
     #[test]
     fn cdot_is_conjugate_linear_in_first_argument() {

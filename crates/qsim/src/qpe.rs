@@ -362,11 +362,6 @@ impl PhaseEstimator {
     pub fn round(&self, lambda: f64) -> f64 {
         qpe_round_phase(lambda / self.scale, self.t) * self.scale
     }
-
-    /// Samples estimates for a whole spectrum.
-    pub fn sample_spectrum<R: Rng>(&self, eigenvalues: &[f64], rng: &mut R) -> Vec<f64> {
-        eigenvalues.iter().map(|&l| self.sample(l, rng)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -792,11 +792,6 @@ impl RemoteBackend {
         &self.addr
     }
 
-    /// The inner backend's configuration document.
-    pub fn inner_config(&self) -> &Value {
-        &self.inner
-    }
-
     /// The deterministic `remote_call` fault hook: inside an armed fault
     /// scope this simulates a dropped connection *before* any bytes move.
     fn injected_drop(&self) -> Result<(), SimError> {

@@ -255,17 +255,6 @@ impl QuantumState {
         }
     }
 
-    /// Renormalizes in place; returns the pre-normalization norm.
-    pub fn renormalize(&mut self) -> f64 {
-        let n = self.norm();
-        if n > 0.0 {
-            for a in &mut self.amps {
-                *a = a.scale(1.0 / n);
-            }
-        }
-        n
-    }
-
     /// Inner product `⟨self|other⟩`.
     ///
     /// # Panics

@@ -17,7 +17,8 @@ pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 pub struct Request {
     /// `GET`, `POST`, …
     pub method: String,
-    /// Decoded path without the query string (`/v1/sweeps/job-1`).
+    /// The path as sent, without the query string (`/v1/sweeps/job-1`);
+    /// not percent-decoded.
     pub path: String,
     /// Query `(key, value)` pairs, in order.
     pub query: Vec<(String, String)>,

@@ -12,8 +12,8 @@
 //! * [`core`] — the staged `Pipeline` (classical and simulated-quantum
 //!   clustering recipes).
 //!
-//! See `README.md` for the quickstart and `DESIGN.md` for the system
-//! inventory.
+//! See `README.md` for the quickstart and `docs/ARCHITECTURE.md` for the
+//! crate map.
 //!
 //! # Examples
 //!

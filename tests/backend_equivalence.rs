@@ -2,16 +2,15 @@
 //! execution on the `Statevector` backend must be **bit-identical** to the
 //! old direct state-mutation path, a `NoisyStatevector` with zero noise
 //! must equal the ideal backend, `ShardedStatevector` amplitudes must be
-//! bit-identical to `Statevector` for every shard count (CI re-runs this
-//! suite under `RAYON_NUM_THREADS` ∈ {1, 2, 4}), the zero-noise
+//! bit-identical to `Statevector` for every shard count, the zero-noise
 //! `DensityMatrix` must reproduce the statevector's distributions, and the
 //! gate-fusion compile pass must preserve amplitudes. Random circuits are
 //! generated from seeded RNG streams via the proptest harness, so failures
 //! are reproducible.
 //!
-//! CI additionally re-runs this whole suite once per kernel tier
-//! (`QSC_KERNELS` ∈ {scalar, portable, avx2}): because the tiers are
-//! bit-identical (pinned by `tests/kernel_equivalence.rs`), every
+//! CI's test matrix runs this suite under `QSC_KERNELS` ∈ {scalar,
+//! portable, avx2} × `RAYON_NUM_THREADS` ∈ {1, 2, 4}: because the tiers
+//! are bit-identical (pinned by `tests/kernel_equivalence.rs`), every
 //! bit-identity property here must hold unchanged whether the process is
 //! forced onto the scalar reference or dispatched onto SIMD — same
 //! amplitudes, same samples, same RNG states.

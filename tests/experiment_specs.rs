@@ -3,7 +3,8 @@
 //! Two golden-file tests pin the quick-scale `table1`/`table3` CSVs
 //! **bit-identical** to the retired hand-written experiment functions (the
 //! goldens under `crates/bench/goldens/` were generated by the old code
-//! immediately before its removal), and the serde round-trip tests pin the
+//! immediately before its removal), a third pins `specs/noise_shots.json`'s
+//! quick CSV to its golden, and the serde round-trip tests pin the
 //! spec model: `ExperimentSpec`, `GraphSpec` and `BackendConfig` all
 //! survive serialize → parse unchanged and reject unknown fields.
 
@@ -15,6 +16,7 @@ use qsc_suite::graph::spec::GraphSpec;
 
 const TABLE1_GOLDEN: &str = include_str!("../crates/bench/goldens/table1_quick.csv");
 const TABLE3_GOLDEN: &str = include_str!("../crates/bench/goldens/table3_quick.csv");
+const NOISE_SHOTS_GOLDEN: &str = include_str!("../crates/bench/goldens/noise_shots_quick.csv");
 
 fn run_builtin(name: &str) -> qsc_bench::ExperimentOutput {
     let spec = builtin::builtin_spec(name)
@@ -45,6 +47,22 @@ fn table3_quick_csv_is_bit_identical_to_the_handwritten_implementation() {
         output.primary.to_csv(),
         TABLE3_GOLDEN,
         "spec-driven table3 drifted from the hand-written golden"
+    );
+}
+
+#[test]
+fn noise_shots_quick_csv_matches_golden() {
+    // Both noisy channels (trajectory and exact density matrix) across the
+    // depolarizing × shots grid, pinned byte for byte.
+    let spec =
+        ExperimentSpec::parse(include_str!("../specs/noise_shots.json")).expect("spec parses");
+    let output = SweepRunner::new(Scale::Quick)
+        .run(&spec)
+        .expect("spec runs");
+    assert_eq!(
+        output.primary.to_csv(),
+        NOISE_SHOTS_GOLDEN,
+        "noise_shots drifted from its golden"
     );
 }
 

@@ -3,7 +3,7 @@
 //! regardless of worker count, retry/fallback policies, and typed failure
 //! kinds for Lanczos non-convergence and budget exhaustion.
 //!
-//! The CI chaos job runs this file under `RAYON_NUM_THREADS` 1, 2 and 4;
+//! CI's test matrix runs this file under `RAYON_NUM_THREADS` 1, 2 and 4;
 //! every assertion here is derived from the fault plan's pure decision
 //! function, so the expected pattern is the same at any worker count.
 
@@ -372,7 +372,7 @@ fn remote_fault_pattern_is_worker_count_invariant() {
     // dropped calls (rate 0.5, decided by the pure plan hash) exhaust the
     // retry and degrade to the local inner. Either way every instance must
     // be bit-identical to a plain local run — at any worker count, which
-    // is what CI's RAYON_NUM_THREADS matrix re-checks over this file.
+    // is what CI's test matrix re-checks over this file.
     let cache_dir = std::env::temp_dir().join(format!("qsc-fault-remote-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let server = qsc_serve::Server::start(qsc_serve::ServeConfig {
@@ -449,7 +449,7 @@ fn clusterer_sweep_isolation_matches_plain_sweep() {
 
 /// `specs/chaos.json` at quick scale: failed cells and failure counts
 /// follow from the fault plan alone, so the table is pinned byte for byte
-/// (at every worker count the chaos job runs). The sweep is only a chaos
+/// (at every worker count of CI's test matrix). The sweep is only a chaos
 /// test if something actually failed: the table must show both
 /// whole-cell failure kinds and a non-zero `failed/total` count.
 #[test]

@@ -29,10 +29,11 @@
 //!   against the `eigh_jacobi` residual and orthonormality oracle;
 //! * proptest generators for gate and reduction inputs.
 //!
-//! CI runs this suite under `QSC_KERNELS` ∈ {scalar, portable, avx2} ×
-//! `RAYON_NUM_THREADS` ∈ {1, 2, 4}; in-process, the `_with` kernel
-//! variants additionally exercise every available tier regardless of the
-//! environment (tiers the CPU lacks are skipped with a note).
+//! CI's test matrix runs this suite under `QSC_KERNELS` ∈ {scalar,
+//! portable, avx2} × `RAYON_NUM_THREADS` ∈ {1, 2, 4}; in-process, the
+//! `_with` kernel variants additionally exercise every available tier
+//! regardless of the environment (tiers the CPU lacks are skipped with a
+//! note).
 
 use proptest::prelude::*;
 use qsc_suite::graph::generators::{dsbm, DsbmParams};

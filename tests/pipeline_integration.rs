@@ -233,7 +233,7 @@ fn normalized_spectral_embedding_of_flow_dsbm_is_well_clusterable() {
         "normalization must tighten the clusters: {normalized:?} vs {raw:?}"
     );
 
-    // An honest finding of the reproduction (recorded in EXPERIMENTS.md):
+    // An honest finding of the reproduction:
     // even though clustering succeeds, the *strict* Definition-4 bar is
     // not met on this instance — the 2nd/3rd eigenvectors carry bulk
     // noise that dilutes the embedding. The structure must still beat a
