@@ -14,8 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsc_cluster::metrics::matched_accuracy;
 use qsc_core::{
-    DensityMatrix, GraphInstance, NoisyStatevector, Pipeline, QuantumParams, ShardedStatevector,
-    ShotSampler,
+    DensityMatrix, GraphInstance, NoisyStatevector, Pipeline, QuantumParams, ShotSampler,
 };
 use qsc_graph::generators::{dsbm, DsbmParams, MetaGraph};
 use qsc_linalg::CMatrix;
@@ -146,50 +145,5 @@ fn bench_noise_curve(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shard-parallel execution vs the plain statevector on the compiled QPE
-/// circuit, plus sharded sampling (per-shard masses + skip-list shots) vs
-/// the full linear scan.
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharded");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(2);
-    let h = CMatrix::random_hermitian(16, &mut rng);
-    let u = qsc_linalg::expm::expi(&h, 0.8).expect("unitary");
-    let eig = qsc_linalg::eig::eig_unitary(&u).expect("diagonalizable");
-    let circuit = qpe_circuit(&eig, 8).expect("circuit");
-
-    let plain = Statevector::new();
-    for shards in [2usize, 4] {
-        let backend = ShardedStatevector::with_shards(shards);
-        group.bench_function(format!("qpe12_exec_shards{shards}"), |b| {
-            let mut rng = StdRng::seed_from_u64(3);
-            b.iter(|| {
-                let state = backend
-                    .execute(black_box(&circuit), 5, &mut rng)
-                    .expect("run");
-                backend.recycle(state);
-            })
-        });
-    }
-    let mut rng = StdRng::seed_from_u64(3);
-    let state = plain.execute(&circuit, 5, &mut rng).expect("run");
-    group.bench_function("qpe12_sample4096_plain", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| black_box(plain.sample(black_box(&state), 4096, &mut rng).unwrap()))
-    });
-    let sharded = ShardedStatevector::with_shards(4);
-    group.bench_function("qpe12_sample4096_shards4", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| black_box(sharded.sample(black_box(&state), 4096, &mut rng).unwrap()))
-    });
-    plain.recycle(state);
-    group.finish();
-}
-
-criterion_group!(
-    backends,
-    bench_backend_exec,
-    bench_sharded,
-    bench_noise_curve
-);
+criterion_group!(backends, bench_backend_exec, bench_noise_curve);
 criterion_main!(backends);

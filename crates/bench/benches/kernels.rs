@@ -143,65 +143,11 @@ fn bench_run_many_8(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sampling a 12-qubit QFT state: the plain statevector's full-scan
-/// sampler vs the sharded backend's per-shard mass walk. Gate execution
-/// and sampling both sit on the dispatched complex kernels, so this group
-/// (like all of them) is tier-sensitive — the `kernels` field in the JSON
-/// output records which tier produced each number.
-fn bench_sharded_sampling(c: &mut Criterion) {
-    use qsc_sim::backend::{Backend, Statevector};
-    use qsc_sim::{Circuit, ShardedStatevector};
-    let mut group = c.benchmark_group("sharded_sampling");
-    group.sample_size(10);
-    let n = 12;
-    let circuit = Circuit::qft(n);
-    let plain = Statevector::new();
-    let sharded = ShardedStatevector::with_shards(4);
-    let state_plain = plain
-        .execute(&circuit, 1, &mut StdRng::seed_from_u64(11))
-        .expect("execute");
-    let state_sharded = sharded
-        .execute(&circuit, 1, &mut StdRng::seed_from_u64(11))
-        .expect("execute");
-    group.bench_function("statevector_scan", |b| {
-        b.iter(|| {
-            plain
-                .sample(
-                    black_box(&state_plain),
-                    4096,
-                    &mut StdRng::seed_from_u64(13),
-                )
-                .expect("sample")
-        })
-    });
-    group.bench_function("sharded_mass_walk", |b| {
-        b.iter(|| {
-            sharded
-                .sample(
-                    black_box(&state_sharded),
-                    4096,
-                    &mut StdRng::seed_from_u64(13),
-                )
-                .expect("sample")
-        })
-    });
-    group.bench_function("qft12_execute", |b| {
-        b.iter(|| {
-            let s = plain
-                .execute(black_box(&circuit), 1, &mut StdRng::seed_from_u64(11))
-                .expect("execute");
-            plain.recycle(s);
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     kernels,
     bench_matmul_512,
     bench_qpe_12_qubits,
     bench_lanczos_2000,
-    bench_run_many_8,
-    bench_sharded_sampling
+    bench_run_many_8
 );
 criterion_main!(kernels);

@@ -365,9 +365,9 @@ fn recipe_slot<'v>(
 }
 
 /// The object holding the fields of `config`'s kind in its JSON form
-/// `json`: the kind's inner object (the bare `"sharded"` becomes
-/// `{"sharded": {}}`), the top level for `{"shots": n}`, and the hosted
-/// backend's for a remote one — the field travels to the executor.
+/// `json`: the kind's inner object, the top level for `{"shots": n}`, and
+/// the hosted backend's for a remote one — the field travels to the
+/// executor.
 fn backend_fields<'v>(
     config: &BackendConfig,
     json: &'v mut Value,
@@ -386,7 +386,7 @@ fn backend_fields<'v>(
 }
 
 /// Field `key` of the object `json`, inserted as `null` when absent; a
-/// non-object (`null`, a bare backend name) becomes `{}` first.
+/// non-object (the `null` of an absent block) becomes `{}` first.
 fn field<'v>(json: &'v mut Value, key: &str) -> &'v mut Value {
     if !matches!(json, Value::Obj(_)) {
         *json = Value::Obj(Vec::new());
@@ -1424,8 +1424,8 @@ mod tests {
             (
                 "{}",
                 "backend",
-                r#""sharded""#,
-                Some(r#"{"backend": "sharded"}"#),
+                r#""fused_statevector""#,
+                Some(r#"{"backend": "fused_statevector"}"#),
             ),
             ("{}", "backend", r#""statevctor""#, None),
             (
@@ -1447,10 +1447,10 @@ mod tests {
                 Some(r#"{"backend": {"shots": 512}}"#),
             ),
             (
-                r#"{"backend": "sharded"}"#,
-                "backend.shards",
-                "8",
-                Some(r#"{"backend": {"sharded": {"shards": 8}}}"#),
+                r#"{"backend": {"density": {"depolarizing": 0.1}}}"#,
+                "backend.readout_flip",
+                "0.02",
+                Some(r#"{"backend": {"density": {"depolarizing": 0.1, "readout_flip": 0.02}}}"#),
             ),
             (
                 REMOTE,
@@ -1469,7 +1469,7 @@ mod tests {
                 None,
             ),
             (SHOTS, "backend.depolarizing", "0.1", None),
-            (NOISY, "backend.shards", "2", None),
+            (NOISY, "backend.shots", "2", None),
             (NOISY, "backend.nope", "0.1", None),
             (NOISY, "backend.depolarizing", "true", None),
         ];

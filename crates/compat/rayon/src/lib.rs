@@ -459,11 +459,6 @@ where
         let parts = run_tasks_collect(self.slice.chunks(self.chunk).collect(), &self.f);
         parts.into_iter().fold(identity(), op)
     }
-
-    /// Collects the mapped chunks in chunk order.
-    pub fn collect_vec(self) -> Vec<U> {
-        run_tasks_collect(self.slice.chunks(self.chunk).collect(), &self.f)
-    }
 }
 
 /// Extension traits, mirroring `rayon::prelude`.
@@ -559,13 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_vec_preserves_order() {
-        let data: Vec<usize> = (0..1000).collect();
-        let firsts = data.par_chunks(10).map(|c| c[0]).collect_vec();
-        assert_eq!(firsts, (0..100).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn join_returns_both() {
         let (a, b) = join(|| 1 + 1, || "x".to_string());
         assert_eq!(a, 2);
@@ -646,7 +634,7 @@ mod tests {
                     }
                     c[0]
                 })
-                .collect_vec();
+                .reduce(|| 0, |a, b| a + b);
         });
         assert!(result.is_err(), "worker panic must reach the caller");
     }

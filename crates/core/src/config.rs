@@ -22,7 +22,7 @@
 use qsc_graph::Q_CLASSICAL;
 use qsc_json::{num, obj, FromJson, JsonError, ToJson, Value};
 use qsc_sim::backend::{Backend, NoisyStatevector, ShotSampler, Statevector};
-use qsc_sim::{DensityMatrix, RemoteBackend, ShardedStatevector};
+use qsc_sim::{DensityMatrix, RemoteBackend};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -99,13 +99,6 @@ pub enum BackendConfig {
     Statevector,
     /// Statevector execution with the gate-fusion compile pass enabled.
     FusedStatevector,
-    /// Exact execution sharded over the worker pool by high-qubit blocks
-    /// (bit-identical amplitudes to `Statevector`).
-    Sharded {
-        /// Shard count (a power of two); `None` sizes the shards to the
-        /// worker pool.
-        shards: Option<usize>,
-    },
     /// Depolarizing + readout-error statevector simulation (seeded
     /// Monte-Carlo trajectories).
     Noisy {
@@ -146,7 +139,6 @@ impl BackendConfig {
         match self {
             BackendConfig::Statevector => "statevector",
             BackendConfig::FusedStatevector => "fused_statevector",
-            BackendConfig::Sharded { .. } => "sharded",
             BackendConfig::Noisy { .. } => "noisy",
             BackendConfig::Density { .. } => "density",
             BackendConfig::Shots { .. } => "shots",
@@ -186,17 +178,6 @@ impl BackendConfig {
         match *self {
             BackendConfig::Statevector => Ok(Arc::new(Statevector::new())),
             BackendConfig::FusedStatevector => Ok(Arc::new(Statevector::fused())),
-            BackendConfig::Sharded { shards } => match shards {
-                None => Ok(Arc::new(ShardedStatevector::new())),
-                Some(s) => {
-                    if s == 0 || !s.is_power_of_two() {
-                        return Err(crate::error::Error::InvalidRequest {
-                            context: format!("shard count must be a power of two, got {s}"),
-                        });
-                    }
-                    Ok(Arc::new(ShardedStatevector::with_shards(s)))
-                }
-            },
             BackendConfig::Noisy {
                 depolarizing,
                 readout_flip,
@@ -257,10 +238,6 @@ impl ToJson for BackendConfig {
         match self {
             BackendConfig::Statevector => Value::Str("statevector".into()),
             BackendConfig::FusedStatevector => Value::Str("fused_statevector".into()),
-            BackendConfig::Sharded { shards: None } => Value::Str("sharded".into()),
-            BackendConfig::Sharded { shards: Some(s) } => {
-                obj([("sharded", obj([("shards", num(*s as f64))]))])
-            }
             BackendConfig::Noisy {
                 depolarizing,
                 readout_flip,
@@ -296,11 +273,10 @@ impl FromJson for BackendConfig {
             Value::Str(name) => match name.as_str() {
                 "statevector" => Ok(BackendConfig::Statevector),
                 "fused_statevector" => Ok(BackendConfig::FusedStatevector),
-                "sharded" => Ok(BackendConfig::Sharded { shards: None }),
                 other => Err(JsonError::msg(format!(
                     "backend: unknown backend `{other}` (expected statevector | \
-                     fused_statevector | sharded | {{\"sharded\": …}} | {{\"noisy\": …}} | \
-                     {{\"density\": …}} | {{\"shots\": …}})"
+                     fused_statevector | {{\"noisy\": …}} | {{\"density\": …}} | \
+                     {{\"shots\": …}} | {{\"remote\": …}})"
                 ))),
             },
             Value::Obj(_) => {
@@ -317,13 +293,6 @@ impl FromJson for BackendConfig {
                         depolarizing,
                         readout_flip,
                     }
-                } else if let Some(sharded) = r.take("sharded") {
-                    let mut sr = sharded.reader("backend.sharded")?;
-                    let config = BackendConfig::Sharded {
-                        shards: sr.opt_usize("shards")?,
-                    };
-                    sr.finish()?;
-                    config
                 } else if let Some(shots) = r.take("shots") {
                     BackendConfig::Shots {
                         shots: shots.as_usize().ok_or_else(|| {
@@ -347,8 +316,7 @@ impl FromJson for BackendConfig {
                     }
                 } else {
                     return Err(JsonError::msg(
-                        "backend: expected a `sharded`, `noisy`, `density`, `shots` or \
-                         `remote` variant",
+                        "backend: expected a `noisy`, `density`, `shots` or `remote` variant",
                     ));
                 };
                 r.finish()?;
@@ -486,8 +454,6 @@ mod tests {
         let configs = [
             BackendConfig::Statevector,
             BackendConfig::FusedStatevector,
-            BackendConfig::Sharded { shards: None },
-            BackendConfig::Sharded { shards: Some(4) },
             BackendConfig::Noisy {
                 depolarizing: 0.05,
                 readout_flip: 0.01,
@@ -512,7 +478,7 @@ mod tests {
             r#""statevctor""#,
             r#"{"noisy": {"depolarizing": 0.1, "readout": 0.0}}"#,
             r#"{"density": {"depolarizing": 0.1, "readout": 0.0}}"#,
-            r#"{"sharded": {"shard": 4}}"#,
+            r#"{"density": {"depolarising": 0.1}}"#,
             r#"{"shots": 16, "extra": 1}"#,
             r#"{"unknown_variant": {}}"#,
             "3",
@@ -602,14 +568,6 @@ mod tests {
         assert_eq!(name(BackendConfig::default()), "statevector");
         assert_eq!(name(BackendConfig::FusedStatevector), "statevector_fused");
         assert_eq!(
-            name(BackendConfig::Sharded { shards: Some(2) }),
-            "sharded_statevector"
-        );
-        assert_eq!(
-            name(BackendConfig::Sharded { shards: None }),
-            "sharded_statevector"
-        );
-        assert_eq!(
             name(BackendConfig::Noisy {
                 depolarizing: 0.1,
                 readout_flip: 0.0
@@ -629,8 +587,6 @@ mod tests {
     #[test]
     fn backend_config_rejects_out_of_range_values() {
         assert!(BackendConfig::Shots { shots: 0 }.build().is_err());
-        assert!(BackendConfig::Sharded { shards: Some(3) }.build().is_err());
-        assert!(BackendConfig::Sharded { shards: Some(0) }.build().is_err());
         assert!(BackendConfig::Noisy {
             depolarizing: -0.1,
             readout_flip: 0.0

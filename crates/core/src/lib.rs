@@ -61,7 +61,6 @@
 //! | backend | statistics |
 //! |---------|------------|
 //! | [`Statevector`] (default) | exact probabilities, bit-identical to the analytic path |
-//! | [`ShardedStatevector`] | exact, shard-parallel over the worker pool (bit-identical amplitudes) |
 //! | [`NoisyStatevector`] | depolarizing + readout-error channels, seeded Monte-Carlo trajectories |
 //! | [`DensityMatrix`] | the same channels applied **exactly** on `ρ` — expectation values, no trajectory variance |
 //! | [`ShotSampler`] | finite-shot frequencies replacing exact probabilities |
@@ -147,4 +146,4 @@ pub use qsc_cluster::{Clusterer, KMeans, QMeans};
 // The execution-backend surface, re-exported so pipeline call sites need
 // only this crate.
 pub use qsc_sim::backend::{Backend, NoisyStatevector, ShotSampler, Statevector};
-pub use qsc_sim::{DensityMatrix, ShardedStatevector};
+pub use qsc_sim::DensityMatrix;

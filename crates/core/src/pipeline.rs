@@ -389,7 +389,6 @@ impl Pipeline {
 
     /// Swaps in the execution backend the quantum stages run on
     /// ([`Statevector`] by default; see
-    /// [`ShardedStatevector`](qsc_sim::shard::ShardedStatevector),
     /// [`NoisyStatevector`](qsc_sim::backend::NoisyStatevector),
     /// [`DensityMatrix`](qsc_sim::density::DensityMatrix) and
     /// [`ShotSampler`](qsc_sim::backend::ShotSampler), and the selection

@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD tiers for the complex hot-loop kernels.
 //!
 //! Every dense numeric hot path in the workspace — single-qubit gate pair
-//! loops, the blocked matmul/matvec inner products, per-shard gate
-//! application, vector axpy/dot — bottoms out in one of five primitive
-//! kernels defined here:
+//! loops, the blocked matmul/matvec inner products, flat-buffer density
+//! gate application, vector axpy/dot — bottoms out in one of five
+//! primitive kernels defined here:
 //!
 //! | kernel | operation | contract |
 //! |---|---|---|

@@ -1,15 +1,12 @@
 //! Pluggable execution backends for compiled circuits.
 //!
 //! The quantum stages *compile* their work into [`Circuit`] IR and hand it
-//! to a [`Backend`] for execution. Five backends ship (see
+//! to a [`Backend`] for execution. Four backends ship (see
 //! `docs/BACKENDS.md` for the selection guide):
 //!
 //! * [`Statevector`] — exact, noiseless state-vector execution on the
 //!   cache-blocked kernels; the default, and bit-identical to applying the
 //!   ops directly.
-//! * [`ShardedStatevector`](crate::shard::ShardedStatevector) — the same
-//!   exact execution with the state split into high-qubit shards fanned
-//!   over the worker pool; bit-identical amplitudes, parallel schedule.
 //! * [`NoisyStatevector`] — the same execution with a per-gate depolarizing
 //!   channel (Monte-Carlo Pauli insertion during [`Backend::run`]) and a
 //!   per-bit readout-flip channel on measurement; its distribution-level
@@ -520,7 +517,6 @@ pub struct NoisyStatevector {
     pub depolarizing: f64,
     /// Per-bit readout flip probability.
     pub readout_flip: f64,
-    fuse: bool,
 }
 
 impl NoisyStatevector {
@@ -538,19 +534,7 @@ impl NoisyStatevector {
             pool: BufferPool::default(),
             depolarizing,
             readout_flip,
-            fuse: false,
         }
-    }
-
-    /// Enables the gate-fusion pass before **circuit execution**
-    /// ([`Backend::run`]): fused circuits have fewer gates, so Monte-Carlo
-    /// depolarizing events are inserted at fewer points — as on hardware.
-    /// The analytic distribution-level methods
-    /// ([`Backend::phase_distribution`], [`Backend::estimate_probability`])
-    /// model the textbook *unfused* register pass either way.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 
     fn depolarize(
@@ -575,11 +559,7 @@ impl NoisyStatevector {
 
 impl Backend for NoisyStatevector {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "noisy_statevector_fused"
-        } else {
-            "noisy_statevector"
-        }
+        "noisy_statevector"
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
@@ -593,24 +573,17 @@ impl Backend for NoisyStatevector {
         rng: &mut StdRng,
     ) -> Result<(), SimError> {
         injected_run_fault()?;
-        let fused_storage;
-        let to_run = if self.fuse {
-            fused_storage = fuse_single_qubit(circuit);
-            &fused_storage
-        } else {
-            circuit
-        };
-        if state.num_qubits() != to_run.num_qubits() {
+        if state.num_qubits() != circuit.num_qubits() {
             return Err(SimError::DimensionMismatch {
                 context: format!(
                     "circuit on {} qubits, state on {}",
-                    to_run.num_qubits(),
+                    circuit.num_qubits(),
                     state.num_qubits()
                 ),
             });
         }
-        let all_qubits: Vec<usize> = (0..to_run.num_qubits()).collect();
-        for op in to_run.ops() {
+        let all_qubits: Vec<usize> = (0..circuit.num_qubits()).collect();
+        for op in circuit.ops() {
             op.apply(state)?;
             if self.depolarizing > 0.0 {
                 let touched = if op.spans_register() {
@@ -693,7 +666,6 @@ pub struct ShotSampler {
     pool: BufferPool,
     /// Shots behind every probability estimate.
     pub shots: usize,
-    fuse: bool,
 }
 
 impl ShotSampler {
@@ -707,24 +679,13 @@ impl ShotSampler {
         Self {
             pool: BufferPool::default(),
             shots,
-            fuse: false,
         }
-    }
-
-    /// Enables the gate-fusion pass before execution.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 }
 
 impl Backend for ShotSampler {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "shot_sampler_fused"
-        } else {
-            "shot_sampler"
-        }
+        "shot_sampler"
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
@@ -738,11 +699,7 @@ impl Backend for ShotSampler {
         _rng: &mut StdRng,
     ) -> Result<(), SimError> {
         injected_run_fault()?;
-        if self.fuse {
-            fuse_single_qubit(circuit).run(state)?;
-        } else {
-            circuit.run(state)?;
-        }
+        circuit.run(state)?;
         state.check_norm(NORM_DRIFT_TOL, self.name())
     }
 

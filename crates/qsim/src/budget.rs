@@ -48,7 +48,10 @@ pub fn state_budget_bytes() -> u64 {
 
 /// Amplitude count of an `n`-qubit register (`2^n`, saturating).
 pub fn register_amplitudes(num_qubits: usize) -> u128 {
-    1u128.checked_shl(num_qubits as u32).unwrap_or(u128::MAX)
+    u32::try_from(num_qubits)
+        .ok()
+        .and_then(|n| 1u128.checked_shl(n))
+        .unwrap_or(u128::MAX)
 }
 
 /// Checks `num_amps` amplitudes against the process-wide budget.
@@ -122,6 +125,9 @@ mod tests {
     #[test]
     fn huge_qubit_counts_saturate_instead_of_overflowing() {
         assert!(check_allocation(register_amplitudes(1000), "huge").is_err());
+        // Widths past `u32` must not wrap to a tiny shift.
+        assert_eq!(register_amplitudes(1 << 32), u128::MAX);
+        assert_eq!(register_amplitudes(1 << 53), u128::MAX);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The only pass so far is [`fuse_single_qubit`]: adjacent single-qubit
 //! gates on the same qubit are folded into one [`Op::Gate1`] by 2×2 matrix
 //! multiplication, so a run of `t` rotations costs one state-vector sweep
-//! instead of `t`. Backends apply it when constructed with fusion enabled
-//! (e.g. [`Statevector::fused`](crate::backend::Statevector::fused)).
+//! instead of `t`. [`Statevector::fused`](crate::backend::Statevector::fused)
+//! (`"fused_statevector"` in config files) applies it before execution.
 
 use crate::circuit::{Circuit, Mat2, Op};
 use crate::gates;

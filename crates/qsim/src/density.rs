@@ -42,7 +42,6 @@
 
 use crate::backend::{Backend, BufferPool};
 use crate::circuit::{Circuit, Mat2, Op};
-use crate::compile::fuse_single_qubit;
 use crate::error::SimError;
 use crate::gates;
 use crate::qpe::qpe_phase_distribution;
@@ -69,7 +68,6 @@ pub struct DensityMatrix {
     pub depolarizing: f64,
     /// Per-bit readout flip probability.
     pub readout_flip: f64,
-    fuse: bool,
 }
 
 impl DensityMatrix {
@@ -87,18 +85,7 @@ impl DensityMatrix {
             pool: BufferPool::default(),
             depolarizing,
             readout_flip,
-            fuse: false,
         }
-    }
-
-    /// Enables the gate-fusion pass before execution: fused circuits have
-    /// fewer gates, so the depolarizing channel is applied at fewer points
-    /// — the same semantics as
-    /// [`NoisyStatevector::with_fusion`](crate::backend::NoisyStatevector::with_fusion),
-    /// but on the exact channel instead of its trajectories.
-    pub fn with_fusion(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 
     /// The exact measurement distribution of an executed state: `diag(ρ)`
@@ -139,6 +126,23 @@ impl DensityMatrix {
         let amps = state.amplitudes();
         (0..d).map(|m| amps[m * d + m].re).sum()
     }
+}
+
+/// The [`MAX_DENSITY_QUBITS`] cap as a typed budget error.
+fn check_register_cap(num_qubits: usize) -> Result<(), SimError> {
+    if num_qubits > MAX_DENSITY_QUBITS {
+        return Err(SimError::BudgetExceeded {
+            requested_bytes: crate::budget::register_amplitudes(2 * num_qubits)
+                .saturating_mul(crate::budget::AMP_BYTES),
+            budget_bytes: crate::budget::register_amplitudes(2 * MAX_DENSITY_QUBITS)
+                .saturating_mul(crate::budget::AMP_BYTES),
+            context: format!(
+                "density-matrix register of {num_qubits} qubits exceeds the \
+                 {MAX_DENSITY_QUBITS}-qubit cap (O(4^n) memory)"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// System width `n` of a vectorized `ρ` carried on `2n` qubits.
@@ -368,11 +372,7 @@ fn conj2(g: &Mat2) -> Mat2 {
 
 impl Backend for DensityMatrix {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "density_matrix_fused"
-        } else {
-            "density_matrix"
-        }
+        "density_matrix"
     }
 
     /// Prepares `vec(|basis⟩⟨basis|)` — a [`QuantumState`] on
@@ -393,19 +393,11 @@ impl Backend for DensityMatrix {
     /// asymmetry is exactly why the estimate must come from the backend —
     /// a register that fits a statevector budget can exceed it squared.
     fn try_prepare(&self, num_qubits: usize, basis_index: usize) -> Result<QuantumState, SimError> {
-        let amps = crate::budget::register_amplitudes(2 * num_qubits);
-        crate::budget::check_allocation(amps, self.name())?;
-        if num_qubits > MAX_DENSITY_QUBITS {
-            return Err(SimError::BudgetExceeded {
-                requested_bytes: amps.saturating_mul(crate::budget::AMP_BYTES),
-                budget_bytes: crate::budget::register_amplitudes(2 * MAX_DENSITY_QUBITS)
-                    .saturating_mul(crate::budget::AMP_BYTES),
-                context: format!(
-                    "density-matrix register of {num_qubits} qubits exceeds the \
-                     {MAX_DENSITY_QUBITS}-qubit cap (O(4^n) memory)"
-                ),
-            });
-        }
+        crate::budget::check_allocation(
+            crate::budget::register_amplitudes(2 * num_qubits),
+            self.name(),
+        )?;
+        check_register_cap(num_qubits)?;
         if basis_index >= (1usize << num_qubits) {
             return Err(SimError::InvalidParameter {
                 context: format!("basis index {basis_index} out of range for {num_qubits} qubits"),
@@ -421,14 +413,7 @@ impl Backend for DensityMatrix {
         _rng: &mut StdRng,
     ) -> Result<(), SimError> {
         crate::backend::injected_run_fault()?;
-        let fused_storage;
-        let to_run = if self.fuse {
-            fused_storage = fuse_single_qubit(circuit);
-            &fused_storage
-        } else {
-            circuit
-        };
-        let n = to_run.num_qubits();
+        let n = circuit.num_qubits();
         if state.num_qubits() != 2 * n {
             return Err(SimError::DimensionMismatch {
                 context: format!(
@@ -444,7 +429,7 @@ impl Backend for DensityMatrix {
             n,
         };
         let all_qubits: Vec<usize> = (0..n).collect();
-        for op in to_run.ops() {
+        for op in circuit.ops() {
             rho.apply_op(op)?;
             if self.depolarizing > 0.0 {
                 let touched = if op.spans_register() {
@@ -470,6 +455,14 @@ impl Backend for DensityMatrix {
         shots: usize,
         rng: &mut StdRng,
     ) -> Result<Vec<(usize, usize)>, SimError> {
+        if !state.num_qubits().is_multiple_of(2) {
+            return Err(SimError::DimensionMismatch {
+                context: format!(
+                    "density backend: a state on {} qubits is not a vectorized ρ",
+                    state.num_qubits()
+                ),
+            });
+        }
         let probs = self.outcome_distribution(state);
         let mut counts = std::collections::BTreeMap::new();
         for _ in 0..shots {
@@ -515,8 +508,9 @@ impl Backend for DensityMatrix {
     /// density matrix with the per-gate depolarizing channel, then the
     /// outcome distribution is pushed through the readout-flip channel.
     ///
-    /// With zero noise this short-circuits to the closed-form Fejér kernel
-    /// — **bit-exact** with the `Statevector` backend. Contrast with
+    /// With zero noise (or an empty register, which has no gates to
+    /// depolarize) this short-circuits to the closed-form Fejér kernel —
+    /// **bit-exact** with the `Statevector` backend. Contrast with
     /// `NoisyStatevector::phase_distribution`, which *approximates* the
     /// depolarizing effect by a single global survival factor.
     fn phase_distribution(
@@ -525,7 +519,7 @@ impl Backend for DensityMatrix {
         t: usize,
         _rng: &mut StdRng,
     ) -> Result<Vec<f64>, SimError> {
-        if self.depolarizing == 0.0 {
+        if self.depolarizing == 0.0 || t == 0 {
             let mut probs = qpe_phase_distribution(phi, t);
             apply_readout_flips(&mut probs, self.readout_flip);
             return Ok(probs);
@@ -544,6 +538,9 @@ impl Backend for DensityMatrix {
         }
         register.push_inverse_qft(0..t).expect("register op");
 
+        // The cap only, not the budget: a budget check is an `allocation`
+        // fault site and would shift the sites of armed fault plans.
+        check_register_cap(t)?;
         let mut rng = StdRng::seed_from_u64(0); // never drawn from
         let mut state = self.prepare(t, 0);
         self.run(&register, &mut state, &mut rng)
@@ -741,6 +738,10 @@ mod tests {
         let ideal = qpe_phase_distribution(0.25, 4);
         let peak = |d: &[f64]| d.iter().cloned().fold(0.0, f64::max);
         assert!(peak(&a) < peak(&ideal), "noise must flatten the peak");
+        assert_eq!(dm.phase_distribution(0.25, 0, &mut rng).unwrap(), [1.0]);
+        // A register past the density cap is a typed budget error.
+        let err = dm.phase_distribution(0.25, 14, &mut rng).unwrap_err();
+        assert!(matches!(err, SimError::BudgetExceeded { .. }), "{err}");
     }
 
     #[test]
@@ -824,29 +825,12 @@ mod tests {
         let mut state = dm.prepare(2, 0);
         assert_eq!(state.num_qubits(), 4, "vec(ρ) lives on 2n qubits");
         assert!(dm.run(&Circuit::new(3), &mut state, &mut rng).is_err());
+        let odd = QuantumState::zero_state(3);
+        assert!(
+            dm.sample(&odd, 1, &mut rng).is_err(),
+            "odd width is not a ρ"
+        );
         assert!(!dm.pure_state());
         dm.recycle(state);
-    }
-
-    #[test]
-    fn fused_execution_matches_unfused_channel() {
-        // Fusion changes *where* the depolarizing channel is applied; at
-        // zero noise it must not change ρ beyond rounding.
-        let c = kitchen_sink(3);
-        let plain = DensityMatrix::new(0.0, 0.0);
-        let fused = DensityMatrix::new(0.0, 0.0).with_fusion();
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = plain.execute(&c, 0, &mut rng).unwrap();
-        let b = fused.execute(&c, 0, &mut rng).unwrap();
-        let err = a
-            .amplitudes()
-            .iter()
-            .zip(b.amplitudes())
-            .map(|(x, y)| (*x - *y).abs())
-            .fold(0.0, f64::max);
-        assert!(err < 1e-12, "fusion drift {err}");
-        assert_eq!(fused.name(), "density_matrix_fused");
-        plain.recycle(a);
-        fused.recycle(b);
     }
 }

@@ -14,8 +14,6 @@
 //!
 //! * [`Statevector`] — exact, noiseless execution on the cache-blocked
 //!   kernels (the default; bit-identical to direct op application),
-//! * [`ShardedStatevector`] — the same exact execution sharded over the
-//!   worker pool by high-qubit blocks (bit-identical amplitudes),
 //! * [`NoisyStatevector`] — seeded Monte-Carlo depolarizing +
 //!   readout-error channels (trajectory noise),
 //! * [`DensityMatrix`] — the exact-channel counterpart: evolves `ρ` and
@@ -30,8 +28,7 @@
 //!   and the reusable state [`BufferPool`],
 //! * [`budget`] — pre-allocation memory estimates returning typed
 //!   `BudgetExceeded` errors instead of aborting,
-//! * [`density`] / [`shard`] — the density-matrix and sharded-statevector
-//!   backends,
+//! * [`density`] — the density-matrix backend,
 //! * [`circuit`] / [`compile`] — the circuit IR and its compile passes,
 //! * [`QuantumState`] — dense state vectors with gates and measurement,
 //! * [`gates`] — standard gate matrices,
@@ -100,7 +97,6 @@ pub mod qft;
 pub mod qpe;
 pub mod remote;
 pub mod resources;
-pub mod shard;
 pub mod state;
 pub mod synthesis;
 pub mod tomography;
@@ -112,5 +108,4 @@ pub use error::SimError;
 pub use qpe::PhaseEstimator;
 pub use remote::RemoteBackend;
 pub use resources::ResourceEstimate;
-pub use shard::ShardedStatevector;
 pub use state::QuantumState;

@@ -383,7 +383,8 @@ pub fn circuit_from_json(v: &Value) -> Result<Circuit, JsonError> {
     let num_qubits = r
         .required("num_qubits")?
         .as_usize()
-        .ok_or_else(|| JsonError::msg("circuit: num_qubits must be a qubit count"))?;
+        .filter(|&n| n < usize::BITS as usize)
+        .ok_or_else(|| JsonError::msg("circuit: num_qubits must be a qubit count below 64"))?;
     let ops = r
         .required("ops")?
         .as_array()
@@ -678,8 +679,11 @@ pub fn execute(request: &Value, backend: &dyn Backend) -> Result<Value, JsonErro
                 .as_usize()
                 .ok_or_else(|| JsonError::msg("exec request: t must be a bit count"))?;
             r.finish()?;
-            backend
-                .phase_distribution(phi, t, &mut rng)
+            // The backend allocates the `2^t` register: estimate it first,
+            // as the local QPE stage does, so an over-wide `t` is an
+            // in-band budget error instead of an aborting allocation.
+            crate::budget::check_allocation(crate::budget::register_amplitudes(t), backend.name())
+                .and_then(|()| backend.phase_distribution(phi, t, &mut rng))
                 .map(|probs| obj([("probs", Value::Arr(probs.iter().map(|&p| num(p)).collect()))]))
         }
         "estimate_probability" => {
@@ -1153,6 +1157,10 @@ mod tests {
         let extra = Value::parse(r#"{"num_qubits":1,"ops":[{"gate":"h","q":0,"zap":1}]}"#).unwrap();
         let err = circuit_from_json(&extra).unwrap_err();
         assert!(err.to_string().contains("zap"), "{err}");
+
+        // No register that wide can be addressed, so none is decoded.
+        let wide = Value::parse(r#"{"num_qubits":64,"ops":[]}"#).unwrap();
+        assert!(circuit_from_json(&wide).is_err());
     }
 
     #[test]
@@ -1259,6 +1267,38 @@ mod tests {
             ("surprise", num(1.0)),
         ]);
         assert!(execute(&extra_field, &backend).is_err());
+    }
+
+    #[test]
+    fn execute_answers_an_over_wide_phase_register_with_a_budget_error() {
+        let backend = Statevector::new();
+        let rng = StdRng::seed_from_u64(5);
+        let request = |t: f64| {
+            obj([
+                ("op", s("phase_distribution")),
+                ("phi", num(0.3)),
+                ("t", num(t)),
+                ("rng", rng_to_json(&rng)),
+            ])
+        };
+        for t in [40.0, 200.0] {
+            let response = execute(&request(t), &backend).unwrap();
+            let err = sim_error_from_json(response.get("sim_error").unwrap()).unwrap();
+            assert!(
+                matches!(err, SimError::BudgetExceeded { .. }),
+                "t = {t}: {err}"
+            );
+        }
+        let response = execute(&request(8.0), &backend).unwrap();
+        let probs: Vec<f64> = response
+            .get("probs")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|p| p.as_f64().unwrap())
+            .collect();
+        assert_eq!(probs, crate::qpe::qpe_phase_distribution(0.3, 8));
     }
 
     #[test]

@@ -21,12 +21,12 @@ fn blocks_per_task(stride: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Flat-buffer kernels shared by the shard and density backends. They apply
-// gates by *flat bit position* over a raw amplitude buffer with the exact
-// `gate_pair` arithmetic of the state methods below — the bit-identity both
-// backends' equivalence claims rest on. (The shard backend passes
-// `1 << qubit` within a chunk; the density backend additionally shifts by
-// the register width to reach the row side of a vectorized ρ.)
+// Flat-buffer kernels for the density backend. They apply gates by *flat
+// bit position* over a raw amplitude buffer with the exact `gate_pair`
+// arithmetic of the state methods below — the bit-identity the density
+// backend's zero-noise equivalence rests on. The density backend passes
+// `1 << qubit` for the column side of a vectorized ρ and shifts by the
+// register width to reach the row side.
 // ---------------------------------------------------------------------------
 
 /// Applies a 2×2 gate over `buf` at flat-bit position `fbit`, pairing
@@ -188,8 +188,8 @@ impl QuantumState {
     }
 
     /// Crate-internal mutable access to the amplitude buffer, for backends
-    /// whose kernels operate on the raw flat buffer (shard-parallel chunks,
-    /// vectorized density matrices) instead of the gate methods.
+    /// whose kernels operate on the raw flat buffer (vectorized density
+    /// matrices) instead of the gate methods.
     #[inline]
     pub(crate) fn amps_mut(&mut self) -> &mut [Complex64] {
         &mut self.amps

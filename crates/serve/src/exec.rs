@@ -5,8 +5,10 @@
 //! canonical JSON of their config, so a sweep hammering one executor with
 //! thousands of calls builds each backend kind exactly once (backends are
 //! stateless between calls apart from their buffer pools — which is
-//! exactly what makes reuse safe *and* fast). Requests without a
-//! `backend` field run on the host's default backend (`--backend`).
+//! exactly what makes reuse safe *and* fast). The cache holds at most
+//! `MAX_HOSTED_BACKENDS` configs; a request naming a config past that runs
+//! on a fresh, uncached build. Requests without a `backend` field run
+//! on the host's default backend (`--backend`).
 //!
 //! Execution is confined with `catch_unwind`: a panicking request answers
 //! `500` and the service keeps serving. The host counts in-flight and
@@ -19,6 +21,11 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Most backend configs the host keeps built. The cache key is caller
+/// JSON, so without a bound every distinct noise level a client sends
+/// would stay resident.
+const MAX_HOSTED_BACKENDS: usize = 64;
 
 /// Why an exec request was not served.
 #[derive(Debug)]
@@ -67,7 +74,7 @@ impl ExecHost {
     }
 
     /// Resolves a request's backend config to a built backend, through
-    /// the normalized-key cache.
+    /// the normalized-key cache (bounded by `MAX_HOSTED_BACKENDS`).
     fn resolve(&self, config_v: Option<&Value>) -> Result<Arc<dyn Backend>, ExecError> {
         let config = match config_v {
             None => self.default_config.clone(),
@@ -90,7 +97,9 @@ impl ExecHost {
         let backend = config
             .build()
             .map_err(|e| ExecError::BadRequest(format!("invalid backend config: {e}")))?;
-        backends.insert(key, backend.clone());
+        if backends.len() < MAX_HOSTED_BACKENDS {
+            backends.insert(key, backend.clone());
+        }
         Ok(backend)
     }
 
@@ -195,6 +204,20 @@ mod tests {
     }
 
     #[test]
+    fn backend_cache_stops_growing_at_its_bound() {
+        let host = ExecHost::new(BackendConfig::default());
+        for i in 0..2 * MAX_HOSTED_BACKENDS {
+            let config = format!(r#"{{"noisy": {{"depolarizing": {}}}}}"#, i as f64 / 1000.0);
+            let response = host.execute(&bell_request(Some(&config))).unwrap();
+            assert!(response.contains("\"amplitudes\""), "{response}");
+            let cached = host.backends.lock().unwrap().len();
+            assert!(cached <= MAX_HOSTED_BACKENDS, "{cached} cached backends");
+        }
+        assert_eq!(host.executed(), 2 * MAX_HOSTED_BACKENDS as u64);
+        assert_eq!(host.backends.lock().unwrap().len(), MAX_HOSTED_BACKENDS);
+    }
+
+    #[test]
     fn rejects_malformed_bodies_and_chained_remotes() {
         let host = ExecHost::new(BackendConfig::default());
         assert!(matches!(
@@ -213,5 +236,249 @@ mod tests {
             panic!("expected BadRequest");
         };
         assert!(message.contains("chaining"), "{message}");
+    }
+
+    /// Tiny splitmix64 step, the generator of `qsc_sim::http`'s fuzzer.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Valid exec requests: every op, both state forms, every hosted
+    /// backend kind, and a circuit covering every op variant.
+    fn fuzz_corpus() -> Vec<Value> {
+        use std::sync::Arc;
+
+        let mut circuit = Circuit::new(3);
+        let h = qsc_sim::gates::h();
+        let ops = [
+            Op::H(0),
+            Op::Cnot {
+                control: 0,
+                target: 1,
+            },
+            Op::Phase {
+                target: 2,
+                theta: 0.7,
+            },
+            Op::Gate1 {
+                target: 1,
+                matrix: h,
+            },
+            Op::BlockUnitary {
+                control: Some(2),
+                matrix: Arc::new(qsc_sim::gates::as_matrix(&h)),
+            },
+            Op::PhaseCascade {
+                block_qubits: 1,
+                phases: Arc::new(vec![0.1, 0.4]),
+                sign: 1.0,
+            },
+            Op::Swap(0, 2),
+        ];
+        for op in ops {
+            circuit.push(op).unwrap();
+        }
+        let rng = rng_to_json(&StdRng::seed_from_u64(9));
+        let basis = Value::parse(r#"{"num_qubits": 3, "index": 5}"#).unwrap();
+        // An evolved (non-basis) state, in wire form.
+        let run = Value::Obj(vec![
+            ("op".into(), Value::Str("run".into())),
+            ("circuit".into(), circuit_to_json(&circuit)),
+            ("basis".into(), basis.clone()),
+            ("rng".into(), rng.clone()),
+        ]);
+        let response = qsc_sim::remote::execute(&run, &qsc_sim::Statevector::new()).unwrap();
+        let amps = response.get("amplitudes").unwrap().clone();
+        let backends = [
+            r#""statevector""#,
+            r#""fused_statevector""#,
+            r#"{"noisy": {"depolarizing": 0.05, "readout_flip": 0.02}}"#,
+            r#"{"density": {"depolarizing": 0.05, "readout_flip": 0.01}}"#,
+            r#"{"shots": 64}"#,
+        ];
+        let mut corpus = Vec::new();
+        for backend in backends {
+            let backend = Value::parse(backend).unwrap();
+            let with = |fields: Vec<(&str, Value)>| {
+                let mut fields: Vec<(String, Value)> = fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect();
+                fields.push(("rng".into(), rng.clone()));
+                fields.push(("backend".into(), backend.clone()));
+                Value::Obj(fields)
+            };
+            corpus.push(with(vec![
+                ("op", Value::Str("run".into())),
+                ("circuit", circuit_to_json(&circuit)),
+                ("basis", basis.clone()),
+            ]));
+            corpus.push(with(vec![
+                ("op", Value::Str("run".into())),
+                ("circuit", circuit_to_json(&circuit)),
+                ("amplitudes", amps.clone()),
+            ]));
+            corpus.push(with(vec![
+                ("op", Value::Str("sample".into())),
+                ("shots", Value::Num(100.0)),
+                ("amplitudes", amps.clone()),
+            ]));
+            corpus.push(with(vec![
+                ("op", Value::Str("phase_distribution".into())),
+                ("phi", Value::Num(0.3)),
+                ("t", Value::Num(4.0)),
+            ]));
+            corpus.push(with(vec![
+                ("op", Value::Str("estimate_probability".into())),
+                ("p", Value::Num(0.25)),
+            ]));
+        }
+        corpus
+    }
+
+    /// Index paths to every node of `v`, each with the key of the field
+    /// holding it (`None` for the root and array elements).
+    fn fuzz_nodes(
+        v: &Value,
+        path: &mut Vec<usize>,
+        key: Option<&str>,
+        out: &mut Vec<(Vec<usize>, Option<String>)>,
+    ) {
+        out.push((path.clone(), key.map(str::to_string)));
+        let children: Vec<(Option<&str>, &Value)> = match v {
+            Value::Arr(items) => items.iter().map(|item| (None, item)).collect(),
+            Value::Obj(fields) => fields
+                .iter()
+                .map(|(k, item)| (Some(k.as_str()), item))
+                .collect(),
+            _ => Vec::new(),
+        };
+        for (i, (key, child)) in children.into_iter().enumerate() {
+            path.push(i);
+            fuzz_nodes(child, path, key, out);
+            path.pop();
+        }
+    }
+
+    fn fuzz_node_mut<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
+        path.iter().fold(v, |v, &i| match v {
+            Value::Arr(items) => &mut items[i],
+            Value::Obj(fields) => &mut fields[i].1,
+            _ => unreachable!("paths only descend into containers"),
+        })
+    }
+
+    /// One random edit of `doc`: a number swapped for an edge value, a
+    /// node of another type, a field dropped or added, a kind or op name
+    /// swapped, or one node grafted over another.
+    fn fuzz_mutate(doc: &mut Value, state: &mut u64) {
+        const NUMBERS: [f64; 6] = [-1.0, 0.0, 40.0, 64.0, 9_007_199_254_740_992.0, 1e300];
+        const NAMES: [&str; 8] = [
+            "run",
+            "sample",
+            "phase_distribution",
+            "estimate_probability",
+            "statevector",
+            "fused_statevector",
+            "statevctor",
+            "noisy",
+        ];
+        let mut nodes = Vec::new();
+        fuzz_nodes(doc, &mut Vec::new(), None, &mut nodes);
+        let r = splitmix(state);
+        let (path, key) = &nodes[(r >> 8) as usize % nodes.len()];
+        let pick = (r >> 32) as usize;
+        let graft = fuzz_node_mut(doc, &nodes[pick % nodes.len()].0).clone();
+        let node = fuzz_node_mut(doc, path);
+        match r % 5 {
+            0 => {
+                // Unbounded `shots` is slow rather than unsafe (see the
+                // test), so the generator never puts more than 4096 there.
+                let pool: Vec<f64> = NUMBERS
+                    .into_iter()
+                    .filter(|&x| key.as_deref() != Some("shots") || x <= 4096.0)
+                    .collect();
+                *node = Value::Num(pool[pick % pool.len()]);
+            }
+            1 => {
+                *node = [
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::Str("x".into()),
+                    Value::Arr(Vec::new()),
+                    Value::Obj(Vec::new()),
+                    Value::Num(0.5),
+                ][pick % 6]
+                    .clone()
+            }
+            2 => *node = Value::Str(NAMES[pick % NAMES.len()].into()),
+            3 => match node {
+                Value::Obj(fields) if pick.is_multiple_of(2) && !fields.is_empty() => {
+                    fields.remove(pick / 2 % fields.len());
+                }
+                Value::Obj(fields) => fields.push(("extra".into(), Value::Num(1.0))),
+                Value::Arr(items) if pick.is_multiple_of(2) => {
+                    items.pop();
+                }
+                Value::Arr(items) => items.push(graft),
+                _ => *node = graft,
+            },
+            _ => *node = graft,
+        }
+    }
+
+    /// Caps every `shots` count at 4096 (a graft can carry a larger
+    /// number there).
+    fn fuzz_cap_shots(v: &mut Value) {
+        match v {
+            Value::Arr(items) => items.iter_mut().for_each(fuzz_cap_shots),
+            Value::Obj(fields) => {
+                for (k, item) in fields {
+                    match item {
+                        Value::Num(x) if k == "shots" && *x > 4096.0 => *x = 4096.0,
+                        _ => fuzz_cap_shots(item),
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Mutated exec requests reach `BackendConfig::from_json`, the build
+    /// and `remote::execute` the way an executor serves them, and must come
+    /// back as a response or a typed error: no panic, so the host's
+    /// `catch_unwind` net never fires. Shot counts stay at or below 4096:
+    /// an unbounded `shots` is served correctly but loops for as long as
+    /// it asks, which is a service-resource bound still to be added, not a
+    /// codec defect.
+    #[test]
+    fn mutated_exec_requests_yield_responses_or_typed_errors_only() {
+        let corpus = fuzz_corpus();
+        let mut state = 0x4558_4543u64;
+        for case in 0..20000 {
+            let mut doc = corpus[case % corpus.len()].clone();
+            for _ in 0..1 + splitmix(&mut state) % 4 {
+                fuzz_mutate(&mut doc, &mut state);
+            }
+            fuzz_cap_shots(&mut doc);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let config = match doc.get("backend").map(BackendConfig::from_json) {
+                    None => BackendConfig::default(),
+                    Some(Ok(config)) => config,
+                    Some(Err(_)) => return,
+                };
+                if matches!(config, BackendConfig::Remote { .. }) {
+                    return;
+                }
+                if let Ok(backend) = config.build() {
+                    let _ = qsc_sim::remote::execute(&doc, backend.as_ref());
+                }
+            }));
+            assert!(outcome.is_ok(), "case {case} panicked on {doc}");
+        }
     }
 }

@@ -328,6 +328,41 @@ fn healthz_reports_exec_backend_and_counters() {
     assert_eq!(wrong.status, 405);
 }
 
+#[test]
+fn over_wide_phase_register_answers_a_budget_error_and_the_server_keeps_serving() {
+    use qsc_json::{num, obj, s, Value};
+    use qsc_sim::remote::rng_to_json;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let server = start("exec-budget", 0, 4);
+    let base = server.base_url();
+    // A 2^40-entry register is 16 TiB: the executor must refuse it in
+    // band instead of attempting the allocation.
+    let body = obj([
+        ("op", s("phase_distribution")),
+        ("phi", num(0.3)),
+        ("t", num(40.0)),
+        ("rng", rng_to_json(&StdRng::seed_from_u64(3))),
+    ])
+    .to_json_canonical()
+    .expect("request encodes");
+    let resp = http_request(&base, "POST", "/v1/exec", Some(&body)).expect("exec");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = Value::parse(&resp.body).expect("response parses");
+    let kind = doc.get("sim_error").and_then(|e| e.get("kind"));
+    assert_eq!(
+        kind.and_then(Value::as_str),
+        Some("budget_exceeded"),
+        "{}",
+        resp.body
+    );
+
+    let health = http_request(&base, "GET", "/v1/healthz", None).expect("healthz");
+    assert_eq!(health.status, 200);
+    assert!(health.body.contains("\"executed\":1"), "{}", health.body);
+}
+
 /// A sweep whose variant runs the simulated quantum path, so grid points
 /// actually exercise the executor fleet.
 fn quantum_spec_json(tag: &str) -> String {

@@ -1,10 +1,9 @@
 //! Property tests for the backend execution layer: compiled-circuit
 //! execution on the `Statevector` backend must be **bit-identical** to the
 //! old direct state-mutation path, a `NoisyStatevector` with zero noise
-//! must equal the ideal backend, `ShardedStatevector` amplitudes must be
-//! bit-identical to `Statevector` for every shard count, the zero-noise
-//! `DensityMatrix` must reproduce the statevector's distributions, and the
-//! gate-fusion compile pass must preserve amplitudes. Random circuits are
+//! must equal the ideal backend, the zero-noise `DensityMatrix` must
+//! reproduce the statevector's distributions, and the gate-fusion compile
+//! pass must preserve amplitudes. Random circuits are
 //! generated from seeded RNG streams via the proptest harness, so failures
 //! are reproducible.
 //!
@@ -21,7 +20,7 @@ use qsc_suite::linalg::CMatrix;
 use qsc_suite::sim::backend::{Backend, NoisyStatevector, Statevector};
 use qsc_suite::sim::circuit::{Circuit, Op};
 use qsc_suite::sim::compile::fuse_single_qubit;
-use qsc_suite::sim::{gates, DensityMatrix, QuantumState, ShardedStatevector};
+use qsc_suite::sim::{gates, DensityMatrix, QuantumState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -234,29 +233,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_execution_is_bit_identical_for_every_shard_count(
-        seed in 0u64..1_000_000,
-        n in 2usize..6,
-        len in 1usize..30,
-    ) {
-        let circuit = random_circuit(n, len, seed);
-        let basis = (seed % (1u64 << n)) as usize;
-        let reference = Statevector::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let expect = reference.execute(&circuit, basis, &mut rng).expect("reference");
-        for shards in [1usize, 2, 4, 8] {
-            let backend = ShardedStatevector::with_shards(shards);
-            let got = backend.execute(&circuit, basis, &mut rng).expect("sharded");
-            prop_assert_eq!(
-                got.amplitudes(), expect.amplitudes(),
-                "shards = {} on {} qubits", shards, n
-            );
-            backend.recycle(got);
-        }
-        reference.recycle(expect);
-    }
-
-    #[test]
     fn zero_noise_density_matrix_reproduces_statevector_distributions(
         seed in 0u64..1_000_000,
         n in 2usize..4,
@@ -322,7 +298,7 @@ fn remote_loopback_is_bit_identical_for_every_hosted_backend_kind() {
 
     let inners = [
         BackendConfig::Statevector,
-        BackendConfig::Sharded { shards: Some(2) },
+        BackendConfig::FusedStatevector,
         BackendConfig::Noisy {
             depolarizing: 0.05,
             readout_flip: 0.02,
@@ -331,6 +307,7 @@ fn remote_loopback_is_bit_identical_for_every_hosted_backend_kind() {
             depolarizing: 0.05,
             readout_flip: 0.01,
         },
+        BackendConfig::Shots { shots: 64 },
     ];
     for inner in inners {
         let local = inner.build().expect("local backend");

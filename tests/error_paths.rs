@@ -50,35 +50,6 @@ fn gate_level_projection_rejects_density_backend() {
 }
 
 #[test]
-fn sharded_backend_rejects_non_power_of_two_shard_counts() {
-    for shards in [0usize, 3, 6] {
-        let err = match (BackendConfig::Sharded {
-            shards: Some(shards),
-        })
-        .build()
-        {
-            Err(e) => e,
-            Ok(_) => panic!("non-power-of-two shard count {shards} must be rejected"),
-        };
-        let msg = err.to_string();
-        assert!(
-            msg.contains(&format!("power of two, got {shards}")),
-            "message: {msg}"
-        );
-    }
-    for shards in [1usize, 2, 8] {
-        assert!(
-            BackendConfig::Sharded {
-                shards: Some(shards)
-            }
-            .build()
-            .is_ok(),
-            "{shards} shards is a valid power of two"
-        );
-    }
-}
-
-#[test]
 fn noise_probabilities_outside_unit_interval_are_rejected() {
     let err = match (BackendConfig::Noisy {
         depolarizing: 1.5,
