@@ -161,8 +161,9 @@ impl BackendConfig {
     ///
     /// Returns [`Error::InvalidRequest`](crate::Error::InvalidRequest) for
     /// out-of-range parameters (noise probabilities outside `[0, 1]`, a
-    /// zero shot budget) — config files are deserialized unvalidated, so
-    /// the range checks surface here as typed errors rather than panics.
+    /// zero shot budget or one above the per-request cap of `2²⁴`) —
+    /// config files are deserialized unvalidated, so the range checks
+    /// surface here as typed errors rather than panics.
     pub fn build(&self) -> Result<Arc<dyn Backend>, crate::error::Error> {
         let check_noise = |depolarizing: f64, readout_flip: f64| {
             if !(0.0..=1.0).contains(&depolarizing) || !(0.0..=1.0).contains(&readout_flip) {
@@ -198,6 +199,11 @@ impl BackendConfig {
                         context: "shot sampler needs a positive shot budget".into(),
                     });
                 }
+                qsc_sim::sampling::check_shots(shots).map_err(|e| {
+                    crate::error::Error::InvalidRequest {
+                        context: format!("shot sampler: {e}"),
+                    }
+                })?;
                 Ok(Arc::new(ShotSampler::new(shots)))
             }
             BackendConfig::Remote {
@@ -587,6 +593,19 @@ mod tests {
     #[test]
     fn backend_config_rejects_out_of_range_values() {
         assert!(BackendConfig::Shots { shots: 0 }.build().is_err());
+        assert!(BackendConfig::Shots { shots: 1 << 24 }.build().is_ok());
+        for shots in [(1 << 24) + 1, 1 << 53] {
+            let err = BackendConfig::Shots { shots }.build().err().unwrap();
+            assert!(
+                matches!(err, crate::error::Error::InvalidRequest { .. }),
+                "{err}"
+            );
+            let hosted = BackendConfig::Remote {
+                addr: "127.0.0.1:1".into(),
+                inner: Box::new(BackendConfig::Shots { shots }),
+            };
+            assert!(hosted.build().is_err());
+        }
         assert!(BackendConfig::Noisy {
             depolarizing: -0.1,
             readout_flip: 0.0

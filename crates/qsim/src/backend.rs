@@ -58,6 +58,7 @@ use crate::compile::fuse_single_qubit;
 use crate::error::SimError;
 use crate::gates;
 use crate::qpe::qpe_phase_distribution;
+use crate::sampling::multinomial_counts;
 use crate::state::QuantumState;
 use qsc_linalg::{Complex64, C_ONE, C_ZERO};
 use rand::rngs::StdRng;
@@ -727,20 +728,7 @@ impl Backend for ShotSampler {
         rng: &mut StdRng,
     ) -> Result<Vec<f64>, SimError> {
         let ideal = qpe_phase_distribution(phi, t);
-        let mut counts = vec![0usize; ideal.len()];
-        for _ in 0..self.shots {
-            let mut target = rng.gen::<f64>();
-            let mut chosen = ideal.len() - 1;
-            for (m, &p) in ideal.iter().enumerate() {
-                if target < p {
-                    chosen = m;
-                    break;
-                }
-                target -= p;
-            }
-            counts[chosen] += 1;
-        }
-        Ok(counts
+        Ok(multinomial_counts(&ideal, self.shots, rng)
             .into_iter()
             .map(|c| c as f64 / self.shots as f64)
             .collect())
@@ -899,6 +887,48 @@ mod tests {
             fine < coarse / 3.0,
             "finite-shot error should shrink: {coarse} vs {fine}"
         );
+    }
+
+    /// The per-shot scan-and-count loop `ShotSampler::phase_distribution`
+    /// ran before it used [`multinomial_counts`].
+    fn phase_distribution_scanned(shots: usize, phi: f64, t: usize, rng: &mut StdRng) -> Vec<f64> {
+        let ideal = qpe_phase_distribution(phi, t);
+        let mut counts = vec![0usize; ideal.len()];
+        for _ in 0..shots {
+            let mut target = rng.gen::<f64>();
+            let mut chosen = ideal.len() - 1;
+            for (m, &p) in ideal.iter().enumerate() {
+                if target < p {
+                    chosen = m;
+                    break;
+                }
+                target -= p;
+            }
+            counts[chosen] += 1;
+        }
+        counts
+            .into_iter()
+            .map(|c| c as f64 / shots as f64)
+            .collect()
+    }
+
+    #[test]
+    fn shot_sampler_phase_distribution_matches_the_per_shot_scan() {
+        for (case, shots) in [1usize, 16, 64, 1024, 5000].into_iter().enumerate() {
+            for t in 0..=7 {
+                for phi in [0.0, 0.3, 0.5, 0.71, 0.999] {
+                    let seed = (case * 100 + t) as u64;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut oracle_rng = StdRng::seed_from_u64(seed);
+                    let got = ShotSampler::new(shots)
+                        .phase_distribution(phi, t, &mut rng)
+                        .unwrap();
+                    let want = phase_distribution_scanned(shots, phi, t, &mut oracle_rng);
+                    assert_eq!(got, want, "shots {shots}, t {t}, phi {phi}");
+                    assert!(rng == oracle_rng, "shots {shots}, t {t}, phi {phi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,10 +45,11 @@ use crate::circuit::{Circuit, Mat2, Op};
 use crate::error::SimError;
 use crate::gates;
 use crate::qpe::qpe_phase_distribution;
+use crate::sampling::multinomial_counts;
 use crate::state::{apply2_flat, apply_controlled2_flat, swap_bits_flat, QuantumState};
 use qsc_linalg::{CMatrix, Complex64, C_ONE, C_ZERO};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::f64::consts::TAU;
 
 /// Hard cap on the register width: `4^n` amplitudes at 16 bytes each puts
@@ -464,20 +465,11 @@ impl Backend for DensityMatrix {
             });
         }
         let probs = self.outcome_distribution(state);
-        let mut counts = std::collections::BTreeMap::new();
-        for _ in 0..shots {
-            let mut target = rng.gen::<f64>();
-            let mut chosen = probs.len() - 1;
-            for (m, &p) in probs.iter().enumerate() {
-                if target < p {
-                    chosen = m;
-                    break;
-                }
-                target -= p;
-            }
-            *counts.entry(chosen).or_insert(0usize) += 1;
-        }
-        Ok(counts.into_iter().collect())
+        Ok(multinomial_counts(&probs, shots, rng)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, count)| count > 0)
+            .collect())
     }
 
     fn recycle(&self, state: QuantumState) {
@@ -816,6 +808,62 @@ mod tests {
             "off-support fraction {off}"
         );
         dm.recycle(rho);
+    }
+
+    /// The per-shot scan-and-count loop `DensityMatrix::sample` ran before
+    /// it used [`multinomial_counts`].
+    fn sample_scanned(probs: &[f64], shots: usize, rng: &mut StdRng) -> Vec<(usize, usize)> {
+        use rand::Rng;
+        let mut counts = std::collections::BTreeMap::new();
+        for _ in 0..shots {
+            let mut target = rng.gen::<f64>();
+            let mut chosen = probs.len() - 1;
+            for (m, &p) in probs.iter().enumerate() {
+                if target < p {
+                    chosen = m;
+                    break;
+                }
+                target -= p;
+            }
+            *counts.entry(chosen).or_insert(0usize) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    #[test]
+    fn sample_matches_the_per_shot_scan() {
+        let mut ghz = Circuit::new(3);
+        ghz.push(Op::H(0)).unwrap();
+        ghz.push(Op::Cnot {
+            control: 0,
+            target: 1,
+        })
+        .unwrap();
+        ghz.push(Op::Cnot {
+            control: 1,
+            target: 2,
+        })
+        .unwrap();
+        ghz.push(Op::H(2)).unwrap();
+        for (depolarizing, readout_flip) in [(0.0, 0.0), (0.0, 0.25), (0.05, 0.02)] {
+            let dm = DensityMatrix::new(depolarizing, readout_flip);
+            for (case, circuit) in [bell(), ghz.clone()].iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(case as u64);
+                let rho = dm.execute(circuit, 0, &mut rng).unwrap();
+                let probs = dm.outcome_distribution(&rho);
+                for shots in [0, 1, 7, 64, 4000] {
+                    let mut oracle_rng = rng.clone();
+                    let got = dm.sample(&rho, shots, &mut rng).unwrap();
+                    let want = sample_scanned(&probs, shots, &mut oracle_rng);
+                    assert_eq!(
+                        got, want,
+                        "noise ({depolarizing}, {readout_flip}), shots {shots}"
+                    );
+                    assert!(rng == oracle_rng);
+                }
+                dm.recycle(rho);
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,8 @@
 //!   executes any of the above on a remote executor service bit-identically,
 //! * [`http`] — the workspace's one HTTP/1.1 codec, shared by
 //!   [`RemoteBackend`], the sweep service and its client,
+//! * [`sampling`] — the one multinomial sampler behind every finite-shot
+//!   count (an exact threshold table over the inverse-CDF scan),
 //! * [`tomography`] — finite-shot vector readout,
 //! * [`amplitude`] — amplitude estimation / amplification models,
 //! * [`resources`] — qubit/gate/depth forecasting.
@@ -97,6 +99,7 @@ pub mod qft;
 pub mod qpe;
 pub mod remote;
 pub mod resources;
+pub mod sampling;
 pub mod state;
 pub mod synthesis;
 pub mod tomography;

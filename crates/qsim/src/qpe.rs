@@ -13,6 +13,7 @@
 
 use crate::circuit::{Circuit, Op};
 use crate::error::SimError;
+use crate::sampling::scan_index;
 use crate::state::QuantumState;
 use qsc_linalg::eig::{eig_unitary, UnitaryEigen};
 use qsc_linalg::{CMatrix, C_ZERO};
@@ -296,14 +297,7 @@ pub fn qpe_phase_distribution(phi: f64, t: usize) -> Vec<f64> {
 /// `m/2^t`.
 pub fn qpe_sample_phase<R: Rng>(phi: f64, t: usize, rng: &mut R) -> f64 {
     let probs = qpe_phase_distribution(phi, t);
-    let mut target = rng.gen::<f64>();
-    for (m, &p) in probs.iter().enumerate() {
-        if target < p {
-            return m as f64 / (1 << t) as f64;
-        }
-        target -= p;
-    }
-    (probs.len() - 1) as f64 / (1 << t) as f64
+    scan_index(&probs, rng.gen::<f64>()) as f64 / (1 << t) as f64
 }
 
 /// Deterministic `t`-bit rounding of a phase — the modal QPE outcome.

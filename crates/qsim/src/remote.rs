@@ -654,19 +654,23 @@ pub fn execute(request: &Value, backend: &dyn Backend) -> Result<Value, JsonErro
             let amps = read_amps(&mut r)?
                 .ok_or_else(|| JsonError::msg("exec request: sample needs `amplitudes`"))?;
             r.finish()?;
+            // A shot count past the per-request cap is an in-band error,
+            // not a loop that runs for as long as the caller asks.
             match state_from_wire(None, Some(amps), backend)? {
                 Err(e) => Err(e),
-                Ok(state) => backend.sample(&state, shots, &mut rng).map(|counts| {
-                    obj([(
-                        "counts",
-                        Value::Arr(
-                            counts
-                                .iter()
-                                .map(|&(m, c)| Value::Arr(vec![num(m as f64), num(c as f64)]))
-                                .collect(),
-                        ),
-                    )])
-                }),
+                Ok(state) => crate::sampling::check_shots(shots)
+                    .and_then(|()| backend.sample(&state, shots, &mut rng))
+                    .map(|counts| {
+                        obj([(
+                            "counts",
+                            Value::Arr(
+                                counts
+                                    .iter()
+                                    .map(|&(m, c)| Value::Arr(vec![num(m as f64), num(c as f64)]))
+                                    .collect(),
+                            ),
+                        )])
+                    }),
             }
         }
         "phase_distribution" => {
@@ -1299,6 +1303,31 @@ mod tests {
             .map(|p| p.as_f64().unwrap())
             .collect();
         assert_eq!(probs, crate::qpe::qpe_phase_distribution(0.3, 8));
+    }
+
+    #[test]
+    fn execute_answers_a_shot_count_past_the_cap_in_band() {
+        let backend = Statevector::new();
+        let rng = StdRng::seed_from_u64(6);
+        let request = |shots: f64| {
+            obj([
+                ("op", s("sample")),
+                ("shots", num(shots)),
+                ("amplitudes", amplitudes_to_json(&[C_ONE, C_ZERO])),
+                ("rng", rng_to_json(&rng)),
+            ])
+        };
+        for shots in [(1u64 << 24) as f64 + 1.0, (1u64 << 53) as f64] {
+            let response = execute(&request(shots), &backend).unwrap();
+            let err = sim_error_from_json(response.get("sim_error").unwrap()).unwrap();
+            assert!(
+                matches!(err, SimError::InvalidParameter { .. }),
+                "shots = {shots}: {err}"
+            );
+        }
+        let response = execute(&request(64.0), &backend).unwrap();
+        let counts = response.get("counts").unwrap().as_array().unwrap();
+        assert_eq!(counts.len(), 1, "{counts:?}");
     }
 
     #[test]

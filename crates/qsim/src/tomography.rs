@@ -6,8 +6,14 @@
 //! for ℓ2 error δ), the simulation draws real multinomial counts for the
 //! magnitudes and resolves signs/phases through a second (noiseless in
 //! simulation, as in the reference analyses) interference round.
+//!
+//! The magnitude counts come from [`multinomial_counts`]: the counts and
+//! generator state of a per-shot inverse-CDF scan, read from an exact
+//! threshold table ([`crate::sampling`] gives the argument and the
+//! measured crossover).
 
 use crate::error::SimError;
+use crate::sampling::multinomial_counts;
 use qsc_linalg::vector::{interleave_re_im, norm2};
 use qsc_linalg::Complex64;
 use rand::Rng;
@@ -19,7 +25,8 @@ use rand::Rng;
 /// # Errors
 ///
 /// Returns [`SimError::ZeroNorm`] for a zero vector and
-/// [`SimError::InvalidParameter`] for zero shots.
+/// [`SimError::InvalidParameter`] for zero shots or a non-finite entry
+/// (or a norm that overflows).
 pub fn tomography_real<R: Rng>(v: &[f64], shots: usize, rng: &mut R) -> Result<Vec<f64>, SimError> {
     if shots == 0 {
         return Err(SimError::InvalidParameter {
@@ -27,25 +34,16 @@ pub fn tomography_real<R: Rng>(v: &[f64], shots: usize, rng: &mut R) -> Result<V
         });
     }
     let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    if !norm.is_finite() {
+        return Err(SimError::InvalidParameter {
+            context: "tomography needs a vector with finite entries and norm".into(),
+        });
+    }
     if norm == 0.0 {
         return Err(SimError::ZeroNorm);
     }
     let probs: Vec<f64> = v.iter().map(|x| (x / norm) * (x / norm)).collect();
-
-    // Multinomial sampling of `shots` outcomes.
-    let mut counts = vec![0usize; v.len()];
-    for _ in 0..shots {
-        let mut target = rng.gen::<f64>();
-        let mut chosen = v.len() - 1;
-        for (i, &p) in probs.iter().enumerate() {
-            if target < p {
-                chosen = i;
-                break;
-            }
-            target -= p;
-        }
-        counts[chosen] += 1;
-    }
+    let counts = multinomial_counts(&probs, shots, rng);
 
     Ok(v.iter()
         .zip(&counts)
@@ -189,5 +187,65 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(36);
         assert!(tomography_real(&[0.0, 0.0], 10, &mut rng).is_err());
         assert!(tomography_real(&[1.0], 0, &mut rng).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_entries_and_overflowing_norms() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for v in [
+            [f64::NAN, 1.0],
+            [f64::INFINITY, 1.0],
+            [0.5, f64::NEG_INFINITY],
+            [1e200, 1e200],
+        ] {
+            let err = tomography_real(&v, 64, &mut rng).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidParameter { .. }),
+                "{v:?}: {err}"
+            );
+        }
+        let z = [Complex64::new(0.5, f64::NAN)];
+        assert!(tomography_complex(&z, 64, &mut rng).is_err());
+    }
+
+    /// The per-shot scan-and-count loop `tomography_real` ran before it
+    /// used [`multinomial_counts`].
+    fn tomography_real_scanned(v: &[f64], shots: usize, rng: &mut StdRng) -> Vec<f64> {
+        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let probs: Vec<f64> = v.iter().map(|x| (x / norm) * (x / norm)).collect();
+        let mut counts = vec![0usize; v.len()];
+        for _ in 0..shots {
+            let mut target = rng.gen::<f64>();
+            let mut chosen = v.len() - 1;
+            for (i, &p) in probs.iter().enumerate() {
+                if target < p {
+                    chosen = i;
+                    break;
+                }
+                target -= p;
+            }
+            counts[chosen] += 1;
+        }
+        v.iter()
+            .zip(&counts)
+            .map(|(&x, &c)| (c as f64 / shots as f64).sqrt().copysign(x) * norm)
+            .collect()
+    }
+
+    #[test]
+    fn estimates_and_rng_match_the_per_shot_scan() {
+        let mut gen = StdRng::seed_from_u64(38);
+        for case in 0..200u64 {
+            let d = 1 + (case % 18) as usize;
+            let v: Vec<f64> = (0..d).map(|_| gen.gen::<f64>() - 0.5).collect();
+            let shots = [1, 64, 512, 4096][(case % 4) as usize];
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut oracle_rng = StdRng::seed_from_u64(case);
+            let est = tomography_real(&v, shots, &mut rng).unwrap();
+            let want = tomography_real_scanned(&v, shots, &mut oracle_rng);
+            let bits = |x: &[f64]| x.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&est), bits(&want), "case {case}");
+            assert!(rng == oracle_rng, "case {case}");
+        }
     }
 }
