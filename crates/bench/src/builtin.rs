@@ -55,19 +55,6 @@ pub const BUILTIN: &[(&str, &str)] = &[
     ("a3", A3),
 ];
 
-/// Parses every built-in spec, in suite order.
-///
-/// # Errors
-///
-/// Returns [`JsonError`] if an embedded spec is malformed (enforced by the
-/// test suite, so effectively infallible at runtime).
-pub fn builtin_specs() -> Result<Vec<ExperimentSpec>, JsonError> {
-    BUILTIN
-        .iter()
-        .map(|(_, text)| ExperimentSpec::parse(text))
-        .collect()
-}
-
 /// Parses one built-in spec by name.
 ///
 /// # Errors
@@ -87,9 +74,8 @@ mod tests {
 
     #[test]
     fn every_builtin_parses_and_matches_its_name() {
-        let specs = builtin_specs().expect("all builtin specs parse");
-        assert_eq!(specs.len(), BUILTIN.len());
-        for ((name, _), spec) in BUILTIN.iter().zip(&specs) {
+        for (name, text) in BUILTIN {
+            let spec = ExperimentSpec::parse(text).expect(name);
             assert_eq!(&spec.name, name);
             assert!(!spec.title.is_empty());
         }

@@ -669,11 +669,6 @@ impl SweepRunner {
         self
     }
 
-    /// The configured executor fleet (empty = local execution).
-    pub fn fleet(&self) -> &[String] {
-        &self.fleet
-    }
-
     /// The runner's scale.
     pub fn scale(&self) -> Scale {
         self.scale

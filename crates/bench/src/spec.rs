@@ -338,6 +338,21 @@ impl Variant {
     }
 }
 
+/// Most decimals a label or a metric cell may ask for. An `f64` shows
+/// at most 17 significant digits, and the formatter panics on a
+/// precision past `u16::MAX`.
+const MAX_DECIMALS: usize = 17;
+
+/// An optional decimals field, capped at [`MAX_DECIMALS`].
+fn opt_decimals(r: &mut ObjReader<'_>, key: &str) -> Result<Option<usize>, JsonError> {
+    match r.opt_usize(key)? {
+        Some(d) if d > MAX_DECIMALS => Err(JsonError::msg(format!(
+            "`{key}`: {d} decimals exceed the cap of {MAX_DECIMALS}"
+        ))),
+        d => Ok(d),
+    }
+}
+
 /// How axis-point labels render when derived from raw values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LabelFormat {
@@ -395,7 +410,7 @@ impl Axis {
         let mut r = value.reader("axis")?;
         let name = r.req_str("name")?.to_string();
         let path = r.opt_str("path")?.map(str::to_string);
-        let label_format = match r.opt_usize("label_decimals")? {
+        let label_format = match opt_decimals(&mut r, "label_decimals")? {
             Some(d) => LabelFormat::Fixed(d),
             None => LabelFormat::Raw,
         };
@@ -558,13 +573,13 @@ impl ColumnSpec {
             })?;
             let variant = r.opt_str("variant")?.map(str::to_string);
             let mut formats = Vec::new();
-            if let Some(d) = r.opt_usize("mean_std")? {
+            if let Some(d) = opt_decimals(&mut r, "mean_std")? {
                 formats.push(AggFormat::MeanStd(d));
             }
-            if let Some(d) = r.opt_usize("mean")? {
+            if let Some(d) = opt_decimals(&mut r, "mean")? {
                 formats.push(AggFormat::Mean(d));
             }
-            if let Some(d) = r.opt_usize("sci")? {
+            if let Some(d) = opt_decimals(&mut r, "sci")? {
                 formats.push(AggFormat::Sci(d));
             }
             if r.bool_or("bool", false)? {

@@ -42,7 +42,6 @@ pub mod kmeans;
 pub mod metrics;
 pub mod qmeans;
 pub mod registry;
-pub mod scores;
 
 pub use clusterer::{Clusterer, KMeans, QMeans};
 pub use error::ClusterError;

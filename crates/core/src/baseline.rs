@@ -18,7 +18,8 @@ use qsc_linalg::vector::interleave_re_im;
 /// Naive baseline: k-means on the raw rows of the Hermitian adjacency
 /// matrix at rotation `q` (each row realized in `R^{2n}`). No spectral
 /// dimensionality reduction — this is what the spectral step is supposed
-/// to beat.
+/// to beat, the baseline the integration suite holds [`Pipeline`](crate::Pipeline)
+/// against.
 ///
 /// # Errors
 ///

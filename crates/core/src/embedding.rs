@@ -32,14 +32,6 @@ pub fn normalize_rows(embedding: &mut [Vec<f64>]) {
     }
 }
 
-/// Row norms of an embedding.
-pub fn row_norms(embedding: &[Vec<f64>]) -> Vec<f64> {
-    embedding
-        .iter()
-        .map(|row| row.iter().map(|x| x * x).sum::<f64>().sqrt())
-        .collect()
-}
-
 /// The `η` data parameter of an embedding: max over min squared non-zero
 /// row norm (1.0 if fewer than two non-zero rows).
 pub fn eta_of_embedding(embedding: &[Vec<f64>]) -> f64 {
@@ -91,13 +83,5 @@ mod tests {
         let uniform = vec![vec![1.0], vec![1.0]];
         assert!((eta_of_embedding(&uniform) - 1.0).abs() < 1e-12);
         assert_eq!(eta_of_embedding(&[]), 1.0);
-    }
-
-    #[test]
-    fn row_norms_computed() {
-        let emb = vec![vec![3.0, 4.0], vec![0.0, 0.0]];
-        let norms = row_norms(&emb);
-        assert!((norms[0] - 5.0).abs() < 1e-12);
-        assert_eq!(norms[1], 0.0);
     }
 }

@@ -128,7 +128,7 @@ pub use config::{
     BackendConfig, ClusteringConfig, EmbeddingConfig, LaplacianConfig, QuantumParams,
 };
 pub use error::{Error, PipelineError};
-pub use model_selection::{eigengap_k, LanczosDense};
+pub use model_selection::LanczosDense;
 pub use outcome::{ClusteringOutcome, Diagnostics};
 pub use pipeline::{Embedder, Embedding, GraphInstance, Pipeline, StageContext, StagedEmbedding};
 pub use quantum::{gate_level_projected_row, gate_level_projected_row_on, QpeTomography};

@@ -1,5 +1,4 @@
-//! Model selection: choosing `k` from the spectrum (eigengap heuristic)
-//! and the dense-matrix Lanczos embedding stage of ablation A3.
+//! The dense-matrix Lanczos embedding stage of ablation A3.
 
 use crate::embedding::{embed_rows, normalize_rows};
 use crate::error::Error;
@@ -9,45 +8,6 @@ use qsc_linalg::lanczos::lanczos_lowest_k;
 use qsc_linalg::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Estimates the informative **embedding dimension** from the eigengap of
-/// a spectrum (ascending eigenvalues): returns the `k ∈ [k_min, k_max]`
-/// maximizing `λ_{k+1} − λ_k`.
-///
-/// For ordinary (density-clustered) graphs this coincides with the number
-/// of clusters — the classic eigengap heuristic. For *flow-defined*
-/// clusters under the Hermitian encoding it can be **smaller** than the
-/// cluster count: a single complex eigenvector encodes up to one cluster
-/// per phase (e.g. a 3-cycle meta-flow fits in one eigenvector as phases
-/// `1, ω, ω²`), so treat the result as the embedding dimension and choose
-/// the cluster count separately.
-///
-/// # Panics
-///
-/// Panics if the range is empty or exceeds the spectrum length.
-///
-/// # Examples
-///
-/// ```
-/// use qsc_core::model_selection::eigengap_k;
-/// // Three tiny eigenvalues, then a jump: the gap sits after index 2.
-/// let spectrum = [0.0, 0.01, 0.02, 0.9, 0.95, 1.0];
-/// assert_eq!(eigengap_k(&spectrum, 2, 5), 3);
-/// ```
-pub fn eigengap_k(spectrum: &[f64], k_min: usize, k_max: usize) -> usize {
-    assert!(k_min >= 1 && k_min <= k_max, "empty k range");
-    assert!(k_max < spectrum.len(), "k_max exceeds spectrum length");
-    let mut best_k = k_min;
-    let mut best_gap = f64::NEG_INFINITY;
-    for k in k_min..=k_max {
-        let gap = spectrum[k] - spectrum[k - 1];
-        if gap > best_gap {
-            best_gap = gap;
-            best_k = k;
-        }
-    }
-    best_k
-}
 
 /// Dense-matrix Lanczos embedding stage (`O(m·n²)` instead of `O(n³)`) —
 /// the "alternative classical algorithm" of the related-work discussion,
@@ -112,7 +72,6 @@ mod tests {
     use crate::pipeline::Pipeline;
     use qsc_cluster::metrics::matched_accuracy;
     use qsc_graph::generators::{dsbm, DsbmParams, MetaGraph};
-    use qsc_graph::normalized_hermitian_laplacian;
 
     fn flow_instance(n: usize, k: usize, seed: u64) -> qsc_graph::generators::PlantedGraph {
         dsbm(&DsbmParams {
@@ -126,42 +85,6 @@ mod tests {
             ..DsbmParams::default()
         })
         .unwrap()
-    }
-
-    #[test]
-    fn eigengap_finds_planted_k_on_density_clusters() {
-        // Classic regime: dense blocks, sparse in between.
-        let inst = dsbm(&DsbmParams {
-            n: 120,
-            k: 3,
-            p_intra: 0.4,
-            p_inter: 0.05,
-            eta_flow: 0.5,
-            seed: 31,
-            ..DsbmParams::default()
-        })
-        .unwrap();
-        let l = normalized_hermitian_laplacian(&inst.graph, 0.25);
-        let spectrum = qsc_linalg::eigvalsh(&l).unwrap();
-        assert_eq!(eigengap_k(&spectrum, 2, 8), 3);
-    }
-
-    #[test]
-    fn eigengap_compresses_cyclic_flow_into_one_dimension() {
-        // The Hermitian phenomenon the docs describe: a 3-cycle meta-flow
-        // fits in a single complex eigenvector (phases 1, ω, ω²), so the
-        // dominant gap sits after k = 1.
-        let inst = flow_instance(120, 3, 31);
-        let l = normalized_hermitian_laplacian(&inst.graph, 0.25);
-        let spectrum = qsc_linalg::eigvalsh(&l).unwrap();
-        assert_eq!(eigengap_k(&spectrum, 1, 8), 1);
-    }
-
-    #[test]
-    fn eigengap_respects_bounds() {
-        let spectrum = [0.0, 0.5, 0.51, 0.52, 0.53];
-        // The true gap is at k=1 but k_min forces ≥ 2.
-        assert!(eigengap_k(&spectrum, 2, 4) >= 2);
     }
 
     #[test]

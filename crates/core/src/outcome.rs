@@ -42,16 +42,6 @@ pub struct ClusteringOutcome {
 }
 
 impl ClusteringOutcome {
-    /// Number of clustered vertices.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// `true` if the outcome is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
     /// The [`MetricContext`] view of this outcome — what the metrics
     /// registry ([`qsc_cluster::registry::MetricKind`]) evaluates over.
     /// Labels, embedding and every diagnostics number are filled in;
@@ -106,7 +96,6 @@ mod tests {
                 wall_seconds: 0.0,
             },
         };
-        assert_eq!(o.len(), 3);
-        assert!(!o.is_empty());
+        assert_eq!(o.labels.len(), 3);
     }
 }

@@ -277,7 +277,6 @@ impl<'g> From<&'g MixedGraph> for GraphInstance<'g> {
 pub struct Pipeline {
     laplacian: LaplacianConfig,
     embedding: EmbeddingConfig,
-    clustering: ClusteringConfig,
     seed: u64,
     embedder: Arc<dyn Embedder>,
     clusterer: Arc<dyn Clusterer>,
@@ -292,7 +291,6 @@ impl fmt::Debug for Pipeline {
         f.debug_struct("Pipeline")
             .field("laplacian", &self.laplacian)
             .field("embedding", &self.embedding)
-            .field("clustering", &self.clustering)
             .field("seed", &self.seed)
             .field("embedder", &self.embedder.name())
             .field("clusterer", &self.clusterer.name())
@@ -314,7 +312,6 @@ impl Pipeline {
                 k,
                 ..EmbeddingConfig::default()
             },
-            clustering: ClusteringConfig::default(),
             seed: 0,
             embedder: Arc::new(crate::classical::DenseEig),
             clusterer: Arc::new(KMeans),
@@ -360,18 +357,6 @@ impl Pipeline {
     /// Row-normalizes the embedding (Ng–Jordan–Weiss) before clustering.
     pub fn normalize_rows(mut self, yes: bool) -> Self {
         self.embedding.normalize_rows = yes;
-        self
-    }
-
-    /// Sets the clustering restart count.
-    pub fn restarts(mut self, restarts: usize) -> Self {
-        self.clustering.restarts = restarts;
-        self
-    }
-
-    /// Sets the clustering iteration budget per restart.
-    pub fn max_iter(mut self, max_iter: usize) -> Self {
-        self.clustering.max_iter = max_iter;
         self
     }
 
@@ -470,16 +455,6 @@ impl Pipeline {
         let delta = params.delta;
         self.embedder(crate::quantum::QpeTomography::new(params.clone()))
             .clusterer(QMeans::new(delta))
-    }
-
-    /// Number of clusters `k` this pipeline produces.
-    pub fn k(&self) -> usize {
-        self.embedding.k
-    }
-
-    /// Name of the execution backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     fn context(&self, seed: u64) -> StageContext {
@@ -607,13 +582,14 @@ impl Pipeline {
         }
         let start = Instant::now();
         let k = self.embedding.k;
+        let clustering = ClusteringConfig::default();
         let result = clusterer.cluster_with_backend(
             &staged.embedding.rows,
             &KMeansConfig {
                 k,
-                max_iter: self.clustering.max_iter,
-                tol: self.clustering.tol,
-                restarts: self.clustering.restarts,
+                max_iter: clustering.max_iter,
+                tol: clustering.tol,
+                restarts: clustering.restarts,
                 seed,
             },
             self.backend.as_ref(),
@@ -1181,7 +1157,7 @@ mod tests {
                 readout_flip: 0.02,
             })
             .unwrap();
-        assert_eq!(pl.backend_name(), "noisy_statevector");
+        assert_eq!(pl.backend.name(), "noisy_statevector");
         // Out-of-range deserialized configs surface as typed errors, not
         // panics.
         assert!(Pipeline::hermitian(2)

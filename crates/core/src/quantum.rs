@@ -268,7 +268,8 @@ impl Embedder for QpeTomography {
 /// bin exceeds `ν`, uncompute the QPE, and read the (unnormalized) system
 /// register where the phase register returned to `|0⟩`.
 ///
-/// The result approximates `P_{λ≤ν}·e_i`, the exact eigenprojection — the
+/// The result approximates `P_{λ≤ν}·e_i`, the exact eigenprojection
+/// [`QpeTomography`] computes: this is its gate-level oracle, and the
 /// agreement is ablation A2 of the evaluation. See
 /// [`gate_level_projected_row_on`] to execute the same compiled circuits on
 /// a different backend (e.g. a noise model).

@@ -192,7 +192,8 @@ pub fn incidence_matrix(g: &MixedGraph, q: f64) -> CMatrix {
 /// paper-line trick that keeps the amplitude-amplification cost of quantum
 /// access bounded by `O(1/ε_B)`).
 ///
-/// With `epsilon_b = 0.0` this is the plain row normalization.
+/// With `epsilon_b = 0.0` this is the plain row normalization. The dense
+/// form of the `ε_B` access model `qsc_core::cost::quantum_cost` prices.
 pub fn normalized_incidence_matrix(g: &MixedGraph, q: f64, epsilon_b: f64) -> CMatrix {
     let b = incidence_matrix(g, q);
     let n = b.nrows();

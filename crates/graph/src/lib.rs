@@ -9,7 +9,7 @@
 //!   becomes a phase `e^{±i2πq}`,
 //! * [`generators`] — DSBM with meta-graph flow, concentric circles,
 //!   synthetic netlists, random mixed graphs,
-//! * [`stats`] — cuts, flow imbalance, connectivity,
+//! * [`stats`] — cuts and flow imbalance,
 //! * [`io`] — plain-text edge lists.
 //!
 //! # Examples

@@ -46,7 +46,7 @@ pub struct Arc {
 /// assert_eq!(g.num_vertices(), 4);
 /// assert_eq!(g.num_edges(), 1);
 /// assert_eq!(g.num_arcs(), 2);
-/// assert!((g.degree(2) - 1.5).abs() < 1e-12);
+/// assert!((g.degrees()[2] - 1.5).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -169,18 +169,6 @@ impl MixedGraph {
         self.occupied.contains(&(u.min(v), u.max(v)))
     }
 
-    /// Weighted total degree of `v`: the sum of weights of all incident
-    /// connections, ignoring direction. This matches the degree matrix of
-    /// the Hermitian adjacency (`d_v = Σ_u |H_vu|`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of bounds.
-    pub fn degree(&self, v: usize) -> f64 {
-        assert!(v < self.n, "degree: vertex {v} out of bounds");
-        self.degrees()[v]
-    }
-
     /// All weighted total degrees at once (O(E) rather than O(V·E)).
     pub fn degrees(&self) -> Vec<f64> {
         let mut d = vec![0.0; self.n];
@@ -191,24 +179,6 @@ impl MixedGraph {
         for a in &self.arcs {
             d[a.from] += a.weight;
             d[a.to] += a.weight;
-        }
-        d
-    }
-
-    /// In-degree (weighted) counting only directed arcs pointing at `v`.
-    pub fn in_degrees(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.n];
-        for a in &self.arcs {
-            d[a.to] += a.weight;
-        }
-        d
-    }
-
-    /// Out-degree (weighted) counting only directed arcs leaving `v`.
-    pub fn out_degrees(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.n];
-        for a in &self.arcs {
-            d[a.from] += a.weight;
         }
         d
     }
@@ -227,42 +197,6 @@ impl MixedGraph {
         }
         g
     }
-
-    /// Fraction of connections that are directed.
-    pub fn directedness(&self) -> f64 {
-        let total = self.num_connections();
-        if total == 0 {
-            0.0
-        } else {
-            self.arcs.len() as f64 / total as f64
-        }
-    }
-
-    /// Adjacency lists ignoring direction; useful for traversals.
-    pub fn neighbor_lists(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.n];
-        for e in &self.edges {
-            adj[e.u].push(e.v);
-            adj[e.v].push(e.u);
-        }
-        for a in &self.arcs {
-            adj[a.from].push(a.to);
-            adj[a.to].push(a.from);
-        }
-        adj
-    }
-
-    /// Rebuilds the internal pair index; needed after deserialization, since
-    /// the index is not serialized.
-    pub fn rebuild_index(&mut self) {
-        self.occupied.clear();
-        for e in &self.edges {
-            self.occupied.insert((e.u.min(e.v), e.u.max(e.v)));
-        }
-        for a in &self.arcs {
-            self.occupied.insert((a.from.min(a.to), a.from.max(a.to)));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +212,6 @@ mod tests {
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.num_arcs(), 1);
         assert_eq!(g.num_connections(), 2);
-        assert!((g.directedness() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -321,9 +254,7 @@ mod tests {
         let mut g = MixedGraph::new(3);
         g.add_edge(0, 1, 1.0).unwrap();
         g.add_arc(2, 1, 3.0).unwrap();
-        assert!((g.degree(1) - 4.0).abs() < 1e-12);
-        assert_eq!(g.in_degrees(), vec![0.0, 3.0, 0.0]);
-        assert_eq!(g.out_degrees(), vec![0.0, 0.0, 3.0]);
+        assert_eq!(g.degrees(), vec![1.0, 4.0, 3.0]);
     }
 
     #[test]
@@ -334,7 +265,7 @@ mod tests {
         let s = g.symmetrized();
         assert_eq!(s.num_edges(), 2);
         assert_eq!(s.num_arcs(), 0);
-        assert!((s.degree(2) - 2.0).abs() < 1e-12);
+        assert!((s.degrees()[2] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -344,25 +275,5 @@ mod tests {
         assert!(g.are_connected(0, 2));
         assert!(g.are_connected(2, 0));
         assert!(!g.are_connected(0, 1));
-    }
-
-    #[test]
-    fn neighbor_lists_are_symmetric() {
-        let mut g = MixedGraph::new(4);
-        g.add_arc(0, 3, 1.0).unwrap();
-        g.add_edge(1, 2, 1.0).unwrap();
-        let adj = g.neighbor_lists();
-        assert!(adj[0].contains(&3) && adj[3].contains(&0));
-        assert!(adj[1].contains(&2) && adj[2].contains(&1));
-    }
-
-    #[test]
-    fn rebuild_index_restores_duplicate_detection() {
-        let mut g = MixedGraph::new(2);
-        g.add_edge(0, 1, 1.0).unwrap();
-        let mut g2 = g.clone();
-        g2.occupied.clear(); // simulate deserialization
-        g2.rebuild_index();
-        assert!(g2.add_arc(0, 1, 1.0).is_err());
     }
 }

@@ -80,17 +80,6 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// The family name used in spec files.
-    pub fn family(&self) -> &'static str {
-        match self {
-            GraphSpec::Dsbm(_) => "dsbm",
-            GraphSpec::Circles(_) => "circles",
-            GraphSpec::Netlist(_) => "netlist",
-            GraphSpec::RandomMixed(_) => "random_mixed",
-            GraphSpec::QuantumCircles { .. } => "quantum_circles",
-        }
-    }
-
     /// Generates the instance this spec describes.
     ///
     /// # Errors
@@ -155,21 +144,8 @@ impl GraphSpec {
         }
     }
 
-    /// The seed a repetition sweep varies: the generator seed, except for
-    /// `quantum_circles`, whose swept randomness is the comparator's.
-    pub fn seed(&self) -> u64 {
-        match self {
-            GraphSpec::Dsbm(p) => p.seed,
-            GraphSpec::Circles(p) => p.seed,
-            GraphSpec::Netlist(p) => p.seed,
-            GraphSpec::RandomMixed(p) => p.seed,
-            GraphSpec::QuantumCircles {
-                comparator_seed, ..
-            } => *comparator_seed,
-        }
-    }
-
-    /// Sets the swept seed (see [`GraphSpec::seed`]).
+    /// Sets the seed a repetition sweep varies: the generator seed, except
+    /// for `quantum_circles`, whose swept randomness is the comparator's.
     pub fn set_seed(&mut self, seed: u64) {
         match self {
             GraphSpec::Dsbm(p) => p.seed = seed,
@@ -475,7 +451,6 @@ mod tests {
         let noisy = noisy_spec.generate().unwrap();
         assert!(noisy.edge_disagreement.unwrap() > 0.0);
         // The swept seed is the comparator's, not the point cloud's.
-        assert_eq!(noisy_spec.seed(), 600);
         let mut reseeded = noisy_spec.clone();
         reseeded.set_seed(601);
         assert_ne!(

@@ -4,39 +4,6 @@
 
 use crate::mixed::MixedGraph;
 
-/// Connected components of the underlying undirected graph (direction
-/// ignored). Returns a component id per vertex, ids numbered from 0 in
-/// order of first appearance.
-pub fn connected_components(g: &MixedGraph) -> Vec<usize> {
-    let n = g.num_vertices();
-    let adj = g.neighbor_lists();
-    let mut comp = vec![usize::MAX; n];
-    let mut next = 0usize;
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        comp[start] = next;
-        stack.push(start);
-        while let Some(v) = stack.pop() {
-            for &w in &adj[v] {
-                if comp[w] == usize::MAX {
-                    comp[w] = next;
-                    stack.push(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
-/// Number of connected components.
-pub fn num_components(g: &MixedGraph) -> usize {
-    connected_components(g).iter().max().map_or(0, |m| m + 1)
-}
-
 /// Total weight of connections crossing between different clusters under
 /// the given labeling (direction ignored) — the classic cut size a
 /// partitioner minimizes.
@@ -117,15 +84,6 @@ pub fn mean_flow_imbalance(g: &MixedGraph, labels: &[usize], k: usize) -> f64 {
     }
 }
 
-/// Edge density: connections divided by the number of vertex pairs.
-pub fn density(g: &MixedGraph) -> f64 {
-    let n = g.num_vertices();
-    if n < 2 {
-        return 0.0;
-    }
-    g.num_connections() as f64 / (n * (n - 1) / 2) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,30 +96,6 @@ mod tests {
         }
         g.add_arc(2, 3, 2.0).unwrap();
         g
-    }
-
-    #[test]
-    fn components_single_when_bridged() {
-        let g = two_triangles_bridged();
-        assert_eq!(num_components(&g), 1);
-    }
-
-    #[test]
-    fn components_split_without_bridge() {
-        let mut g = MixedGraph::new(4);
-        g.add_edge(0, 1, 1.0).unwrap();
-        g.add_edge(2, 3, 1.0).unwrap();
-        let comp = connected_components(&g);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_eq!(num_components(&g), 2);
-    }
-
-    #[test]
-    fn isolated_vertices_are_components() {
-        let g = MixedGraph::new(3);
-        assert_eq!(num_components(&g), 3);
     }
 
     #[test]
@@ -189,16 +123,5 @@ mod tests {
     fn imbalance_zero_without_flow() {
         let f = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
         assert_eq!(flow_imbalance(&f, 0, 1), 0.0);
-    }
-
-    #[test]
-    fn density_of_complete_graph_is_one() {
-        let mut g = MixedGraph::new(4);
-        for u in 0..4 {
-            for v in u + 1..4 {
-                g.add_edge(u, v, 1.0).unwrap();
-            }
-        }
-        assert!((density(&g) - 1.0).abs() < 1e-12);
     }
 }

@@ -50,12 +50,6 @@ impl Complex64 {
         Self { re, im: 0.0 }
     }
 
-    /// Creates a purely imaginary complex number.
-    #[inline]
-    pub const fn imag(im: f64) -> Self {
-        Self { re: 0.0, im }
-    }
-
     /// Creates the complex number `r·e^{iθ}` from polar coordinates.
     ///
     /// # Examples
@@ -111,18 +105,6 @@ impl Complex64 {
         Self::new(self.re / d, -self.im / d)
     }
 
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        Self::from_polar(self.abs().sqrt(), self.arg() / 2.0)
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, s: f64) -> Self {
@@ -133,12 +115,6 @@ impl Complex64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// `true` if the imaginary part is within `tol` of zero.
-    #[inline]
-    pub fn is_real(self, tol: f64) -> bool {
-        self.im.abs() <= tol
     }
 }
 
@@ -347,22 +323,9 @@ mod tests {
     }
 
     #[test]
-    fn exponential_of_i_pi() {
-        let z = Complex64::imag(std::f64::consts::PI).exp();
-        assert!(close(z, -C_ONE));
-    }
-
-    #[test]
     fn reciprocal_inverts() {
         let z = Complex64::new(0.4, -1.7);
         assert!(close(z * z.recip(), C_ONE));
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        let z = Complex64::new(-2.0, 0.5);
-        let s = z.sqrt();
-        assert!(close(s * s, z));
     }
 
     #[test]
@@ -385,11 +348,5 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(Complex64::new(1.0, 2.0).to_string(), "1+2i");
         assert_eq!(Complex64::new(1.0, -2.0).to_string(), "1-2i");
-    }
-
-    #[test]
-    fn is_real_tolerance() {
-        assert!(Complex64::new(5.0, 1e-14).is_real(1e-12));
-        assert!(!Complex64::new(5.0, 1e-3).is_real(1e-12));
     }
 }

@@ -295,26 +295,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Frobenius norm over the stored non-zeros.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Conjugate transpose `A†` (still sparse).
-    pub fn adjoint(&self) -> Self {
-        let triplets: Vec<(usize, usize, Complex64)> = (0..self.nrows)
-            .flat_map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter()
-                    .zip(vals)
-                    .map(move |(&j, &v)| (j, i, v.conj()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        Self::from_triplets(self.ncols, self.nrows, &triplets, 0.0)
-            .expect("adjoint of a valid CSR matrix is valid")
-    }
-
     /// Scales every stored entry by `alpha`.
     pub fn scaled(&self, alpha: Complex64) -> Self {
         let mut out = self.clone();
@@ -323,12 +303,6 @@ impl CsrMatrix {
         }
         out.hermitian = out.check_hermitian(HERMITIAN_CHECK_TOL);
         out
-    }
-
-    /// Residual `‖A·v − λ·v‖₂` measuring eigenpair quality.
-    pub fn eigen_residual(&self, lambda: f64, v: &[Complex64]) -> f64 {
-        // One shared implementation lives on the HermitianOp default.
-        crate::lanczos::HermitianOp::eigen_residual(self, lambda, v)
     }
 
     /// `true` if the matrix is Hermitian within `tol`, entrywise.
@@ -458,20 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn adjoint_round_trips() {
-        let dense = random_sparse_hermitian(15, 0.2, 7);
-        let sparse = CsrMatrix::from_dense(&dense, 0.0);
-        assert_eq!(sparse.adjoint().adjoint().to_dense(), dense);
-        // Hermitian matrix: A† = A.
-        assert_eq!(sparse.adjoint().to_dense(), dense);
-    }
-
-    #[test]
     fn norms_match_dense() {
         let dense = random_sparse_hermitian(20, 0.25, 8);
         let sparse = CsrMatrix::from_dense(&dense, 0.0);
         assert!((sparse.max_norm() - dense.max_norm()).abs() < 1e-12);
-        assert!((sparse.frobenius_norm() - dense.frobenius_norm()).abs() < 1e-12);
     }
 
     #[test]

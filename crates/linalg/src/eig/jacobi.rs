@@ -6,7 +6,7 @@
 //! matrix is nearly diagonal. `O(n³)` per sweep, so this path is used for
 //! validation and moderate sizes; the Householder + QL path is the fast one.
 
-use crate::complex::{Complex64, C_ONE};
+use crate::complex::Complex64;
 use crate::error::LinalgError;
 use crate::matrix::CMatrix;
 
@@ -24,7 +24,7 @@ const MAX_SWEEPS: usize = 60;
 /// Returns [`LinalgError::NoConvergence`] if the off-diagonal mass has not
 /// fallen below `tol·‖A‖_F` after 60 sweeps, and
 /// [`LinalgError::InvalidInput`] if the matrix is not square.
-pub fn jacobi_hermitian(a: &CMatrix, tol: f64) -> Result<(Vec<f64>, CMatrix), LinalgError> {
+pub(super) fn jacobi_hermitian(a: &CMatrix, tol: f64) -> Result<(Vec<f64>, CMatrix), LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::InvalidInput {
             context: format!("jacobi: matrix is {}×{}", a.nrows(), a.ncols()),
@@ -61,7 +61,7 @@ pub fn jacobi_hermitian(a: &CMatrix, tol: f64) -> Result<(Vec<f64>, CMatrix), Li
 }
 
 /// Square root of the sum of squared moduli of all off-diagonal entries.
-pub fn off_diagonal_norm(m: &CMatrix) -> f64 {
+fn off_diagonal_norm(m: &CMatrix) -> f64 {
     let n = m.nrows();
     let mut s = 0.0;
     for i in 0..n {
@@ -133,8 +133,6 @@ fn rotate(m: &mut CMatrix, v: &mut CMatrix, p: usize, q: usize) {
         v[(k, p)] = vkp.scale(c) + vkq * spc;
         v[(k, q)] = vkq.scale(c) - vkp * sp;
     }
-
-    let _ = C_ONE; // keep import for doc parity
 }
 
 #[cfg(test)]

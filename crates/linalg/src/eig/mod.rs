@@ -79,7 +79,6 @@ mod tql;
 mod unitary;
 
 pub use householder::{tridiagonalize, Tridiagonal};
-pub use jacobi::{jacobi_hermitian, off_diagonal_norm};
 pub use tql::tql_implicit;
 pub use unitary::{eig_unitary, UnitaryEigen};
 
@@ -105,37 +104,8 @@ pub struct HermitianEigen {
 }
 
 impl HermitianEigen {
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.eigenvalues.len()
-    }
-
-    /// The `n × k` matrix of eigenvectors belonging to the `k` smallest
-    /// eigenvalues — the spectral embedding used by spectral clustering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn lowest_k(&self, k: usize) -> CMatrix {
-        assert!(k <= self.dim(), "lowest_k: k={} > n={}", k, self.dim());
-        let cols: Vec<usize> = (0..k).collect();
-        self.eigenvectors.select_columns(&cols)
-    }
-
-    /// Condition number `κ` of the projection onto the `k` lowest
-    /// eigenvectors: ratio of the largest to the smallest *non-zero*
-    /// eigenvalue among the selected ones. Returns `1.0` when all selected
-    /// eigenvalues vanish.
-    pub fn condition_number_lowest_k(&self, k: usize, zero_tol: f64) -> f64 {
-        let sel = &self.eigenvalues[..k.min(self.dim())];
-        let nonzero: Vec<f64> = sel.iter().copied().filter(|v| v.abs() > zero_tol).collect();
-        match (nonzero.first(), nonzero.last()) {
-            (Some(&lo), Some(&hi)) if lo != 0.0 => (hi / lo).abs(),
-            _ => 1.0,
-        }
-    }
-
-    /// Rebuilds `V·diag(λ)·V†`; used in tests to measure residuals.
+    /// Rebuilds `V·diag(λ)·V†`: the reconstruction oracle for [`eigh`] in
+    /// the property and edge-case suites.
     pub fn reconstruct(&self) -> CMatrix {
         let lam = CMatrix::from_diag(
             &self
@@ -270,7 +240,7 @@ impl HermitianSpectrum {
     }
 
     /// The `n × k` matrix of eigenvectors belonging to the `k` smallest
-    /// eigenvalues, as [`HermitianEigen::lowest_k`].
+    /// eigenvalues — the spectral embedding used by spectral clustering.
     ///
     /// # Panics
     ///
@@ -364,7 +334,7 @@ impl HermitianReduction {
 /// let (spectrum, full) = (eigh_spectrum(a.clone())?, eigh(&a)?);
 /// assert_eq!(spectrum.eigenvalues, full.eigenvalues);
 /// let low = spectrum.lowest_k(3);
-/// assert!((&low - &full.lowest_k(3)).max_norm() < 1e-12);
+/// assert!((&low - &full.eigenvectors.select_columns(&[0, 1, 2])).max_norm() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -374,12 +344,15 @@ pub fn eigh_spectrum(a: CMatrix) -> Result<HermitianSpectrum, LinalgError> {
 
 /// Full eigendecomposition via cyclic complex Jacobi (reference path).
 ///
+/// The independent oracle for [`eigh`] and [`eigh_spectrum`] in the
+/// kernel-equivalence and edge-case suites.
+///
 /// # Errors
 ///
 /// Same contract as [`eigh`].
 pub fn eigh_jacobi(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     validate_hermitian(a)?;
-    let (evals, evecs) = jacobi_hermitian(a, 1e-13)?;
+    let (evals, evecs) = jacobi::jacobi_hermitian(a, 1e-13)?;
     Ok(sorted(evals, evecs))
 }
 
@@ -450,34 +423,6 @@ mod tests {
         let m = CMatrix::from_rows(&[vec![C_ZERO, C_I], vec![C_I, C_ZERO]]).unwrap();
         assert!(eigh(&m).is_err());
         assert!(eigh_jacobi(&m).is_err());
-    }
-
-    #[test]
-    fn lowest_k_selects_prefix_columns() {
-        let a = CMatrix::from_diag(&[
-            Complex64::real(3.0),
-            Complex64::real(1.0),
-            Complex64::real(2.0),
-        ]);
-        let eig = eigh(&a).unwrap();
-        assert_eq!(eig.eigenvalues, vec![1.0, 2.0, 3.0]);
-        let low = eig.lowest_k(2);
-        assert_eq!(low.ncols(), 2);
-        // The lowest eigenvalue (1.0) lives on axis 1, the next (2.0) on 2.
-        assert!((low[(1, 0)].abs() - 1.0).abs() < 1e-12);
-        assert!((low[(2, 1)].abs() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn condition_number_skips_zero_eigenvalues() {
-        let a = CMatrix::from_diag(&[
-            Complex64::real(0.0),
-            Complex64::real(0.5),
-            Complex64::real(2.0),
-        ]);
-        let eig = eigh(&a).unwrap();
-        let kappa = eig.condition_number_lowest_k(3, 1e-12);
-        assert!((kappa - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -47,18 +47,11 @@ impl UnitaryEigen {
         self.phases.len()
     }
 
-    /// Builds `U^p = V·diag(e^{i·p·θ})·V†` for any real power `p`.
-    ///
-    /// Phase powers are computed exactly in angle space, so `power(2^j)`
-    /// does not accumulate the error of `j` repeated matrix squarings.
-    pub fn power(&self, p: f64) -> CMatrix {
-        let phases: Vec<Complex64> = self.phases.iter().map(|&t| Complex64::cis(t * p)).collect();
-        unitary_from_phases(&self.eigenvectors, &phases)
-    }
-
-    /// Rebuilds `U` itself (`power(1)`), for residual checks.
+    /// Rebuilds `U = V·diag(e^{iθ})·V†`: the reconstruction oracle for
+    /// [`eig_unitary`], whose phases drive every QPE cascade.
     pub fn reconstruct(&self) -> CMatrix {
-        self.power(1.0)
+        let phases: Vec<Complex64> = self.phases.iter().map(|&t| Complex64::cis(t)).collect();
+        unitary_from_phases(&self.eigenvectors, &phases)
     }
 }
 
@@ -219,22 +212,6 @@ mod tests {
         phases.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((phases[0] + 0.8).abs() < 1e-9);
         assert!((phases[1] - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn powers_match_repeated_multiplication() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let u = CMatrix::random_unitary(6, &mut rng);
-        let eig = eig_unitary(&u).unwrap();
-        let mut by_mult = u.clone();
-        for p in [2.0f64, 4.0, 8.0] {
-            by_mult = by_mult.matmul(&by_mult);
-            let by_phase = eig.power(p);
-            assert!(
-                (&by_mult - &by_phase).max_norm() < 1e-8,
-                "power {p} disagrees"
-            );
-        }
     }
 
     #[test]

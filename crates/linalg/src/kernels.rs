@@ -12,7 +12,6 @@
 //! | [`axpy`] | `y_i ← y_i + α · x_i` | **bit-identical** across tiers |
 //! | [`dot`] | `Σ x_i · y_i` (ascending `i`) | **bit-identical** across tiers |
 //! | [`cdot`] | `Σ conj(x_i) · y_i` (ascending `i`) | **bit-identical** across tiers |
-//! | [`dot_unordered`] | `Σ x_i · y_i`, lane-reassociated | ULP-bound (see below) |
 //!
 //! Three tiers implement each kernel:
 //!
@@ -40,13 +39,6 @@
 //! accumulate one complex element at a time from a zero accumulator, the
 //! image of `Sum`'s fold. x86 packed and scalar float ops share rounding
 //! *and* NaN-selection semantics, so equality holds to the last bit.
-//!
-//! The one deliberate exception is [`dot_unordered`], which keeps two
-//! complex accumulators per register and folds them once at the end. Its
-//! error against the ordered [`dot`] is bounded by the standard blocked-
-//! summation bound `|Δ| ≤ 2·n·ε·Σ|x_i|·|y_i|` (ε = `f64::EPSILON`); the
-//! equivalence suite asserts it. It is **not** wired into any byte-pinned
-//! path — it exists for callers that opt into reassociation explicitly.
 //!
 //! # Dispatch
 //!
@@ -365,40 +357,6 @@ pub fn cdot_with(tier: KernelTier, x: &[Complex64], y: &[Complex64]) -> Complex6
     }
 }
 
-/// Reassociated product sum `Σ x_i · y_i` with per-lane accumulators
-/// folded once at the end.
-///
-/// **Not bit-identical across tiers.** The divergence from the ordered
-/// [`dot`] is bounded by `2·n·ε·Σ|x_i|·|y_i|` (ε = `f64::EPSILON`),
-/// asserted by the equivalence suite. Use only where reassociation is
-/// explicitly acceptable; nothing byte-pinned routes through this.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot_unordered(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-    dot_unordered_with(active(), x, y)
-}
-
-/// [`dot_unordered`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot_unordered_with(tier: KernelTier, x: &[Complex64], y: &[Complex64]) -> Complex64 {
-    assert_eq!(x.len(), y.len(), "dot_unordered: length mismatch");
-    match effective(tier) {
-        KernelTier::Scalar => scalar::dot(x, y),
-        KernelTier::Portable => portable::dot_unordered(x, y),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `effective` only returns Avx2 when the CPU has it.
-        KernelTier::Avx2 => unsafe { avx2::dot_unordered(x, y) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelTier::Avx2 => unreachable!("avx2 tier on a non-x86_64 target"),
-    }
-}
-
 /// Degrades an explicitly requested tier to one the CPU can execute.
 #[inline]
 fn effective(tier: KernelTier) -> KernelTier {
@@ -537,24 +495,6 @@ mod portable {
         }
         for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
             acc += a.conj() * *b;
-        }
-        acc
-    }
-
-    pub(super) fn dot_unordered(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-        // Two interleaved accumulators folded once at the end: the 2-wide
-        // image of the AVX2 reassociated reduction.
-        let mut acc0 = C_ZERO;
-        let mut acc1 = C_ZERO;
-        let mut xc = x.chunks_exact(2);
-        let mut yc = y.chunks_exact(2);
-        for (x2, y2) in (&mut xc).zip(&mut yc) {
-            acc0 += x2[0] * y2[0];
-            acc1 += x2[1] * y2[1];
-        }
-        let mut acc = acc0 + acc1;
-        for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
-            acc += *a * *b;
         }
         acc
     }
@@ -748,29 +688,6 @@ mod avx2 {
         }
         z
     }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_unordered(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-        let n = x.len();
-        let xp = x.as_ptr().cast::<f64>();
-        let yp = y.as_ptr().cast::<f64>();
-        // Two complex accumulators, folded once at the end: this is the
-        // documented ULP-bound reassociation.
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..n / 2 {
-            let xv = _mm256_loadu_pd(xp.add(4 * i));
-            let yv = _mm256_loadu_pd(yp.add(4 * i));
-            acc = _mm256_add_pd(acc, cmul_packed(xv, yv));
-        }
-        let folded = _mm_add_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
-        let mut out = [0.0f64; 2];
-        _mm_storeu_pd(out.as_mut_ptr(), folded);
-        let mut z = Complex64::new(out[0], out[1]);
-        if n % 2 == 1 {
-            z += x[n - 1] * y[n - 1];
-        }
-        z
-    }
 }
 
 #[cfg(test)]
@@ -829,7 +746,6 @@ mod tests {
         let want = scalar_reference_dot(&x, &y);
         for tier in KernelTier::ALL {
             assert_eq!(dot_with(tier, &x, &y), want, "{tier}");
-            assert_eq!(dot_unordered_with(tier, &x, &y), want, "{tier}");
         }
     }
 

@@ -14,10 +14,9 @@
 //! * [`kernels`] — runtime-dispatched SIMD tiers (scalar / portable /
 //!   AVX2) for the complex hot-loop kernels,
 //! * [`parallel`] — the shared gating policy of the parallel kernels,
-//! * [`lu`] — LU solves, determinants, inverses,
 //! * [`expm`] — unitary evolution operators `e^{iHt}`,
 //! * [`qr`] — QR decomposition / orthonormalization,
-//! * [`params`] — the `μ`, `η`, `κ` data parameters of quantum runtime
+//! * [`params`] — the `μ`, `κ` data parameters of quantum runtime
 //!   analyses,
 //! * [`vector`] — slice-level vector kernels.
 //!
@@ -47,7 +46,6 @@ pub mod error;
 pub mod expm;
 pub mod kernels;
 pub mod lanczos;
-pub mod lu;
 pub mod matrix;
 pub mod parallel;
 pub mod params;

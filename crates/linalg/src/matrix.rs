@@ -263,11 +263,6 @@ impl CMatrix {
         Self::from_fn(self.ncols, self.nrows, |i, j| self[(j, i)])
     }
 
-    /// Elementwise complex conjugate.
-    pub fn conj(&self) -> Self {
-        Self::from_fn(self.nrows, self.ncols, |i, j| self[(i, j)].conj())
-    }
-
     /// Scales every entry by a complex factor, returning a new matrix.
     pub fn scaled(&self, alpha: Complex64) -> Self {
         Self::from_fn(self.nrows, self.ncols, |i, j| self[(i, j)] * alpha)
@@ -423,16 +418,6 @@ impl CMatrix {
         out
     }
 
-    /// Trace `Σ A_ii`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> Complex64 {
-        assert!(self.is_square(), "trace: matrix must be square");
-        (0..self.nrows).map(|i| self[(i, i)]).sum()
-    }
-
     /// Frobenius norm `‖A‖_F = sqrt(Σ |a_ij|²)`.
     ///
     /// Large matrices reduce in parallel over fixed-size chunks; the chunk
@@ -490,20 +475,6 @@ impl CMatrix {
         (&prod - &id).max_norm() <= tol
     }
 
-    /// Kronecker (tensor) product `A ⊗ B`.
-    pub fn kron(&self, rhs: &Self) -> Self {
-        let (ar, ac) = (self.nrows, self.ncols);
-        let (br, bc) = (rhs.nrows, rhs.ncols);
-        Self::from_fn(ar * br, ac * bc, |i, j| {
-            self[(i / br, j / bc)] * rhs[(i % br, j % bc)]
-        })
-    }
-
-    /// Extracts the submatrix of the given rows and columns.
-    pub fn submatrix(&self, rows: &[usize], cols: &[usize]) -> Self {
-        Self::from_fn(rows.len(), cols.len(), |i, j| self[(rows[i], cols[j])])
-    }
-
     /// Stacks selected columns (in order) into a new `nrows × cols.len()`
     /// matrix. Used to assemble spectral embeddings from eigenvector columns.
     pub fn select_columns(&self, cols: &[usize]) -> Self {
@@ -534,7 +505,8 @@ impl CMatrix {
         q
     }
 
-    /// Residual `‖A·v − λ·v‖₂` measuring eigenpair quality.
+    /// Residual `‖A·v − λ·v‖₂` measuring eigenpair quality: the oracle the
+    /// kernel-equivalence suite holds `eigh_spectrum`'s eigenvectors to.
     pub fn eigen_residual(&self, lambda: f64, v: &[Complex64]) -> f64 {
         let av = self.matvec(v);
         let diff: Vec<Complex64> = av
@@ -709,23 +681,6 @@ mod tests {
         for i in 0..4 {
             assert!((y[(i, 0)] - yv[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn kron_dimensions_and_values() {
-        let a = CMatrix::from_rows(&[vec![C_ONE, C_I]]).unwrap(); // 1×2
-        let b = CMatrix::identity(2);
-        let k = a.kron(&b);
-        assert_eq!((k.nrows(), k.ncols()), (2, 4));
-        assert_eq!(k[(0, 0)], C_ONE);
-        assert_eq!(k[(0, 2)], C_I);
-        assert_eq!(k[(1, 3)], C_I);
-        assert_eq!(k[(1, 2)], C_ZERO);
-    }
-
-    #[test]
-    fn trace_of_identity() {
-        assert_eq!(CMatrix::identity(5).trace(), Complex64::real(5.0));
     }
 
     #[test]

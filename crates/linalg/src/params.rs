@@ -1,5 +1,5 @@
 //! Data-dependent parameters from the quantum-machine-learning runtime
-//! analyses: `μ(A)`, `η(A)` and condition numbers.
+//! analyses: `μ(A)` and condition numbers.
 //!
 //! These appear multiplicatively in the quantum cost model; the evaluation
 //! measures them from each instance rather than assuming bounds, following
@@ -11,7 +11,7 @@ use crate::matrix::CMatrix;
 /// `s_p(A) = max_i ‖A_i‖_p^p`, the largest `p`-th-power row norm, with the
 /// sparse convention `0^0 = 0` (zero entries never contribute, so `s_0`
 /// counts non-zeros per row).
-pub fn s_p(a: &CMatrix, p: f64) -> f64 {
+fn s_p(a: &CMatrix, p: f64) -> f64 {
     let mut best: f64 = 0.0;
     for i in 0..a.nrows() {
         let v: f64 = a
@@ -36,7 +36,8 @@ pub fn s_p(a: &CMatrix, p: f64) -> f64 {
 ///
 /// For dense matrices this is close to the Frobenius norm; for sparse ones
 /// it behaves like the sparsity. It is the factor that drives the observed
-/// near-linear-in-`n` growth of the quantum runtime.
+/// near-linear-in-`n` growth of the quantum runtime. The dense oracle for
+/// `qsc_core::cost::incidence_mu`, which the pipeline evaluates instead.
 pub fn mu(a: &CMatrix) -> f64 {
     let fro = a.frobenius_norm();
     let at = a.transpose();
@@ -49,28 +50,6 @@ pub fn mu(a: &CMatrix) -> f64 {
         }
     }
     best
-}
-
-/// The `η(A)` parameter: `max_i ‖A_i‖² / min_i ‖A_i‖²` over non-zero rows —
-/// the row-norm spread that enters distance-estimation costs.
-///
-/// Returns `1.0` for matrices whose rows all have equal norm (e.g. a
-/// row-normalized incidence matrix) and for the empty matrix.
-pub fn eta(a: &CMatrix) -> f64 {
-    let mut max_sq: f64 = 0.0;
-    let mut min_sq = f64::INFINITY;
-    for i in 0..a.nrows() {
-        let sq: f64 = a.row(i).iter().map(|z| z.norm_sqr()).sum();
-        if sq > 0.0 {
-            max_sq = max_sq.max(sq);
-            min_sq = min_sq.min(sq);
-        }
-    }
-    if min_sq.is_finite() && min_sq > 0.0 {
-        max_sq / min_sq
-    } else {
-        1.0
-    }
 }
 
 /// Condition number of a Hermitian PSD matrix from its eigenvalues: ratio of
@@ -109,24 +88,6 @@ mod tests {
         // s_0 counts non-zeros per row = 1; sqrt(1·1) = 1 beats ‖I‖_F = √n.
         let id = CMatrix::identity(9);
         assert!((mu(&id) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eta_equal_rows_is_one() {
-        let a = CMatrix::from_real_fn(4, 3, |_, j| if j == 0 { 1.0 } else { 0.0 });
-        assert!((eta(&a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eta_detects_row_spread() {
-        let a = CMatrix::from_real_fn(2, 1, |i, _| if i == 0 { 1.0 } else { 3.0 });
-        assert!((eta(&a) - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eta_ignores_zero_rows() {
-        let a = CMatrix::from_real_fn(3, 1, |i, _| if i == 2 { 0.0 } else { 2.0 });
-        assert!((eta(&a) - 1.0).abs() < 1e-12);
     }
 
     #[test]

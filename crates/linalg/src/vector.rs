@@ -33,21 +33,6 @@ pub fn norm2(a: &[Complex64]) -> f64 {
     a.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
 }
 
-/// Euclidean (ℓ2) norm of a real vector.
-pub fn rnorm2(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// ℓ1 norm of a complex vector.
-pub fn norm1(a: &[Complex64]) -> f64 {
-    a.iter().map(|z| z.abs()).sum()
-}
-
-/// ℓ∞ norm (largest modulus) of a complex vector.
-pub fn norm_inf(a: &[Complex64]) -> f64 {
-    a.iter().map(|z| z.abs()).fold(0.0, f64::max)
-}
-
 /// Normalizes `a` in place to unit ℓ2 norm and returns the original norm.
 ///
 /// A zero vector is left unchanged and `0.0` is returned.
@@ -70,52 +55,6 @@ pub fn normalize(a: &mut [Complex64]) -> f64 {
 pub fn axpy(alpha: Complex64, x: &[Complex64], y: &mut [Complex64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     kernels::axpy(alpha, x, y);
-}
-
-/// Scales every element of `a` by the complex factor `alpha`.
-pub fn scale(alpha: Complex64, a: &mut [Complex64]) {
-    kernels::scale(alpha, a);
-}
-
-/// Squared Euclidean distance between two complex vectors.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dist_sqr(a: &[Complex64], b: &[Complex64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dist_sqr: length mismatch");
-    a.iter().zip(b).map(|(x, y)| (*x - *y).norm_sqr()).sum()
-}
-
-/// Squared Euclidean distance between two real vectors.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn rdist_sqr(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rdist_sqr: length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Projects out the component of `v` along unit vector `u`:
-/// `v ← v − ⟨u,v⟩·u`. Used by Gram–Schmidt orthogonalization.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn project_out(u: &[Complex64], v: &mut [Complex64]) {
-    let c = cdot(u, v);
-    axpy(-c, u, v);
-}
-
-/// Converts a real slice into a complex vector with zero imaginary parts.
-pub fn to_complex(a: &[f64]) -> Vec<Complex64> {
-    a.iter().map(|&x| Complex64::real(x)).collect()
-}
-
-/// Extracts the real parts of a complex vector.
-pub fn to_real(a: &[Complex64]) -> Vec<f64> {
-    a.iter().map(|z| z.re).collect()
 }
 
 /// Interleaves the real and imaginary parts of a complex vector into a real
@@ -152,9 +91,6 @@ mod tests {
     fn norms_agree_on_reals() {
         let a = [Complex64::real(3.0), Complex64::real(4.0)];
         assert!((norm2(&a) - 5.0).abs() < 1e-12);
-        assert!((norm1(&a) - 7.0).abs() < 1e-12);
-        assert!((norm_inf(&a) - 4.0).abs() < 1e-12);
-        assert!((rnorm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -182,25 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn project_out_orthogonalizes() {
-        let u = [C_ONE, C_ZERO];
-        let mut v = [Complex64::new(3.0, 1.0), Complex64::new(0.0, 2.0)];
-        project_out(&u, &mut v);
-        assert!(cdot(&u, &v).abs() < 1e-12);
-    }
-
-    #[test]
     fn interleave_preserves_distance() {
         let a = [Complex64::new(1.0, 2.0), Complex64::new(-0.5, 0.25)];
         let b = [Complex64::new(0.0, 1.0), Complex64::new(1.5, -0.75)];
-        let da = dist_sqr(&a, &b);
-        let db = rdist_sqr(&interleave_re_im(&a), &interleave_re_im(&b));
+        let da: f64 = a.iter().zip(&b).map(|(x, y)| (*x - *y).norm_sqr()).sum();
+        let (ra, rb) = (interleave_re_im(&a), interleave_re_im(&b));
+        let db: f64 = ra.iter().zip(&rb).map(|(x, y)| (x - y) * (x - y)).sum();
         assert!((da - db).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_trips_real_complex() {
-        let r = vec![1.0, -2.0, 0.5];
-        assert_eq!(to_real(&to_complex(&r)), r);
     }
 }

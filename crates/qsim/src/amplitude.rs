@@ -74,23 +74,6 @@ pub fn estimate_norm<R: Rng>(
     Ok(scale * p_hat.sqrt())
 }
 
-/// Iterations needed for an additive angle error below `epsilon` (so the
-/// probability error is `O(ε)`): `M = ⌈π/(2ε)⌉`.
-pub fn iterations_for_error(epsilon: f64) -> usize {
-    ((PI / (2.0 * epsilon)).ceil() as usize).max(1)
-}
-
-/// Expected number of amplitude-amplification rounds to boost a success
-/// probability `p` to Θ(1): `O(1/√p)` (the quadratic speedup over the
-/// classical `O(1/p)`).
-pub fn amplification_rounds(p: f64) -> usize {
-    if p <= 0.0 {
-        usize::MAX
-    } else {
-        (1.0 / p.sqrt()).ceil() as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,14 +124,6 @@ mod tests {
             let est0 = estimate_probability(0.001, 3, &mut rng).unwrap();
             assert!((0.0..=1.0).contains(&est0));
         }
-    }
-
-    #[test]
-    fn helper_functions() {
-        assert!(iterations_for_error(0.01) >= 157);
-        assert_eq!(amplification_rounds(1.0), 1);
-        assert_eq!(amplification_rounds(0.25), 2);
-        assert_eq!(amplification_rounds(0.0), usize::MAX);
     }
 
     #[test]

@@ -595,14 +595,6 @@ impl Circuit {
         Ok((range.start, m))
     }
 
-    /// Builds the textbook QFT circuit on the whole register, matching
-    /// `qsc_sim::qft::apply_qft`.
-    pub fn qft(num_qubits: usize) -> Self {
-        let mut c = Self::new(num_qubits);
-        c.push_qft(0..num_qubits).expect("in range");
-        c
-    }
-
     /// Dumps an OpenQASM-2-flavoured listing.
     ///
     /// Every [`Op`] variant is covered — nothing is silently dropped. The
@@ -677,7 +669,8 @@ mod tests {
     #[test]
     fn qft_circuit_matches_direct_qft() {
         for m in 1..=4usize {
-            let c = Circuit::qft(m);
+            let mut c = Circuit::new(m);
+            c.push_qft(0..m).unwrap();
             for j in 0..(1 << m) {
                 let mut via_circuit = QuantumState::basis_state(m, j);
                 c.run(&mut via_circuit).unwrap();
@@ -736,7 +729,8 @@ mod tests {
 
     #[test]
     fn counts() {
-        let c = Circuit::qft(4);
+        let mut c = Circuit::new(4);
+        c.push_qft(0..4).unwrap();
         assert_eq!(c.gate_count(), 4 + 6 + 2); // H's, cphases, swaps
         assert_eq!(c.two_qubit_count(), 8);
     }

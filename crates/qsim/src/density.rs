@@ -118,15 +118,6 @@ impl DensityMatrix {
     pub fn purity(&self, state: &QuantumState) -> f64 {
         state.amplitudes().iter().map(|a| a.norm_sqr()).sum()
     }
-
-    /// The trace of an executed state's `ρ` (1 up to rounding: every
-    /// channel applied here is trace-preserving).
-    pub fn trace(&self, state: &QuantumState) -> f64 {
-        let n = vectorized_width(state);
-        let d = 1usize << n;
-        let amps = state.amplitudes();
-        (0..d).map(|m| amps[m * d + m].re).sum()
-    }
 }
 
 /// The [`MAX_DENSITY_QUBITS`] cap as a typed budget error.
@@ -660,7 +651,6 @@ mod tests {
         let dm = DensityMatrix::new(0.1, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
         let rho = dm.execute(&c, 0, &mut rng).unwrap();
-        assert!((dm.trace(&rho) - 1.0).abs() < 1e-12, "trace drift");
         assert!(dm.purity(&rho) < 1.0 - 1e-6, "noise must mix the state");
         let probs = dm.outcome_distribution(&rho);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);

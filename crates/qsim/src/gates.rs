@@ -1,10 +1,9 @@
 //! Standard gate matrices.
 //!
 //! Single-qubit gates are returned as `[[Complex64; 2]; 2]` arrays (row
-//! major) for cheap application; [`as_matrix`] lifts them to [`CMatrix`] for
-//! tests and tensor constructions.
+//! major) for cheap application.
 
-use qsc_linalg::{CMatrix, Complex64, C_I, C_ONE, C_ZERO};
+use qsc_linalg::{Complex64, C_I, C_ONE, C_ZERO};
 use std::f64::consts::FRAC_1_SQRT_2;
 
 /// A single-qubit gate as a 2×2 complex array.
@@ -49,13 +48,6 @@ pub fn phase(theta: f64) -> Gate1 {
     [[C_ONE, C_ZERO], [C_ZERO, Complex64::cis(theta)]]
 }
 
-/// Rotation about X: `RX(θ) = exp(−iθX/2)`.
-pub fn rx(theta: f64) -> Gate1 {
-    let c = Complex64::real((theta / 2.0).cos());
-    let s = Complex64::imag(-(theta / 2.0).sin());
-    [[c, s], [s, c]]
-}
-
 /// Rotation about Y: `RY(θ) = exp(−iθY/2)`.
 pub fn ry(theta: f64) -> Gate1 {
     let c = Complex64::real((theta / 2.0).cos());
@@ -71,19 +63,20 @@ pub fn rz(theta: f64) -> Gate1 {
     ]
 }
 
-/// Lifts a single-qubit gate to a [`CMatrix`].
-pub fn as_matrix(gate: &Gate1) -> CMatrix {
-    CMatrix::from_rows(&[gate[0].to_vec(), gate[1].to_vec()]).expect("2×2 is well-formed")
-}
-
-/// Checks a gate for unitarity within `tol`.
-pub fn is_unitary(gate: &Gate1, tol: f64) -> bool {
-    as_matrix(gate).is_unitary(tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsc_linalg::CMatrix;
+
+    /// Checks a gate for unitarity within `tol`.
+    fn is_unitary(gate: &Gate1, tol: f64) -> bool {
+        as_matrix(gate).is_unitary(tol)
+    }
+
+    /// Lifts a single-qubit gate to a [`CMatrix`].
+    fn as_matrix(gate: &Gate1) -> CMatrix {
+        CMatrix::from_rows(&[gate[0].to_vec(), gate[1].to_vec()]).expect("2×2 is well-formed")
+    }
 
     #[test]
     fn all_standard_gates_unitary() {
@@ -95,7 +88,6 @@ mod tests {
             ("s", s()),
             ("t", t()),
             ("phase", phase(0.7)),
-            ("rx", rx(1.1)),
             ("ry", ry(2.2)),
             ("rz", rz(0.3)),
         ] {

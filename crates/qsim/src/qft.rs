@@ -3,12 +3,13 @@
 
 use crate::error::SimError;
 use crate::state::QuantumState;
-use qsc_linalg::{CMatrix, Complex64};
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::PI;
 
 /// Applies the QFT to qubits `range.start..range.end` of the state:
 /// on that register, `|j⟩ → (1/√N)·Σ_k e^{+2πi·jk/N}·|k⟩` with
 /// `N = 2^(range length)`.
+///
+/// The state-level oracle for [`Circuit::push_qft`](crate::Circuit::push_qft).
 ///
 /// # Errors
 ///
@@ -18,7 +19,8 @@ pub fn apply_qft(state: &mut QuantumState, range: std::ops::Range<usize>) -> Res
     qft_impl(state, range, false)
 }
 
-/// Applies the inverse QFT (the adjoint of [`apply_qft`]).
+/// Applies the inverse QFT (the adjoint of [`apply_qft`]): the state-level
+/// oracle for [`Circuit::push_inverse_qft`](crate::Circuit::push_inverse_qft).
 ///
 /// # Errors
 ///
@@ -78,20 +80,21 @@ fn qft_impl(
     Ok(())
 }
 
-/// The DFT matrix `F_{kj} = e^{+2πi·jk/N}/√N` used as the reference for the
-/// gate-level QFT in tests.
-pub fn dft_matrix(n: usize) -> CMatrix {
-    let nf = n as f64;
-    let norm = 1.0 / nf.sqrt();
-    CMatrix::from_fn(n, n, |k, j| {
-        Complex64::cis(TAU * (j as f64) * (k as f64) / nf).scale(norm)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsc_linalg::C_ZERO;
+    use qsc_linalg::{CMatrix, Complex64, C_ZERO};
+    use std::f64::consts::TAU;
+
+    /// The DFT matrix `F_{kj} = e^{+2πi·jk/N}/√N` used as the reference for the
+    /// gate-level QFT in tests.
+    fn dft_matrix(n: usize) -> CMatrix {
+        let nf = n as f64;
+        let norm = 1.0 / nf.sqrt();
+        CMatrix::from_fn(n, n, |k, j| {
+            Complex64::cis(TAU * (j as f64) * (k as f64) / nf).scale(norm)
+        })
+    }
 
     fn state_as_vec(s: &QuantumState) -> Vec<Complex64> {
         s.amplitudes().to_vec()

@@ -13,11 +13,9 @@
 
 use crate::circuit::{Circuit, Op};
 use crate::error::SimError;
-use crate::sampling::scan_index;
 use crate::state::QuantumState;
 use qsc_linalg::eig::{eig_unitary, UnitaryEigen};
 use qsc_linalg::{CMatrix, C_ZERO};
-use rand::Rng;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -28,6 +26,9 @@ use std::sync::Arc;
 /// Reading the high register as an integer `m` estimates any eigenphase
 /// `φ ∈ [0, 1)` of `u` (with `u|ψ⟩ = e^{2πiφ}|ψ⟩`) present in the input as
 /// `φ ≈ m/2^t`.
+///
+/// The gate-level oracle for [`qpe_phase_distribution`], the analytic
+/// distribution the quantum embedding samples its eigenvalues from.
 ///
 /// # Errors
 ///
@@ -74,8 +75,7 @@ pub fn qpe_gate_level(
 /// with a `t`-bit phase register above it: the Hadamard wall, the
 /// controlled-power cascade in its diagonalized form
 /// (`V†`-rotation, [`Op::PhaseCascade`], `V`-rotation), and the inverse
-/// QFT. Executing the result is bit-identical to the direct
-/// [`apply_phase_cascade`]-based path.
+/// QFT.
 ///
 /// # Errors
 ///
@@ -135,7 +135,8 @@ pub fn push_phase_cascade_ops(
 
 /// Compiles the reference QPE construction: controlled powers `U^{2^j}`
 /// materialized by repeated matrix squaring, one [`Op::BlockUnitary`] per
-/// phase bit. `2^s = u.nrows()` system qubits, `t` phase bits above.
+/// phase bit. `2^s = u.nrows()` system qubits, `t` phase bits above. The
+/// circuit behind [`qpe_gate_level_repeated_squaring`].
 ///
 /// # Errors
 ///
@@ -181,49 +182,6 @@ fn embed_system(input: &QuantumState, t: usize) -> QuantumState {
     let mut amps = vec![C_ZERO; input.dim() << t];
     amps[..input.dim()].copy_from_slice(input.amplitudes());
     QuantumState::from_amplitudes(amps).expect("power-of-two, non-zero")
-}
-
-/// Applies the full QPE cascade of controlled powers
-/// `Π_j C_j-U^{sign·2^j}` (controls = the phase qubits above an `s`-qubit
-/// system block holding `U = V·diag(e^{iθ})·V†`) in its diagonalized form
-/// `(I ⊗ V) · Φ · (I ⊗ V†)`, where `Φ` multiplies the amplitude at joint
-/// index `(m, k)` by `e^{i·sign·m·θ_k}`.
-///
-/// One `O(2^{s+t})` phase pass replaces `t` controlled dense-matrix
-/// applications, and the phase powers are exact — no error accumulation
-/// from repeated matrix squaring. `sign = -1.0` applies the inverse
-/// cascade (used when uncomputing a QPE).
-///
-/// # Errors
-///
-/// Returns [`SimError::DimensionMismatch`] if the eigendecomposition is not
-/// of dimension `2^s` or the state dimension is not a multiple of it.
-pub fn apply_phase_cascade(
-    state: &mut QuantumState,
-    eig: &UnitaryEigen,
-    s: usize,
-    sign: f64,
-) -> Result<(), SimError> {
-    let block = 1usize << s;
-    if eig.dim() != block || !state.dim().is_multiple_of(block) {
-        return Err(SimError::DimensionMismatch {
-            context: format!(
-                "phase cascade: eigendecomposition of dim {} on a {}-qubit block of a state of dim {}",
-                eig.dim(),
-                s,
-                state.dim()
-            ),
-        });
-    }
-    state.apply_block_unitary(&eig.eigenvectors.adjoint())?;
-    state.for_each_block_mut(block, |m, chunk| {
-        let factor = sign * m as f64;
-        for (a, &theta) in chunk.iter_mut().zip(&eig.phases) {
-            *a *= qsc_linalg::Complex64::cis(theta * factor);
-        }
-    });
-    state.apply_block_unitary(&eig.eigenvectors)?;
-    Ok(())
 }
 
 /// The reference gate-level QPE construction: controlled powers `U^{2^j}`
@@ -293,13 +251,6 @@ pub fn qpe_phase_distribution(phi: f64, t: usize) -> Vec<f64> {
     probs
 }
 
-/// Samples one QPE outcome for the phase `phi`, returning the estimate
-/// `m/2^t`.
-pub fn qpe_sample_phase<R: Rng>(phi: f64, t: usize, rng: &mut R) -> f64 {
-    let probs = qpe_phase_distribution(phi, t);
-    scan_index(&probs, rng.gen::<f64>()) as f64 / (1 << t) as f64
-}
-
 /// Deterministic `t`-bit rounding of a phase — the modal QPE outcome.
 pub fn qpe_round_phase(phi: f64, t: usize) -> f64 {
     let size = (1usize << t) as f64;
@@ -345,11 +296,6 @@ impl PhaseEstimator {
     /// Eigenvalue resolution `scale/2^t` of the estimator.
     pub fn resolution(&self) -> f64 {
         self.scale / (1u64 << self.t) as f64
-    }
-
-    /// Samples a QPE estimate of the eigenvalue `lambda`.
-    pub fn sample<R: Rng>(&self, lambda: f64, rng: &mut R) -> f64 {
-        qpe_sample_phase(lambda / self.scale, self.t, rng) * self.scale
     }
 
     /// Deterministic `t`-bit rounding of the eigenvalue (modal outcome).
@@ -460,25 +406,6 @@ mod tests {
                 let wrapped = diff.min(1.0 - diff);
                 assert!(wrapped <= 1.0 / (1 << t) as f64 + 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn sampled_phase_concentrates_with_more_bits() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let phi = 0.3713;
-        let mut prev_err = f64::INFINITY;
-        for t in [2usize, 5, 9] {
-            let err: f64 = (0..200)
-                .map(|_| {
-                    let est = qpe_sample_phase(phi, t, &mut rng);
-                    let d = (est - phi).abs();
-                    d.min(1.0 - d)
-                })
-                .sum::<f64>()
-                / 200.0;
-            assert!(err < prev_err, "error should shrink with t");
-            prev_err = err;
         }
     }
 

@@ -43,7 +43,7 @@ use std::time::Duration;
 /// The executor endpoint path served by `qsc-serve`.
 pub const EXEC_PATH: &str = "/v1/exec";
 
-/// Default per-call socket timeout (connect / read / write).
+/// Per-call socket timeout of a remote backend (connect / read / write).
 pub const DEFAULT_TIMEOUT_MS: u64 = 60_000;
 
 // ---------------------------------------------------------------------------
@@ -753,7 +753,6 @@ pub struct RemoteBackend {
     addr: String,
     inner: Value,
     pool: BufferPool,
-    timeout: Duration,
     exact: bool,
     pure: bool,
     register_limit: Option<usize>,
@@ -769,7 +768,6 @@ impl RemoteBackend {
             addr: addr.into(),
             inner,
             pool: BufferPool::default(),
-            timeout: Duration::from_millis(DEFAULT_TIMEOUT_MS),
             exact: true,
             pure: true,
             register_limit: None,
@@ -787,17 +785,6 @@ impl RemoteBackend {
         self.pure = pure_state;
         self.register_limit = register_limit;
         self
-    }
-
-    /// Sets the per-call socket timeout.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// The executor address.
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 
     /// The deterministic `remote_call` fault hook: inside an armed fault
@@ -828,8 +815,14 @@ impl RemoteBackend {
         let body = obj(fields)
             .to_json_canonical()
             .map_err(|e| transport_err(&self.addr, format!("request encoding failed: {e}")))?;
-        let response = http::request(&self.addr, "POST", EXEC_PATH, Some(&body), self.timeout)
-            .map_err(|e| transport_err(&self.addr, e.to_string()))?;
+        let response = http::request(
+            &self.addr,
+            "POST",
+            EXEC_PATH,
+            Some(&body),
+            Duration::from_millis(DEFAULT_TIMEOUT_MS),
+        )
+        .map_err(|e| transport_err(&self.addr, e.to_string()))?;
         let text = String::from_utf8(response.body)
             .map_err(|_| transport_err(&self.addr, "response is not UTF-8"))?;
         if response.status != 200 {
@@ -1366,8 +1359,7 @@ mod tests {
     fn remote_backend_maps_connection_failures_to_remote_errors() {
         // Nothing listens on this port: every hook must fail with the typed
         // transport error, not panic or hang.
-        let backend = RemoteBackend::new("127.0.0.1:9", obj([("statevector", obj([]))]))
-            .with_timeout(Duration::from_millis(200));
+        let backend = RemoteBackend::new("127.0.0.1:9", obj([("statevector", obj([]))]));
         let mut rng = StdRng::seed_from_u64(1);
         let mut state = backend.prepare(2, 0);
         let err = backend.run(&bell(), &mut state, &mut rng).unwrap_err();
@@ -1393,8 +1385,7 @@ mod tests {
     }
 
     fn remote_context(reply: &'static [u8]) -> String {
-        let backend = RemoteBackend::new(one_shot(reply), obj([("statevector", obj([]))]))
-            .with_timeout(Duration::from_secs(10));
+        let backend = RemoteBackend::new(one_shot(reply), obj([("statevector", obj([]))]));
         let mut rng = StdRng::seed_from_u64(1);
         match backend.estimate_probability(0.5, &mut rng) {
             Err(SimError::Remote { context, .. }) => context,

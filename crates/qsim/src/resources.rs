@@ -49,11 +49,6 @@ impl ResourceEstimate {
             depth: self.depth * times,
         }
     }
-
-    /// Total gate count.
-    pub fn total_gates(&self) -> usize {
-        self.single_qubit_gates + self.two_qubit_gates
-    }
 }
 
 /// Number of qubits needed to amplitude-encode a dimension-`n` vector.
@@ -154,7 +149,6 @@ mod tests {
         assert_eq!(c.single_qubit_gates, 11);
         assert_eq!(c.two_qubit_gates, 10);
         assert_eq!(c.depth, 6);
-        assert_eq!(c.total_gates(), 21);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::error::SimError;
 use qsc_linalg::kernels;
 use qsc_linalg::parallel;
-use qsc_linalg::vector::{cdot, norm2};
+use qsc_linalg::vector::norm2;
 use qsc_linalg::{CMatrix, Complex64, C_ONE, C_ZERO};
 use rand::Rng;
 use rayon::prelude::*;
@@ -153,22 +153,6 @@ impl QuantumState {
         })
     }
 
-    /// Amplitude-encodes a (possibly unnormalized) vector, zero-padding to
-    /// the next power of two — the `|x⟩ = Σ x_j|j⟩/‖x‖` data-loading step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ZeroNorm`] for an all-zero vector.
-    pub fn amplitude_encode(data: &[Complex64]) -> Result<Self, SimError> {
-        if data.is_empty() {
-            return Err(SimError::ZeroNorm);
-        }
-        let dim = data.len().next_power_of_two();
-        let mut amps = vec![C_ZERO; dim];
-        amps[..data.len()].copy_from_slice(data);
-        Self::from_amplitudes(amps)
-    }
-
     /// Builds a state from raw amplitudes **without normalizing** — the
     /// crate-internal constructor backend execution representations use
     /// when their buffer is not an ℓ2-normalized pure state (the
@@ -255,18 +239,10 @@ impl QuantumState {
         }
     }
 
-    /// Inner product `⟨self|other⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn inner(&self, other: &Self) -> Complex64 {
-        cdot(&self.amps, &other.amps)
-    }
-
     /// Fidelity `|⟨self|other⟩|²`.
-    pub fn fidelity(&self, other: &Self) -> f64 {
-        self.inner(other).norm_sqr()
+    #[cfg(test)]
+    pub(crate) fn fidelity(&self, other: &Self) -> f64 {
+        qsc_linalg::vector::cdot(&self.amps, &other.amps).norm_sqr()
     }
 
     fn check_qubit(&self, qubit: usize) -> Result<(), SimError> {
@@ -689,71 +665,6 @@ impl QuantumState {
         probs
     }
 
-    /// Probability of measuring `|1⟩` on a single qubit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit` is out of range.
-    pub fn probability_of_one(&self, qubit: usize) -> f64 {
-        assert!(qubit < self.num_qubits, "qubit out of range");
-        let bit = 1usize << qubit;
-        self.amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & bit != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
-    }
-
-    /// Measures a single qubit, collapsing the state, and returns the
-    /// outcome (`false` = 0, `true` = 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit` is out of range.
-    pub fn measure_qubit<R: Rng>(&mut self, qubit: usize, rng: &mut R) -> bool {
-        let p1 = self.probability_of_one(qubit);
-        let outcome = rng.gen::<f64>() < p1;
-        let bit = 1usize << qubit;
-        let keep_prob = if outcome { p1 } else { 1.0 - p1 };
-        if keep_prob <= 0.0 {
-            return outcome; // numerically impossible branch; leave state
-        }
-        let scale = 1.0 / keep_prob.sqrt();
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let is_one = i & bit != 0;
-            if is_one == outcome {
-                *a = a.scale(scale);
-            } else {
-                *a = C_ZERO;
-            }
-        }
-        outcome
-    }
-
-    /// Expectation value `⟨ψ|A|ψ⟩` of a Hermitian observable on the full
-    /// register (returned as the real part; the imaginary part vanishes for
-    /// Hermitian `A` up to rounding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DimensionMismatch`] if the observable does not
-    /// match the state dimension.
-    pub fn expectation(&self, observable: &CMatrix) -> Result<f64, SimError> {
-        if observable.nrows() != self.dim() || observable.ncols() != self.dim() {
-            return Err(SimError::DimensionMismatch {
-                context: format!(
-                    "observable {}×{} on state of dim {}",
-                    observable.nrows(),
-                    observable.ncols(),
-                    self.dim()
-                ),
-            });
-        }
-        let av = observable.matvec(&self.amps);
-        Ok(cdot(&self.amps, &av).re)
-    }
-
     /// Samples one measurement of the full register in the computational
     /// basis; the state is *not* collapsed.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
@@ -776,34 +687,6 @@ impl QuantumState {
             *counts.entry(self.sample(rng)).or_insert(0usize) += 1;
         }
         counts.into_iter().collect()
-    }
-
-    /// Projects onto the subspace where the high `t` qubits equal `value`,
-    /// renormalizing. Returns the pre-projection probability of that
-    /// outcome, or 0.0 (leaving an unspecified state) if impossible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t > num_qubits` or `value >= 2^t`.
-    pub fn collapse_high(&mut self, t: usize, value: usize) -> f64 {
-        assert!(t <= self.num_qubits && value < (1 << t), "bad collapse");
-        let low = self.num_qubits - t;
-        let block = 1usize << low;
-        let mut kept = 0.0;
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            if i / block == value {
-                kept += a.norm_sqr();
-            } else {
-                *a = C_ZERO;
-            }
-        }
-        if kept > 0.0 {
-            let inv = 1.0 / kept.sqrt();
-            for a in &mut self.amps {
-                *a = a.scale(inv);
-            }
-        }
-        kept
     }
 }
 
@@ -834,14 +717,6 @@ mod tests {
     fn rejects_non_power_of_two_and_zero() {
         assert!(QuantumState::from_amplitudes(vec![C_ONE; 3]).is_err());
         assert!(QuantumState::from_amplitudes(vec![C_ZERO; 4]).is_err());
-    }
-
-    #[test]
-    fn amplitude_encode_pads() {
-        let s = QuantumState::amplitude_encode(&[C_ONE, C_ONE, C_ONE]).unwrap();
-        assert_eq!(s.dim(), 4);
-        assert!(s.probability(3) < 1e-12);
-        assert!((s.probability(0) - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -930,15 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn collapse_high_renormalizes() {
-        let mut s = QuantumState::zero_state(2);
-        s.apply_h(1).unwrap();
-        let p = s.collapse_high(1, 1);
-        assert!((p - 0.5).abs() < 1e-12);
-        assert!((s.probability(0b10) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn sampling_distribution_roughly_matches() {
         let mut s = QuantumState::zero_state(1);
         s.apply_h(0).unwrap();
@@ -971,62 +837,6 @@ mod tests {
         assert!(s.apply_h(2).is_err());
         assert!(s.apply_cnot(0, 5).is_err());
         assert!(s.apply_controlled_phase(0, 0, 1.0).is_err());
-    }
-
-    #[test]
-    fn probability_of_one_on_plus_state() {
-        let mut s = QuantumState::zero_state(2);
-        s.apply_h(1).unwrap();
-        assert!((s.probability_of_one(1) - 0.5).abs() < 1e-12);
-        assert!(s.probability_of_one(0) < 1e-12);
-    }
-
-    #[test]
-    fn measure_collapses_and_renormalizes() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..20 {
-            let mut s = QuantumState::zero_state(2);
-            s.apply_h(0).unwrap();
-            s.apply_cnot(0, 1).unwrap(); // Bell pair
-            let first = s.measure_qubit(0, &mut rng);
-            assert!((s.norm() - 1.0).abs() < 1e-12);
-            // Bell correlation: the second qubit must agree deterministically.
-            let second = s.measure_qubit(1, &mut rng);
-            assert_eq!(first, second);
-        }
-    }
-
-    #[test]
-    fn measurement_statistics_match_amplitudes() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let mut ones = 0usize;
-        let trials = 4000;
-        for _ in 0..trials {
-            let mut s =
-                QuantumState::from_amplitudes(vec![Complex64::real(0.6), Complex64::real(0.8)])
-                    .unwrap();
-            if s.measure_qubit(0, &mut rng) {
-                ones += 1;
-            }
-        }
-        let freq = ones as f64 / trials as f64;
-        assert!((freq - 0.64).abs() < 0.03, "frequency {freq}");
-    }
-
-    #[test]
-    fn expectation_of_pauli_z() {
-        let zm = CMatrix::from_diag(&[C_ONE, -C_ONE]);
-        let zero = QuantumState::zero_state(1);
-        assert!((zero.expectation(&zm).unwrap() - 1.0).abs() < 1e-12);
-        let mut plus = QuantumState::zero_state(1);
-        plus.apply_h(0).unwrap();
-        assert!(plus.expectation(&zm).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn expectation_checks_dimensions() {
-        let s = QuantumState::zero_state(2);
-        assert!(s.expectation(&CMatrix::identity(2)).is_err());
     }
 
     use rand::Rng;

@@ -243,31 +243,6 @@ pub fn zyz_decompose(u: &[[Complex64; 2]; 2]) -> Result<(f64, f64, f64, f64), Si
     Ok((alpha, beta, gamma, delta))
 }
 
-/// Rebuilds `e^{iα}·Rz(β)·Ry(γ)·Rz(δ)` as a 2×2 array (inverse of
-/// [`zyz_decompose`]; used by tests and by circuit emission).
-pub fn zyz_compose(alpha: f64, beta: f64, gamma: f64, delta: f64) -> [[Complex64; 2]; 2] {
-    use crate::gates::{ry, rz};
-    let a = rz(beta);
-    let b = ry(gamma);
-    let c = rz(delta);
-    // Multiply a·b·c.
-    let mul = |x: &[[Complex64; 2]; 2], y: &[[Complex64; 2]; 2]| {
-        let mut out = [[C_ZERO; 2]; 2];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = x[i][0] * y[0][j] + x[i][1] * y[1][j];
-            }
-        }
-        out
-    };
-    let abc = mul(&mul(&a, &b), &c);
-    let phase = Complex64::cis(alpha);
-    [
-        [abc[0][0] * phase, abc[0][1] * phase],
-        [abc[1][0] * phase, abc[1][1] * phase],
-    ]
-}
-
 /// Derived two-qubit-gate count for implementing a `dim × dim` unitary as
 /// two-level factors with Gray-code chains: each factor with Hamming
 /// distance `h` needs `2(h−1)` CNOT-chain steps plus one multi-controlled
@@ -295,6 +270,30 @@ mod tests {
     use crate::gates;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Rebuilds `e^{iα}·Rz(β)·Ry(γ)·Rz(δ)` as a 2×2 array (inverse of
+    /// [`zyz_decompose`]), the round-trip oracle of the tests below.
+    fn zyz_compose(alpha: f64, beta: f64, gamma: f64, delta: f64) -> [[Complex64; 2]; 2] {
+        let a = gates::rz(beta);
+        let b = gates::ry(gamma);
+        let c = gates::rz(delta);
+        // Multiply a·b·c.
+        let mul = |x: &[[Complex64; 2]; 2], y: &[[Complex64; 2]; 2]| {
+            let mut out = [[C_ZERO; 2]; 2];
+            for (i, row) in out.iter_mut().enumerate() {
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = x[i][0] * y[0][j] + x[i][1] * y[1][j];
+                }
+            }
+            out
+        };
+        let abc = mul(&mul(&a, &b), &c);
+        let phase = Complex64::cis(alpha);
+        [
+            [abc[0][0] * phase, abc[0][1] * phase],
+            [abc[1][0] * phase, abc[1][1] * phase],
+        ]
+    }
 
     #[test]
     fn two_level_reconstructs_random_unitaries() {
@@ -344,7 +343,6 @@ mod tests {
             ("z", gates::z()),
             ("s", gates::s()),
             ("t", gates::t()),
-            ("rx", gates::rx(0.7)),
             ("ry", gates::ry(1.3)),
             ("rz", gates::rz(2.1)),
             ("phase", gates::phase(0.4)),

@@ -83,13 +83,16 @@ impl DimPoint {
 
 impl ToJson for DimPoint {
     fn to_json(&self) -> Value {
-        if self.label == self.value.to_string() {
-            self.value.clone()
-        } else {
+        if self.label != self.value.to_string() {
             Value::Obj(vec![
                 ("value".into(), self.value.clone()),
                 ("label".into(), s(self.label.clone())),
             ])
+        } else if let Value::Obj(_) = self.value {
+            // A bare object would decode as the `{"value", "label"}` form.
+            Value::Obj(vec![("value".into(), self.value.clone())])
+        } else {
+            self.value.clone()
         }
     }
 }
@@ -664,6 +667,17 @@ mod tests {
             let again = SearchSpec::from_json(&spec.to_json()).unwrap();
             assert_eq!(spec, again, "{strategy}");
         }
+    }
+
+    #[test]
+    fn unlabelled_object_points_round_trip() {
+        let point = Value::parse(r#"{"value": {"density": {"depolarizing": 0.1}}}"#).unwrap();
+        let decoded = DimPoint::decode(&point, "backend").unwrap();
+        assert_eq!(decoded.label, decoded.value.to_string());
+        assert_eq!(
+            DimPoint::decode(&decoded.to_json(), "backend").unwrap(),
+            decoded
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use qsc_core::report::{SinkFormat, Table};
 use qsc_json::sha256::sha256_hex;
 use qsc_json::{JsonError, Value};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -314,11 +314,6 @@ impl ResultCache {
         std::fs::write(&tmp, envelope.pretty())?;
         std::fs::rename(&tmp, &path)?;
         Ok(())
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 

@@ -144,6 +144,8 @@ impl ExecHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz;
+    use qsc_linalg::CMatrix;
     use qsc_sim::remote::{circuit_to_json, rng_to_json};
     use qsc_sim::{Circuit, Op};
     use rand::rngs::StdRng;
@@ -238,15 +240,6 @@ mod tests {
         assert!(message.contains("chaining"), "{message}");
     }
 
-    /// Tiny splitmix64 step, the generator of `qsc_sim::http`'s fuzzer.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Valid exec requests: every op, both state forms, every hosted
     /// backend kind, and a circuit covering every op variant.
     fn fuzz_corpus() -> Vec<Value> {
@@ -270,7 +263,7 @@ mod tests {
             },
             Op::BlockUnitary {
                 control: Some(2),
-                matrix: Arc::new(qsc_sim::gates::as_matrix(&h)),
+                matrix: Arc::new(CMatrix::from_rows(&[h[0].to_vec(), h[1].to_vec()]).unwrap()),
             },
             Op::PhaseCascade {
                 block_qubits: 1,
@@ -340,79 +333,18 @@ mod tests {
         corpus
     }
 
-    /// Index paths to every node of `v`, in depth-first order.
-    fn fuzz_nodes(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        out.push(path.clone());
-        let children: Vec<&Value> = match v {
-            Value::Arr(items) => items.iter().collect(),
-            Value::Obj(fields) => fields.iter().map(|(_, item)| item).collect(),
-            _ => Vec::new(),
-        };
-        for (i, child) in children.into_iter().enumerate() {
-            path.push(i);
-            fuzz_nodes(child, path, out);
-            path.pop();
-        }
-    }
-
-    fn fuzz_node_mut<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
-        path.iter().fold(v, |v, &i| match v {
-            Value::Arr(items) => &mut items[i],
-            Value::Obj(fields) => &mut fields[i].1,
-            _ => unreachable!("paths only descend into containers"),
-        })
-    }
-
-    /// One random edit of `doc`: a number swapped for an edge value, a
-    /// node of another type, a field dropped or added, a kind or op name
-    /// swapped, or one node grafted over another.
-    fn fuzz_mutate(doc: &mut Value, state: &mut u64) {
-        const NUMBERS: [f64; 6] = [-1.0, 0.0, 40.0, 64.0, 9_007_199_254_740_992.0, 1e300];
-        const NAMES: [&str; 8] = [
-            "run",
-            "sample",
-            "phase_distribution",
-            "estimate_probability",
-            "statevector",
-            "fused_statevector",
-            "statevctor",
-            "noisy",
-        ];
-        let mut nodes = Vec::new();
-        fuzz_nodes(doc, &mut Vec::new(), &mut nodes);
-        let r = splitmix(state);
-        let path = &nodes[(r >> 8) as usize % nodes.len()];
-        let pick = (r >> 32) as usize;
-        let graft = fuzz_node_mut(doc, &nodes[pick % nodes.len()]).clone();
-        let node = fuzz_node_mut(doc, path);
-        match r % 5 {
-            0 => *node = Value::Num(NUMBERS[pick % NUMBERS.len()]),
-            1 => {
-                *node = [
-                    Value::Null,
-                    Value::Bool(true),
-                    Value::Str("x".into()),
-                    Value::Arr(Vec::new()),
-                    Value::Obj(Vec::new()),
-                    Value::Num(0.5),
-                ][pick % 6]
-                    .clone()
-            }
-            2 => *node = Value::Str(NAMES[pick % NAMES.len()].into()),
-            3 => match node {
-                Value::Obj(fields) if pick.is_multiple_of(2) && !fields.is_empty() => {
-                    fields.remove(pick / 2 % fields.len());
-                }
-                Value::Obj(fields) => fields.push(("extra".into(), Value::Num(1.0))),
-                Value::Arr(items) if pick.is_multiple_of(2) => {
-                    items.pop();
-                }
-                Value::Arr(items) => items.push(graft),
-                _ => *node = graft,
-            },
-            _ => *node = graft,
-        }
-    }
+    /// Op and backend names, one of them misspelt, for the name swaps of
+    /// [`fuzz::mutate`].
+    const EXEC_NAMES: [&str; 8] = [
+        "run",
+        "sample",
+        "phase_distribution",
+        "estimate_probability",
+        "statevector",
+        "fused_statevector",
+        "statevctor",
+        "noisy",
+    ];
 
     /// Mutated exec requests reach `BackendConfig::from_json`, the build
     /// and `remote::execute` the way an executor serves them, and must come
@@ -425,8 +357,8 @@ mod tests {
         let mut state = 0x4558_4543u64;
         for case in 0..20000 {
             let mut doc = corpus[case % corpus.len()].clone();
-            for _ in 0..1 + splitmix(&mut state) % 4 {
-                fuzz_mutate(&mut doc, &mut state);
+            for _ in 0..1 + fuzz::splitmix(&mut state) % 4 {
+                fuzz::mutate(&mut doc, &mut state, &EXEC_NAMES);
             }
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let config = match doc.get("backend").map(BackendConfig::from_json) {

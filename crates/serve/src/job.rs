@@ -219,15 +219,10 @@ pub struct JobSystem {
 
 impl JobSystem {
     /// Starts `workers` pool threads over a bounded queue of
-    /// `queue_capacity` pending jobs. Zero workers is legal (useful to
-    /// test backpressure: nothing ever drains).
-    pub fn start(cache: ResultCache, workers: usize, queue_capacity: usize) -> Arc<JobSystem> {
-        JobSystem::start_with_fleet(cache, workers, queue_capacity, Vec::new())
-    }
-
-    /// [`JobSystem::start`], with sweeps fanning their grid points across
-    /// the `executors` fleet (`host:port` addresses, round-robin with
-    /// retry-elsewhere). An empty fleet runs sweeps locally.
+    /// `queue_capacity` pending jobs, with sweeps fanning their grid points
+    /// across the `executors` fleet (`host:port` addresses, round-robin
+    /// with retry-elsewhere). An empty fleet runs sweeps locally. Zero
+    /// workers is legal (useful to test backpressure: nothing ever drains).
     pub fn start_with_fleet(
         cache: ResultCache,
         workers: usize,

@@ -43,3 +43,6 @@ pub use cache::{cache_key, code_version, CachedResult, ResultCache, CACHE_EPOCH}
 pub use exec::{ExecError, ExecHost};
 pub use job::{Job, JobSnapshot, JobSystem, Phase, SubmitError};
 pub use server::{ServeConfig, ServeError, Server};
+
+#[cfg(test)]
+mod fuzz;

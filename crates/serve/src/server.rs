@@ -338,31 +338,9 @@ fn handle_submit(
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return fail(stream, 400, "body is not UTF-8");
     };
-    // Strict validation: the same qsc-json parser the binary uses, so a
-    // syntax error answers with its exact line/col message and a typo'd
-    // field with the unknown-field rejection.
-    let spec = match ExperimentSpec::parse(text) {
-        Ok(spec) => spec,
-        Err(e) => return fail(stream, 400, &format!("invalid spec: {e}")),
-    };
-    let is_search = matches!(spec.kind, qsc_bench::spec::ExperimentKind::Search(_));
-    match endpoint {
-        SubmitKind::Sweep if is_search => {
-            let message = "has kind `search`: submit it to POST /v1/searches";
-            return fail(stream, 400, &format!("spec `{}` {message}", spec.name));
-        }
-        SubmitKind::Search if !is_search => {
-            let message = "is not a search (kind must be `search`): submit it to POST /v1/sweeps";
-            return fail(stream, 400, &format!("spec `{}` {message}", spec.name));
-        }
-        _ => {}
-    }
-    // Key over the *normalized* document (the spec's own round-tripped
-    // JSON), so formatting, key order and spelled-out defaults never
-    // split the cache.
-    let key = match cache_key(&spec.to_json(), &code_version(), scale.name()) {
-        Ok(key) => key,
-        Err(e) => return fail(stream, 500, &format!("cannot canonicalize spec: {e}")),
+    let (spec, key) = match validate_submission(text, endpoint, scale) {
+        Ok(accepted) => accepted,
+        Err((status, message)) => return fail(stream, status, &message),
     };
     match jobs.submit(spec, key, scale) {
         Ok(job) => {
@@ -388,6 +366,42 @@ fn handle_submit(
             &[format!("Retry-After: {retry_after_s}")],
             &error_body("queue full, retry later"),
         ),
+    }
+}
+
+/// What a submission does before anything is queued: the strict parse,
+/// the endpoint check and the cache key. An `Err` carries the status and
+/// message the client is answered with.
+fn validate_submission(
+    text: &str,
+    endpoint: SubmitKind,
+    scale: Scale,
+) -> Result<(ExperimentSpec, String), (u16, String)> {
+    // Strict validation: the same qsc-json parser the binary uses, so a
+    // syntax error answers with its exact line/col message and a typo'd
+    // field with the unknown-field rejection.
+    let spec = match ExperimentSpec::parse(text) {
+        Ok(spec) => spec,
+        Err(e) => return Err((400, format!("invalid spec: {e}"))),
+    };
+    let is_search = matches!(spec.kind, qsc_bench::spec::ExperimentKind::Search(_));
+    match endpoint {
+        SubmitKind::Sweep if is_search => {
+            let message = "has kind `search`: submit it to POST /v1/searches";
+            return Err((400, format!("spec `{}` {message}", spec.name)));
+        }
+        SubmitKind::Search if !is_search => {
+            let message = "is not a search (kind must be `search`): submit it to POST /v1/sweeps";
+            return Err((400, format!("spec `{}` {message}", spec.name)));
+        }
+        _ => {}
+    }
+    // Key over the *normalized* document (the spec's own round-tripped
+    // JSON), so formatting, key order and spelled-out defaults never
+    // split the cache.
+    match cache_key(&spec.to_json(), &code_version(), scale.name()) {
+        Ok(key) => Ok((spec, key)),
+        Err(e) => Err((500, format!("cannot canonicalize spec: {e}"))),
     }
 }
 
@@ -498,5 +512,87 @@ fn handle_stream(stream: &mut TcpStream, job: &Arc<Job>) -> std::io::Result<()> 
         if terminal {
             return finish_chunks(stream);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fuzz;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Spec kinds, graph families, metrics, backends and strategies, one
+    /// of them misspelt, for the name swaps of [`fuzz::mutate`].
+    const SPEC_NAMES: [&str; 12] = [
+        "pipeline",
+        "search",
+        "embedding",
+        "trotter",
+        "dsbm",
+        "circles",
+        "quantum_circles",
+        "dsmb",
+        "matched_accuracy",
+        "statevector",
+        "density",
+        "successive_halving",
+    ];
+
+    /// Every shipped spec, as parsed JSON, in file-name order.
+    fn spec_corpus() -> Vec<Value> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        paths.sort();
+        paths
+            .iter()
+            .map(|path| Value::parse(&std::fs::read_to_string(path).unwrap()).unwrap())
+            .collect()
+    }
+
+    /// Mutated specs go through what `POST /v1/sweeps` and
+    /// `POST /v1/searches` do before anything is queued (parse, endpoint
+    /// check, `to_json`, cache key) and must come back as a key or a typed
+    /// `400`: no panic, no `500`. An accepted spec re-parses from its own
+    /// JSON to the same JSON.
+    #[test]
+    fn mutated_specs_yield_cache_keys_or_typed_errors_only() {
+        let corpus = spec_corpus();
+        assert!(corpus.len() >= 17, "{} specs", corpus.len());
+        let mut state = 0x5350_4543u64;
+        let mut accepted = 0usize;
+        for case in 0..20_000 {
+            let mut doc = corpus[case % corpus.len()].clone();
+            for _ in 0..1 + fuzz::splitmix(&mut state) % 4 {
+                fuzz::mutate(&mut doc, &mut state, &SPEC_NAMES);
+            }
+            let text = doc.to_string();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                [SubmitKind::Sweep, SubmitKind::Search]
+                    .map(|endpoint| validate_submission(&text, endpoint, Scale::Quick))
+            }));
+            let Ok(results) = outcome else {
+                panic!("case {case} panicked on {text}");
+            };
+            for result in results {
+                match result {
+                    Ok((spec, _key)) => {
+                        let json = spec.to_json();
+                        let again = ExperimentSpec::parse(&json.to_string())
+                            .unwrap_or_else(|e| panic!("case {case}: {e} re-parsing {json}"));
+                        assert_eq!(again.to_json(), json, "case {case}");
+                        accepted += 1;
+                    }
+                    Err((status, message)) => {
+                        assert_eq!(status, 400, "case {case}: {message} on {text}");
+                    }
+                }
+            }
+        }
+        // Each accepted case passes exactly one of the two endpoints.
+        assert!(accepted > 1000, "only {accepted} of 20000 mutants parsed");
     }
 }

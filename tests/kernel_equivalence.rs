@@ -16,8 +16,6 @@
 //!   phase at every qubit position (stride edges), and the matrix kernels
 //!   (`matmul`, `matvec`, `gram`) against in-test naive scalar loops —
 //!   pinning the *wiring*, not just the kernels;
-//! * the one documented ULP-bound kernel, `dot_unordered`, against its
-//!   reassociation error bound `|Δ| ≤ 2·n·ε·Σ|x_i|·|y_i|`;
 //! * the dense Hermitian eigensolver (`tridiagonalize`, `tql_implicit`,
 //!   `eigh`, `eigvalsh`) against a private copy of its original
 //!   column-strided loops — `d`, `e`, `Q`, eigenvalues and eigenvectors
@@ -42,8 +40,7 @@ use qsc_suite::linalg::eig::{
     eigh, eigh_jacobi, eigh_spectrum, eigvalsh, tql_implicit, tridiagonalize,
 };
 use qsc_suite::linalg::kernels::{
-    self, axpy_with, cdot_with, dot_unordered_with, dot_with, gate2_with, scale_with, Gate2,
-    KernelTier,
+    self, axpy_with, cdot_with, dot_with, gate2_with, scale_with, Gate2, KernelTier,
 };
 use qsc_suite::linalg::{CMatrix, Complex64, LinalgError, C_ONE, C_ZERO};
 use qsc_suite::sim::QuantumState;
@@ -327,33 +324,6 @@ fn nan_propagation_matches_scalar_positions() {
                     &context("cdot", tier),
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn dot_unordered_stays_within_the_documented_ulp_bound() {
-    // The one reassociated kernel: |Δ| ≤ 2·n·ε·Σ|x_i|·|y_i| per component
-    // against the ordered scalar reduction (docs/KERNELS.md).
-    let mut rng = StdRng::seed_from_u64(107);
-    for &len in AWKWARD_LENS {
-        let x = random_vec(len, &mut rng);
-        let y = random_vec(len, &mut rng);
-        let reference = dot_with(KernelTier::Scalar, &x, &y);
-        let bound = 2.0
-            * len as f64
-            * f64::EPSILON
-            * x.iter()
-                .zip(&y)
-                .map(|(a, b)| a.abs() * b.abs())
-                .sum::<f64>();
-        for tier in available_tiers() {
-            let got = dot_unordered_with(tier, &x, &y);
-            let diff = (got - reference).abs();
-            assert!(
-                diff <= bound,
-                "dot_unordered len {len} tier {tier}: |Δ| = {diff:e} > bound {bound:e}"
-            );
         }
     }
 }
@@ -1207,23 +1177,6 @@ proptest! {
         state.apply_controlled_block_unitary(&u, None).expect("fits");
         for (i, (g, w)) in state.amplitudes().iter().zip(&want).enumerate() {
             prop_assert_eq!(bits(*g), bits(*w), "amplitude {}", i);
-        }
-    }
-
-    #[test]
-    fn prop_dot_unordered_within_bound(
-        seed in 0u64..1_000_000,
-        len in 1usize..300,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = random_vec(len, &mut rng);
-        let y = random_vec(len, &mut rng);
-        let reference = dot_with(KernelTier::Scalar, &x, &y);
-        let bound = 2.0 * len as f64 * f64::EPSILON
-            * x.iter().zip(&y).map(|(a, b)| a.abs() * b.abs()).sum::<f64>();
-        for tier in available_tiers() {
-            let diff = (dot_unordered_with(tier, &x, &y) - reference).abs();
-            prop_assert!(diff <= bound, "tier {}: {:e} > {:e}", tier, diff, bound);
         }
     }
 

@@ -195,23 +195,6 @@ proptest! {
     }
 
     #[test]
-    fn lu_solve_round_trips(seed in 0u64..100_000, n in 1usize..10) {
-        use qsc_suite::linalg::lu::solve;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = CMatrix::random_hermitian(n, &mut rng);
-        // Shift to make it comfortably non-singular.
-        let shifted = CMatrix::from_fn(n, n, |i, j| {
-            if i == j { a[(i, j)] + Complex64::real(10.0) } else { a[(i, j)] }
-        });
-        let x_true = CMatrix::random(n, 1, &mut rng).col(0);
-        let b = shifted.matvec(&x_true);
-        let x = solve(&shifted, &b).expect("solve");
-        for (got, want) in x.iter().zip(&x_true) {
-            prop_assert!((*got - *want).abs() < 1e-7);
-        }
-    }
-
-    #[test]
     fn noisy_similarity_graph_bounded_by_margin(
         seed in 0u64..100_000,
         eps in 0.0f64..0.05,
