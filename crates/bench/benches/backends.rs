@@ -3,8 +3,7 @@
 //! Two groups:
 //!
 //! * `backend_exec` — compiled QPE-circuit execution on the `Statevector`
-//!   backend, unfused vs gate-fused, plus the pooled-buffer batch loop the
-//!   `run_many` fan-out exercises.
+//!   backend.
 //! * `noise_curve` — the recorded, seeded accuracy-degradation curve: the
 //!   full quantum pipeline on a flow-DSBM instance across depolarizing /
 //!   readout noise levels, with the matched accuracy embedded in the
@@ -25,8 +24,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 /// Compiled 12-qubit QPE circuit (4 system + 8 phase bits) executed on the
-/// statevector backend: verbatim vs gate-fused, and with buffer-pool reuse
-/// across a batch of basis states.
+/// statevector backend.
 fn bench_backend_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_exec");
     group.sample_size(10);
@@ -40,40 +38,9 @@ fn bench_backend_exec(c: &mut Criterion) {
     group.bench_function("qpe12_statevector", |b| {
         let mut rng = StdRng::seed_from_u64(3);
         b.iter(|| {
-            let state = plain
+            plain
                 .execute(black_box(&circuit), 5, &mut rng)
-                .expect("run");
-            plain.recycle(state);
-        })
-    });
-    let fused = Statevector::fused();
-    group.bench_function("qpe12_statevector_fused", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| {
-            let state = fused
-                .execute(black_box(&circuit), 5, &mut rng)
-                .expect("run");
-            fused.recycle(state);
-        })
-    });
-    // 16-execution batch with recycle (pooled) vs without (fresh allocs).
-    group.bench_function("qpe12_batch16_pooled", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| {
-            for basis in 0..16usize {
-                let state = plain.execute(&circuit, basis, &mut rng).expect("run");
-                plain.recycle(state);
-            }
-        })
-    });
-    group.bench_function("qpe12_batch16_unpooled", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| {
-            for basis in 0..16usize {
-                let backend = Statevector::new(); // cold pool every time
-                let state = backend.execute(&circuit, basis, &mut rng).expect("run");
-                drop(state);
-            }
+                .expect("run")
         })
     });
     group.finish();

@@ -254,9 +254,11 @@ fn run_remote(url: &str, specs: &[ExperimentSpec], args: &Args) -> Result<(), Cl
 }
 
 fn run(args: &Args) -> Result<(), CliError> {
-    // A typo'd or unsupported QSC_KERNELS is the caller's mistake: reject
-    // it up front (exit 2) instead of silently running another tier.
+    // A typo'd or unsupported QSC_KERNELS, or a QSC_STATE_BUDGET_BYTES that
+    // is not a byte count, is the caller's mistake: reject it up front
+    // (exit 2) instead of silently running another tier or budget.
     qsc_linalg::kernels::validate().map_err(|e| CliError::Usage(e.to_string()))?;
+    qsc_sim::budget::validate_state_budget().map_err(|e| CliError::Usage(e.to_string()))?;
     let all = load_all(args)?;
     if args.list {
         // The listing always shows the full name-addressable set —

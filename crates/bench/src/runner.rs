@@ -377,7 +377,7 @@ fn backend_fields<'v>(
             backend_fields(inner, field(field(json, "remote"), "inner"))
         }
         BackendConfig::Shots { .. } => Ok(json),
-        BackendConfig::Statevector | BackendConfig::FusedStatevector => Err(format!(
+        BackendConfig::Statevector => Err(format!(
             "the configured `{}` backend has no fields",
             config.kind_name()
         )),
@@ -1416,12 +1416,7 @@ mod tests {
             ("{}", "quantum.nope", "1", None),
             ("{}", "quantum.delta", "true", None),
             // Backends: the kind, then the fields of the selected kind.
-            (
-                "{}",
-                "backend",
-                r#""fused_statevector""#,
-                Some(r#"{"backend": "fused_statevector"}"#),
-            ),
+            ("{}", "backend", r#""fused_statevector""#, None),
             ("{}", "backend", r#""statevctor""#, None),
             (
                 r#"{"backend": {"density": {}}}"#,

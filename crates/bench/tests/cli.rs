@@ -189,3 +189,48 @@ fn bogus_kernel_tier_exits_2_with_named_error() {
         assert!(out_dir.join("cli_tiny.csv").exists());
     }
 }
+
+/// A `QSC_STATE_BUDGET_BYTES` that is not a byte count is a usage error:
+/// named message on stderr, exit 2, and no sweep runs on a silent 4 GiB
+/// default. A valid count runs the sweep to completion.
+#[test]
+fn bogus_state_budget_exits_2_with_named_error() {
+    let root = tmp_dir("budget-env");
+    let spec = write_tiny_spec(&root);
+
+    for bad in ["4GiB", "-1", ""] {
+        let out_dir = root.join("out-bad");
+        let bogus = experiments()
+            .env("QSC_STATE_BUDGET_BYTES", bad)
+            .args(["--spec"])
+            .arg(&spec)
+            .args(["--out-dir"])
+            .arg(&out_dir)
+            .output()
+            .expect("binary runs");
+        assert_eq!(bogus.status.code(), Some(2), "{bad:?}");
+        let stderr = String::from_utf8_lossy(&bogus.stderr);
+        assert!(
+            stderr.contains("QSC_STATE_BUDGET_BYTES"),
+            "names the variable: {stderr}"
+        );
+        assert!(stderr.contains(bad), "names the bad value: {stderr}");
+        assert!(!out_dir.exists(), "no sweep ran for {bad:?}");
+    }
+
+    let out_dir = root.join("out-good");
+    let good = experiments()
+        .env("QSC_STATE_BUDGET_BYTES", "1073741824")
+        .args(["--spec"])
+        .arg(&spec)
+        .args(["--out-dir"])
+        .arg(&out_dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        good.status.success(),
+        "{}",
+        String::from_utf8_lossy(&good.stderr)
+    );
+    assert!(out_dir.join("cli_tiny.csv").exists());
+}

@@ -569,32 +569,52 @@ mod tests {
     #[test]
     fn pool_threads_are_persistent_across_calls() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
+        use std::sync::atomic::AtomicBool;
+        use std::time::Instant;
         // The registry is a single global instance, and its workers are
         // long-lived named threads — every non-caller thread observed
         // running our tasks must be one of them. (Counting *distinct* ids
         // would be flaky: other concurrently running tests' callers can
         // legitimately steal our jobs while they wait on their own.)
         assert!(std::ptr::eq(registry(), registry()), "one global registry");
+        let pooled = registry().num_pool_threads() > 0;
         let names = Mutex::new(HashSet::new());
-        for _ in 0..4 {
+        let pool_ran = AtomicBool::new(false);
+        // At least four calls; with a pool, more until a pool worker has
+        // run a task or 30 s have passed.
+        let started = Instant::now();
+        let mut calls = 0;
+        while calls < 4
+            || (pooled
+                && !pool_ran.load(Ordering::SeqCst)
+                && started.elapsed() < Duration::from_secs(30))
+        {
+            calls += 1;
+            // A task on any other thread holds that thread until a pool
+            // worker has run a task, so the caller cannot drain the queue
+            // alone. The hold is bounded per call: another test's waiting
+            // caller may have taken this call's only helper job, and the
+            // next call then injects a fresh one.
+            let deadline = Instant::now() + Duration::from_millis(250);
             let mut data = vec![0u8; 4096];
-            data.par_chunks_mut(64).for_each(|chunk| {
-                // Enough work per task that the woken pool workers get a
-                // share before the caller drains the queue alone.
-                for _ in 0..20_000 {
-                    std::hint::black_box(&mut *chunk);
-                }
+            data.par_chunks_mut(64).for_each(|_| {
                 let name = std::thread::current()
                     .name()
                     .map(str::to_owned)
                     .unwrap_or_default();
+                if name.starts_with("rayon-compat-") {
+                    pool_ran.store(true, Ordering::SeqCst);
+                } else if pooled {
+                    while !pool_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
                 names.lock().unwrap().insert(name);
             });
         }
-        if registry().num_pool_threads() > 0 {
-            // With standing workers available, at least one task of the
-            // four calls must have run on a persistent pool thread.
+        if pooled {
+            // With standing workers available, at least one task of these
+            // calls must have run on a persistent pool thread.
             let names = names.lock().unwrap();
             assert!(
                 names.iter().any(|n| n.starts_with("rayon-compat-")),

@@ -97,8 +97,6 @@ pub enum BackendConfig {
     /// Exact, noiseless state-vector execution (the default).
     #[default]
     Statevector,
-    /// Statevector execution with the gate-fusion compile pass enabled.
-    FusedStatevector,
     /// Depolarizing + readout-error statevector simulation (seeded
     /// Monte-Carlo trajectories).
     Noisy {
@@ -138,7 +136,6 @@ impl BackendConfig {
     pub fn kind_name(&self) -> &'static str {
         match self {
             BackendConfig::Statevector => "statevector",
-            BackendConfig::FusedStatevector => "fused_statevector",
             BackendConfig::Noisy { .. } => "noisy",
             BackendConfig::Density { .. } => "density",
             BackendConfig::Shots { .. } => "shots",
@@ -178,7 +175,6 @@ impl BackendConfig {
         };
         match *self {
             BackendConfig::Statevector => Ok(Arc::new(Statevector::new())),
-            BackendConfig::FusedStatevector => Ok(Arc::new(Statevector::fused())),
             BackendConfig::Noisy {
                 depolarizing,
                 readout_flip,
@@ -243,7 +239,6 @@ impl ToJson for BackendConfig {
         };
         match self {
             BackendConfig::Statevector => Value::Str("statevector".into()),
-            BackendConfig::FusedStatevector => Value::Str("fused_statevector".into()),
             BackendConfig::Noisy {
                 depolarizing,
                 readout_flip,
@@ -278,11 +273,10 @@ impl FromJson for BackendConfig {
         match value {
             Value::Str(name) => match name.as_str() {
                 "statevector" => Ok(BackendConfig::Statevector),
-                "fused_statevector" => Ok(BackendConfig::FusedStatevector),
                 other => Err(JsonError::msg(format!(
                     "backend: unknown backend `{other}` (expected statevector | \
-                     fused_statevector | {{\"noisy\": …}} | {{\"density\": …}} | \
-                     {{\"shots\": …}} | {{\"remote\": …}})"
+                     {{\"noisy\": …}} | {{\"density\": …}} | {{\"shots\": …}} | \
+                     {{\"remote\": …}})"
                 ))),
             },
             Value::Obj(_) => {
@@ -459,7 +453,6 @@ mod tests {
     fn backend_config_json_round_trips() {
         let configs = [
             BackendConfig::Statevector,
-            BackendConfig::FusedStatevector,
             BackendConfig::Noisy {
                 depolarizing: 0.05,
                 readout_flip: 0.01,
@@ -491,6 +484,16 @@ mod tests {
         ] {
             let v = Value::parse(bad).unwrap();
             assert!(BackendConfig::from_json(&v).is_err(), "accepted {bad}");
+        }
+        // A retired kind is an unknown name, and the error lists the five
+        // live kinds.
+        let err = BackendConfig::from_json(&Value::Str("fused_statevector".into())).unwrap_err();
+        assert!(
+            err.message.contains("unknown backend `fused_statevector`"),
+            "{err}"
+        );
+        for kind in ["statevector", "noisy", "density", "shots", "remote"] {
+            assert!(err.message.contains(kind), "{err} lists {kind}");
         }
     }
 
@@ -572,7 +575,6 @@ mod tests {
     fn backend_config_builds_named_backends() {
         let name = |cfg: BackendConfig| cfg.build().expect("valid config").name();
         assert_eq!(name(BackendConfig::default()), "statevector");
-        assert_eq!(name(BackendConfig::FusedStatevector), "statevector_fused");
         assert_eq!(
             name(BackendConfig::Noisy {
                 depolarizing: 0.1,

@@ -386,8 +386,8 @@ impl Pipeline {
         self
     }
 
-    /// Like [`Pipeline::backend`] but sharing an existing backend (and its
-    /// state-buffer pool) across pipelines.
+    /// Like [`Pipeline::backend`] but sharing an existing backend across
+    /// pipelines.
     pub fn backend_shared(mut self, backend: Arc<dyn Backend>) -> Self {
         self.backend = backend;
         self

@@ -372,7 +372,6 @@ pub fn gate_level_projected_row_on(
     // Threshold: zero every amplitude whose phase bin maps to λ > ν.
     let bins = 1usize << t;
     let mut kept = Vec::from(state.amplitudes());
-    backend.recycle(state);
     for (idx, amp) in kept.iter_mut().enumerate() {
         let m = idx >> s;
         let lambda = scale * m as f64 / bins as f64;
@@ -405,7 +404,6 @@ pub fn gate_level_projected_row_on(
         .iter()
         .map(|z| z.scale(norm))
         .collect();
-    backend.recycle(state);
     Ok(out)
 }
 

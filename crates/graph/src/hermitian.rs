@@ -9,7 +9,7 @@
 //! evaluation interpolates between the two.
 
 use crate::mixed::MixedGraph;
-use qsc_linalg::{CMatrix, Complex64, CsrMatrix, C_ZERO};
+use qsc_linalg::{CMatrix, Complex64, CsrMatrix};
 use std::f64::consts::TAU;
 
 /// The classical rotation parameter: arcs become `±i`.
@@ -187,41 +187,6 @@ pub fn incidence_matrix(g: &MixedGraph, q: f64) -> CMatrix {
     b
 }
 
-/// Row-normalized incidence matrix: each non-zero row divided by its ℓ2
-/// norm, with zeros optionally replaced by a small `epsilon_b > 0` (the
-/// paper-line trick that keeps the amplitude-amplification cost of quantum
-/// access bounded by `O(1/ε_B)`).
-///
-/// With `epsilon_b = 0.0` this is the plain row normalization. The dense
-/// form of the `ε_B` access model `qsc_core::cost::quantum_cost` prices.
-pub fn normalized_incidence_matrix(g: &MixedGraph, q: f64, epsilon_b: f64) -> CMatrix {
-    let b = incidence_matrix(g, q);
-    let n = b.nrows();
-    let m = b.ncols();
-    CMatrix::from_fn(n, m, |i, j| {
-        let row = b.row(i);
-        let norm: f64 = row.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-        let val = b[(i, j)];
-        let filled = if val == C_ZERO && epsilon_b > 0.0 {
-            Complex64::real(epsilon_b)
-        } else {
-            val
-        };
-        if norm > 0.0 {
-            // Normalize by the norm of the ε-filled row so rows stay unit.
-            let filled_norm = {
-                let zeros = row.iter().filter(|z| **z == C_ZERO).count() as f64;
-                (norm * norm + zeros * epsilon_b * epsilon_b).sqrt()
-            };
-            filled.scale(1.0 / filled_norm)
-        } else if epsilon_b > 0.0 {
-            Complex64::real(1.0 / (m as f64).sqrt())
-        } else {
-            C_ZERO
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,31 +300,6 @@ mod tests {
         for i in 0..8 {
             let row_abs: f64 = h.row(i).iter().map(|z| z.abs()).sum();
             assert!((d[(i, i)].re - row_abs).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn normalized_incidence_rows_unit_norm() {
-        let g = random_mixed(8, 7);
-        let nb = normalized_incidence_matrix(&g, 0.25, 0.0);
-        for i in 0..nb.nrows() {
-            let norm: f64 = nb.row(i).iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-            // Rows of isolated vertices are zero; all others unit.
-            assert!(norm.abs() < 1e-12 || (norm - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn epsilon_filled_incidence_rows_unit_norm() {
-        let g = random_mixed(8, 8);
-        let nb = normalized_incidence_matrix(&g, 0.25, 0.1);
-        for i in 0..nb.nrows() {
-            let norm: f64 = nb.row(i).iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
-            assert!((norm - 1.0).abs() < 1e-9, "row {i} norm = {norm}");
-            // No exact zeros remain.
-            for z in nb.row(i) {
-                assert!(z.abs() > 0.0);
-            }
         }
     }
 

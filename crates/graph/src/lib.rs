@@ -50,6 +50,6 @@ pub use error::GraphError;
 pub use hermitian::{
     degree_matrix, hermitian_adjacency, hermitian_adjacency_csr, hermitian_laplacian,
     hermitian_laplacian_csr, incidence_matrix, normalized_hermitian_laplacian,
-    normalized_hermitian_laplacian_csr, normalized_incidence_matrix, Q_CLASSICAL,
+    normalized_hermitian_laplacian_csr, Q_CLASSICAL,
 };
 pub use mixed::{Arc, Edge, MixedGraph};

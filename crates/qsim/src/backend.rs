@@ -20,11 +20,6 @@
 //!   replaced by finite-shot measurement statistics (`shots` draws), the
 //!   regime a real device operates in.
 //!
-//! State buffers are drawn from a per-backend [`BufferPool`] via
-//! [`Backend::prepare`] and returned with [`Backend::recycle`], so batched
-//! runs (`Pipeline::run_many` fan-outs) reuse allocations instead of
-//! re-allocating `2^n`-amplitude vectors per instance.
-//!
 //! # Examples
 //!
 //! ```
@@ -48,25 +43,18 @@
 //! let state = noisy.execute(&bell, 0, &mut rng)?;
 //! let counts = noisy.sample(&state, 100, &mut rng)?;
 //! assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), 100);
-//! ideal.recycle(state);
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::circuit::Circuit;
-use crate::compile::fuse_single_qubit;
 use crate::error::SimError;
 use crate::gates;
 use crate::qpe::qpe_phase_distribution;
 use crate::sampling::multinomial_counts;
 use crate::state::QuantumState;
-use qsc_linalg::{Complex64, C_ONE, C_ZERO};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::sync::Mutex;
-
-/// Upper bound on buffers a pool retains (excess is dropped on recycle).
-const MAX_POOLED: usize = 32;
 
 /// Post-run norm-drift tolerance for pure-state backends. Circuits are
 /// unitary, so drift beyond this indicates numerical corruption.
@@ -85,44 +73,6 @@ pub(crate) fn injected_run_fault() -> Result<(), SimError> {
     }
 }
 
-/// A pool of amplitude buffers shared across executions; `prepare` pops a
-/// buffer (re-using its allocation), `recycle` pushes it back.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    buffers: Mutex<Vec<Vec<Complex64>>>,
-}
-
-impl BufferPool {
-    /// Pops a zeroed buffer of length `dim`, reusing a pooled allocation
-    /// when one is large enough.
-    pub fn acquire(&self, dim: usize) -> Vec<Complex64> {
-        let mut pool = self.buffers.lock().expect("buffer pool poisoned");
-        if let Some(pos) = pool.iter().position(|b| b.capacity() >= dim) {
-            let mut buf = pool.swap_remove(pos);
-            drop(pool);
-            buf.clear();
-            buf.resize(dim, C_ZERO);
-            buf
-        } else {
-            drop(pool);
-            vec![C_ZERO; dim]
-        }
-    }
-
-    /// Returns a buffer to the pool (dropped if the pool is full).
-    pub fn release(&self, buf: Vec<Complex64>) {
-        let mut pool = self.buffers.lock().expect("buffer pool poisoned");
-        if pool.len() < MAX_POOLED {
-            pool.push(buf);
-        }
-    }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.buffers.lock().expect("buffer pool poisoned").len()
-    }
-}
-
 /// Gate count of one `t`-bit QPE register pass (H wall, one controlled
 /// power per bit, inverse QFT) — the depth proxy the noisy backend's
 /// analytic depolarizing model uses.
@@ -131,19 +81,18 @@ pub fn qpe_register_gate_count(t: usize) -> usize {
     t + t + t * t.saturating_sub(1) / 2 + t / 2 + t
 }
 
-/// An execution backend: prepares (pooled) states, runs compiled circuits,
+/// An execution backend: prepares states, runs compiled circuits,
 /// and produces the measurement statistics every probability read in the
 /// pipeline goes through.
 ///
 /// # Contract
 ///
-/// The execution lifecycle is **prepare → run → sample/read → recycle**,
-/// always against the *same* backend instance:
+/// The execution lifecycle is **prepare → run → sample/read**, always
+/// against the *same* backend instance:
 ///
 /// 1. [`prepare`](Backend::prepare) hands out this backend's execution
-///    representation of `|basis⟩` with its buffer drawn from the backend's
-///    [`BufferPool`]. For the statevector family that is a plain
-///    `num_qubits`-qubit amplitude vector; the density-matrix backend
+///    representation of `|basis⟩`. For the statevector family that is a
+///    plain `num_qubits`-qubit amplitude vector; the density-matrix backend
 ///    returns a *vectorized `ρ`* on `2·num_qubits` qubits (see
 ///    [`pure_state`](Backend::pure_state)). Treat the state as opaque
 ///    between calls — only this backend knows its layout.
@@ -151,16 +100,12 @@ pub fn qpe_register_gate_count(t: usize) -> usize {
 ///    applying whatever noise model the backend implements.
 /// 3. [`sample`](Backend::sample) reads measurement statistics without
 ///    collapsing the state.
-/// 4. [`recycle`](Backend::recycle) returns the buffer to the pool so the
-///    next [`prepare`](Backend::prepare) reuses the allocation (batched
-///    `run_many` fan-outs allocate `2^n` amplitudes once, not per
-///    instance).
 ///
 /// All randomness is drawn from the caller's RNG, so **every backend is
 /// deterministic given a seed**; a backend that draws nothing (the exact
 /// ones) must leave the RNG untouched. Implementations must be
-/// `Send + Sync`: the batch runner shares one backend (and its buffer
-/// pool) across worker threads.
+/// `Send + Sync`: the batch runner shares one backend across worker
+/// threads.
 ///
 /// # Examples
 ///
@@ -178,12 +123,10 @@ pub fn qpe_register_gate_count(t: usize) -> usize {
 ///
 /// let backend = Statevector::new();
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let mut state = backend.prepare(2, 0);          // |00⟩, pooled buffer
+/// let mut state = backend.prepare(2, 0);          // |00⟩
 /// backend.run(&circuit, &mut state, &mut rng)?;   // Bell pair
 /// let counts = backend.sample(&state, 100, &mut rng)?;
 /// assert_eq!(counts.iter().map(|(_, c)| c).sum::<usize>(), 100);
-/// backend.recycle(state);                          // buffer back to the pool
-/// assert_eq!(backend.pool().pooled(), 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -192,12 +135,11 @@ pub trait Backend: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Prepares the execution representation of the basis state
-    /// `|basis_index⟩` on `num_qubits` qubits, drawing the amplitude
-    /// buffer from the backend's pool.
+    /// `|basis_index⟩` on `num_qubits` qubits.
     ///
     /// The returned [`QuantumState`] belongs to *this* backend: pass it
     /// only into the same backend's [`run`](Backend::run) /
-    /// [`sample`](Backend::sample) / [`recycle`](Backend::recycle). For
+    /// [`sample`](Backend::sample). For
     /// backends with [`pure_state`](Backend::pure_state)` == false` it is
     /// not an `n`-qubit amplitude vector (the density backend stores
     /// `vec(ρ)` on `2n` qubits).
@@ -284,9 +226,6 @@ pub trait Backend: Send + Sync {
         shots: usize,
         rng: &mut StdRng,
     ) -> Result<Vec<(usize, usize)>, SimError>;
-
-    /// Returns a state's buffer to the pool for reuse.
-    fn recycle(&self, state: QuantumState);
 
     /// `true` when this backend reproduces exact probabilities (no noise,
     /// no finite-shot resampling) — callers may then keep bit-exact fast
@@ -393,61 +332,26 @@ pub trait Backend: Send + Sync {
     }
 }
 
-pub(crate) fn prepare_pooled(
-    pool: &BufferPool,
-    num_qubits: usize,
-    basis_index: usize,
-) -> QuantumState {
-    let dim = 1usize << num_qubits;
-    assert!(basis_index < dim, "basis index out of range");
-    let mut amps = pool.acquire(dim);
-    amps[basis_index] = C_ONE;
-    QuantumState::from_amplitudes(amps).expect("unit basis vector")
-}
-
 /// Exact, noiseless state-vector execution — the default backend, and the
 /// reference the others are validated against. Runs circuits verbatim
-/// (bit-identical to applying the ops directly); construct with
-/// [`Statevector::fused`] to apply the single-qubit gate-fusion pass before
-/// execution.
+/// (bit-identical to applying the ops directly).
 #[derive(Debug, Default)]
-pub struct Statevector {
-    pool: BufferPool,
-    fuse: bool,
-}
+pub struct Statevector;
 
 impl Statevector {
-    /// The bit-exact backend (no fusion).
+    /// The exact backend.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A statevector backend that gate-fuses circuits before running them
-    /// (same unitary, amplitudes equal to rounding).
-    pub fn fused() -> Self {
-        Self {
-            pool: BufferPool::default(),
-            fuse: true,
-        }
-    }
-
-    /// The backend's buffer pool (for reuse diagnostics).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
+        Self
     }
 }
 
 impl Backend for Statevector {
     fn name(&self) -> &'static str {
-        if self.fuse {
-            "statevector_fused"
-        } else {
-            "statevector"
-        }
+        "statevector"
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
-        prepare_pooled(&self.pool, num_qubits, basis_index)
+        QuantumState::basis_state(num_qubits, basis_index)
     }
 
     fn run(
@@ -457,11 +361,7 @@ impl Backend for Statevector {
         _rng: &mut StdRng,
     ) -> Result<(), SimError> {
         injected_run_fault()?;
-        if self.fuse {
-            fuse_single_qubit(circuit).run(state)?;
-        } else {
-            circuit.run(state)?;
-        }
+        circuit.run(state)?;
         state.check_norm(NORM_DRIFT_TOL, self.name())
     }
 
@@ -472,10 +372,6 @@ impl Backend for Statevector {
         rng: &mut StdRng,
     ) -> Result<Vec<(usize, usize)>, SimError> {
         Ok(state.sample_counts(shots, rng))
-    }
-
-    fn recycle(&self, state: QuantumState) {
-        self.pool.release(state.into_amplitudes());
     }
 
     fn exact_statistics(&self) -> bool {
@@ -513,7 +409,6 @@ impl Backend for Statevector {
 /// (same results, same RNG stream — no draws are made).
 #[derive(Debug)]
 pub struct NoisyStatevector {
-    pool: BufferPool,
     /// Per-gate, per-touched-qubit depolarizing probability.
     pub depolarizing: f64,
     /// Per-bit readout flip probability.
@@ -532,7 +427,6 @@ impl NoisyStatevector {
             "noise probabilities must lie in [0, 1]"
         );
         Self {
-            pool: BufferPool::default(),
             depolarizing,
             readout_flip,
         }
@@ -564,7 +458,7 @@ impl Backend for NoisyStatevector {
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
-        prepare_pooled(&self.pool, num_qubits, basis_index)
+        QuantumState::basis_state(num_qubits, basis_index)
     }
 
     fn run(
@@ -619,10 +513,6 @@ impl Backend for NoisyStatevector {
         Ok(counts.into_iter().collect())
     }
 
-    fn recycle(&self, state: QuantumState) {
-        self.pool.release(state.into_amplitudes());
-    }
-
     fn exact_statistics(&self) -> bool {
         self.depolarizing == 0.0 && self.readout_flip == 0.0
     }
@@ -664,7 +554,6 @@ impl Backend for NoisyStatevector {
 /// operates in. Estimates concentrate as `O(1/√shots)`.
 #[derive(Debug)]
 pub struct ShotSampler {
-    pool: BufferPool,
     /// Shots behind every probability estimate.
     pub shots: usize,
 }
@@ -677,10 +566,7 @@ impl ShotSampler {
     /// Panics if `shots == 0`.
     pub fn new(shots: usize) -> Self {
         assert!(shots > 0, "shot sampler needs at least one shot");
-        Self {
-            pool: BufferPool::default(),
-            shots,
-        }
+        Self { shots }
     }
 }
 
@@ -690,7 +576,7 @@ impl Backend for ShotSampler {
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
-        prepare_pooled(&self.pool, num_qubits, basis_index)
+        QuantumState::basis_state(num_qubits, basis_index)
     }
 
     fn run(
@@ -711,10 +597,6 @@ impl Backend for ShotSampler {
         rng: &mut StdRng,
     ) -> Result<Vec<(usize, usize)>, SimError> {
         Ok(state.sample_counts(shots, rng))
-    }
-
-    fn recycle(&self, state: QuantumState) {
-        self.pool.release(state.into_amplitudes());
     }
 
     fn exact_statistics(&self) -> bool {
@@ -771,31 +653,6 @@ mod tests {
         let mut direct = QuantumState::zero_state(2);
         c.run(&mut direct).unwrap();
         assert_eq!(via_backend.amplitudes(), direct.amplitudes());
-    }
-
-    #[test]
-    fn buffer_pool_reuses_allocations() {
-        let backend = Statevector::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(backend.pool().pooled(), 0);
-        let state = backend.execute(&bell(), 0, &mut rng).unwrap();
-        backend.recycle(state);
-        assert_eq!(backend.pool().pooled(), 1);
-        let state = backend.execute(&bell(), 0, &mut rng).unwrap();
-        // The pooled buffer was taken back out.
-        assert_eq!(backend.pool().pooled(), 0);
-        assert!((state.probability(0b11) - 0.5).abs() < 1e-12);
-        backend.recycle(state);
-    }
-
-    #[test]
-    fn pool_acquire_zeroes_recycled_buffers() {
-        let pool = BufferPool::default();
-        let mut buf = pool.acquire(4);
-        buf[2] = C_ONE;
-        pool.release(buf);
-        let buf = pool.acquire(4);
-        assert!(buf.iter().all(|a| *a == C_ZERO));
     }
 
     #[test]
@@ -945,7 +802,6 @@ mod tests {
     fn backends_are_object_safe_and_named() {
         let backends: Vec<Box<dyn Backend>> = vec![
             Box::new(Statevector::new()),
-            Box::new(Statevector::fused()),
             Box::new(NoisyStatevector::new(0.01, 0.01)),
             Box::new(ShotSampler::new(64)),
         ];
@@ -954,7 +810,6 @@ mod tests {
             assert!(!b.name().is_empty());
             let state = b.execute(&bell(), 0, &mut rng).unwrap();
             assert!((state.norm() - 1.0).abs() < 1e-9);
-            b.recycle(state);
         }
     }
 

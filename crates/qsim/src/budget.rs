@@ -38,12 +38,33 @@ pub const AMP_BYTES: u128 = 16;
 pub const DEFAULT_STATE_BUDGET_BYTES: u64 = 1 << 32;
 
 /// The process-wide budget: `QSC_STATE_BUDGET_BYTES` when set to a valid
-/// integer, [`DEFAULT_STATE_BUDGET_BYTES`] otherwise.
+/// integer, [`DEFAULT_STATE_BUDGET_BYTES`] otherwise (binaries reject an
+/// invalid value first via [`validate_state_budget`]).
 pub fn state_budget_bytes() -> u64 {
-    std::env::var("QSC_STATE_BUDGET_BYTES")
-        .ok()
+    validate_state_budget().unwrap_or(DEFAULT_STATE_BUDGET_BYTES)
+}
+
+/// Resolves the process-wide budget, rejecting bad configuration.
+///
+/// Binaries call this at startup so a `QSC_STATE_BUDGET_BYTES` that is set
+/// but is not a byte count (`4GiB`, `-1`) is a named error instead of a
+/// silent fall-back to the default.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidParameter`] naming the variable and its
+/// value when the value is not an unsigned integer.
+pub fn validate_state_budget() -> Result<u64, SimError> {
+    let Some(raw) = std::env::var_os("QSC_STATE_BUDGET_BYTES") else {
+        return Ok(DEFAULT_STATE_BUDGET_BYTES);
+    };
+    raw.to_str()
         .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(DEFAULT_STATE_BUDGET_BYTES)
+        .ok_or_else(|| SimError::InvalidParameter {
+            context: format!(
+                "QSC_STATE_BUDGET_BYTES={raw:?} is not a byte count (an unsigned integer)"
+            ),
+        })
 }
 
 /// Amplitude count of an `n`-qubit register (`2^n`, saturating).

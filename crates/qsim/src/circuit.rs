@@ -6,9 +6,7 @@
 //! quantum stages: the QPE/projection compilers in `qsc_sim::qpe` and
 //! `qsc_core::quantum` emit circuits (phase cascades, QFT blocks and
 //! controlled-unitary blocks as [`Op`]s) which any
-//! [`Backend`](crate::backend::Backend) then executes. The
-//! [`compile`](crate::compile) module holds the optimization passes (gate
-//! fusion) that rewrite circuits before execution.
+//! [`Backend`](crate::backend::Backend) then executes.
 
 use crate::error::SimError;
 use crate::gates;
@@ -76,9 +74,7 @@ pub enum Op {
     },
     /// SWAP of two qubits.
     Swap(usize, usize),
-    /// An arbitrary single-qubit unitary — the output of the gate-fusion
-    /// compile pass ([`crate::compile::fuse_single_qubit`]), which folds
-    /// runs of adjacent single-qubit gates into one of these.
+    /// An arbitrary single-qubit unitary.
     Gate1 {
         /// Target qubit.
         target: usize,
@@ -602,8 +598,8 @@ impl Circuit {
     /// [`Op::PhaseCascade`]) have no standard-gate expansion, so they are
     /// exported as `opaque` gate declarations (one per shape) applied to
     /// their explicit qubit lists, with the payload summarized in a
-    /// trailing comment; fused [`Op::Gate1`]s are exported as the generic
-    /// `u3` rotation.
+    /// trailing comment; [`Op::Gate1`]s are exported as the generic `u3`
+    /// rotation.
     pub fn to_qasm(&self) -> String {
         use std::collections::BTreeSet;
         let mut out = String::new();

@@ -9,10 +9,10 @@
 //! `ρ` is stored row-major as a flat buffer of `4^n` amplitudes: entry
 //! `ρ[r][c]` lives at flat index `r·2^n + c`. That buffer is carried inside
 //! a [`QuantumState`] on `2n` qubits (the vectorization `vec(ρ)`), which
-//! lets the backend reuse the pooled-buffer plumbing of the [`Backend`]
-//! trait: a unitary `U` acts as `vec(ρ) → (U ⊗ U*) vec(ρ)`, i.e. `U`
-//! applied to the row bits (flat bits `n..2n`) and `U*` to the column bits
-//! (flat bits `0..n`). The state returned by [`Backend::prepare`] is this
+//! lets the backend reuse the state plumbing of the [`Backend`] trait: a
+//! unitary `U` acts as `vec(ρ) → (U ⊗ U*) vec(ρ)`, i.e. `U` applied to the
+//! row bits (flat bits `n..2n`) and `U*` to the column bits (flat bits
+//! `0..n`). The state returned by [`Backend::prepare`] is this
 //! execution representation — it is **not** a pure state on `n` qubits, so
 //! only hand it back into the same backend (see [`Backend::pure_state`]).
 //!
@@ -40,7 +40,7 @@
 //! noise-model ground truth on small registers, and the trajectory backend
 //! when the register outgrows it (see `docs/BACKENDS.md`).
 
-use crate::backend::{Backend, BufferPool};
+use crate::backend::Backend;
 use crate::circuit::{Circuit, Mat2, Op};
 use crate::error::SimError;
 use crate::gates;
@@ -64,7 +64,6 @@ const MAX_DENSITY_QUBITS: usize = 13;
 /// definitions, and `docs/BACKENDS.md` for when to choose it.
 #[derive(Debug)]
 pub struct DensityMatrix {
-    pool: BufferPool,
     /// Per-gate, per-touched-qubit depolarizing probability.
     pub depolarizing: f64,
     /// Per-bit readout flip probability.
@@ -83,7 +82,6 @@ impl DensityMatrix {
             "noise probabilities must lie in [0, 1]"
         );
         Self {
-            pool: BufferPool::default(),
             depolarizing,
             readout_flip,
         }
@@ -376,7 +374,7 @@ impl Backend for DensityMatrix {
         );
         let d = 1usize << num_qubits;
         assert!(basis_index < d, "basis index out of range");
-        let mut buf = self.pool.acquire(d * d);
+        let mut buf = vec![C_ZERO; d * d];
         buf[basis_index * d + basis_index] = C_ONE;
         QuantumState::from_raw(buf)
     }
@@ -463,10 +461,6 @@ impl Backend for DensityMatrix {
             .collect())
     }
 
-    fn recycle(&self, state: QuantumState) {
-        self.pool.release(state.into_amplitudes());
-    }
-
     fn exact_statistics(&self) -> bool {
         self.depolarizing == 0.0 && self.readout_flip == 0.0
     }
@@ -528,9 +522,7 @@ impl Backend for DensityMatrix {
         let mut state = self.prepare(t, 0);
         self.run(&register, &mut state, &mut rng)
             .expect("register pass is well-formed");
-        let probs = self.outcome_distribution(&state);
-        self.recycle(state);
-        Ok(probs)
+        Ok(self.outcome_distribution(&state))
     }
 
     /// Readout bias applied analytically: `p(1−e) + (1−p)e` — no shot
@@ -640,8 +632,6 @@ mod tests {
             }
             assert!(err < 1e-12, "ρ vs |ψ⟩⟨ψ| drift {err} on basis {basis}");
             assert!((dm.purity(&rho) - 1.0).abs() < 1e-12);
-            dm.recycle(rho);
-            sv.recycle(pure);
         }
     }
 
@@ -655,7 +645,6 @@ mod tests {
         let probs = dm.outcome_distribution(&rho);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(probs.iter().all(|&p| p >= 0.0));
-        dm.recycle(rho);
     }
 
     #[test]
@@ -670,7 +659,6 @@ mod tests {
         assert!((probs[0b01] - e * (1.0 - e)).abs() < 1e-12);
         assert!((probs[0b10] - e * (1.0 - e)).abs() < 1e-12);
         assert!((probs[0b01] + probs[0b10] - 0.375).abs() < 1e-12);
-        dm.recycle(rho);
     }
 
     #[test]
@@ -687,7 +675,6 @@ mod tests {
         assert!((probs[0] - 0.5).abs() < 1e-12);
         assert!((probs[1] - 0.5).abs() < 1e-12);
         assert!((dm.purity(&rho) - 0.5).abs() < 1e-12, "I/2 has purity 1/2");
-        dm.recycle(rho);
     }
 
     #[test]
@@ -740,7 +727,6 @@ mod tests {
         let probs = diag(&dm, &rho);
         assert!((probs[1] - (1.0 - 2.0 * p / 3.0)).abs() < 1e-12);
         assert!((probs[0] - 2.0 * p / 3.0).abs() < 1e-12);
-        dm.recycle(rho);
     }
 
     #[test]
@@ -753,7 +739,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let rho = dm.execute(&c, 0, &mut rng).unwrap();
         let exact = diag(&dm, &rho);
-        dm.recycle(rho);
 
         let noisy = NoisyStatevector::new(p, 0.0);
         let mean_dist = |trajectories: usize| -> Vec<f64> {
@@ -764,7 +749,6 @@ mod tests {
                 for (slot, a) in acc.iter_mut().zip(state.amplitudes()) {
                     *slot += a.norm_sqr();
                 }
-                noisy.recycle(state);
             }
             acc.iter().map(|x| x / trajectories as f64).collect()
         };
@@ -797,7 +781,6 @@ mod tests {
             (off as f64 / 4000.0 - 0.375).abs() < 0.05,
             "off-support fraction {off}"
         );
-        dm.recycle(rho);
     }
 
     /// The per-shot scan-and-count loop `DensityMatrix::sample` ran before
@@ -851,7 +834,6 @@ mod tests {
                     );
                     assert!(rng == oracle_rng);
                 }
-                dm.recycle(rho);
             }
         }
     }
@@ -869,6 +851,5 @@ mod tests {
             "odd width is not a ρ"
         );
         assert!(!dm.pure_state());
-        dm.recycle(state);
     }
 }

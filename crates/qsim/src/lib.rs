@@ -8,8 +8,7 @@
 //!
 //! The execution model is **compile, then execute**: algorithms build
 //! [`circuit::Circuit`] IR (phase cascades, QFT blocks and
-//! controlled-unitary blocks as [`circuit::Op`]s), optionally rewrite it
-//! with the [`compile`] passes (gate fusion), and run it on a pluggable
+//! controlled-unitary blocks as [`circuit::Op`]s) and run it on a pluggable
 //! [`backend::Backend`]:
 //!
 //! * [`Statevector`] — exact, noiseless execution on the cache-blocked
@@ -24,12 +23,12 @@
 //!
 //! Module map:
 //!
-//! * [`backend`] — the [`Backend`] trait, the statevector-family backends,
-//!   and the reusable state [`BufferPool`],
+//! * [`backend`] — the [`Backend`] trait and the statevector-family
+//!   backends,
 //! * [`budget`] — pre-allocation memory estimates returning typed
 //!   `BudgetExceeded` errors instead of aborting,
 //! * [`density`] — the density-matrix backend,
-//! * [`circuit`] / [`compile`] — the circuit IR and its compile passes,
+//! * [`circuit`] — the circuit IR,
 //! * [`QuantumState`] — dense state vectors with gates and measurement,
 //! * [`gates`] — standard gate matrices,
 //! * [`qft`] — gate-level quantum Fourier transform,
@@ -90,7 +89,6 @@ pub mod amplitude;
 pub mod backend;
 pub mod budget;
 pub mod circuit;
-pub mod compile;
 pub mod density;
 pub mod error;
 pub mod gates;
@@ -104,7 +102,7 @@ pub mod state;
 pub mod synthesis;
 pub mod tomography;
 
-pub use backend::{Backend, BufferPool, NoisyStatevector, ShotSampler, Statevector};
+pub use backend::{Backend, NoisyStatevector, ShotSampler, Statevector};
 pub use circuit::{Circuit, Op};
 pub use density::DensityMatrix;
 pub use error::SimError;

@@ -29,7 +29,7 @@
 //! `remote_call` fault point ([`qsc_fault::FaultPoint::RemoteCall`])
 //! injects those failures deterministically for testing.
 
-use crate::backend::{prepare_pooled, Backend, BufferPool};
+use crate::backend::Backend;
 use crate::circuit::{Circuit, Mat2, Op};
 use crate::error::SimError;
 use crate::http;
@@ -636,14 +636,9 @@ pub fn execute(request: &Value, backend: &dyn Backend) -> Result<Value, JsonErro
             r.finish()?;
             match state_from_wire(basis, amps, backend)? {
                 Err(e) => Err(e),
-                Ok(mut state) => match backend.run(&circuit, &mut state, &mut rng) {
-                    Err(e) => Err(e),
-                    Ok(()) => {
-                        let payload = amplitudes_to_json(state.amplitudes());
-                        backend.recycle(state);
-                        Ok(obj([("amplitudes", payload)]))
-                    }
-                },
+                Ok(mut state) => backend
+                    .run(&circuit, &mut state, &mut rng)
+                    .map(|()| obj([("amplitudes", amplitudes_to_json(state.amplitudes()))])),
             }
         }
         "sample" => {
@@ -735,7 +730,7 @@ fn transport_err(addr: &str, context: impl Into<String>) -> SimError {
 
 /// A [`Backend`] whose execution hooks run on a remote executor service.
 ///
-/// `prepare`/`recycle` stay local (a basis state is cheaper to describe
+/// `prepare` stays local (a basis state is cheaper to describe
 /// than to transfer); `run`, `sample`, `phase_distribution` and
 /// `estimate_probability` POST wire documents to `/v1/exec` on the
 /// configured executor, which hosts the *inner* backend. The caller's RNG
@@ -752,7 +747,6 @@ fn transport_err(addr: &str, context: impl Into<String>) -> SimError {
 pub struct RemoteBackend {
     addr: String,
     inner: Value,
-    pool: BufferPool,
     exact: bool,
     pure: bool,
     register_limit: Option<usize>,
@@ -767,7 +761,6 @@ impl RemoteBackend {
         Self {
             addr: addr.into(),
             inner,
-            pool: BufferPool::default(),
             exact: true,
             pure: true,
             register_limit: None,
@@ -856,7 +849,7 @@ impl Backend for RemoteBackend {
     }
 
     fn prepare(&self, num_qubits: usize, basis_index: usize) -> QuantumState {
-        prepare_pooled(&self.pool, num_qubits, basis_index)
+        QuantumState::basis_state(num_qubits, basis_index)
     }
 
     fn run(
@@ -930,10 +923,6 @@ impl Backend for RemoteBackend {
             }
         }
         Ok(counts)
-    }
-
-    fn recycle(&self, state: QuantumState) {
-        self.pool.release(state.into_amplitudes());
     }
 
     fn exact_statistics(&self) -> bool {

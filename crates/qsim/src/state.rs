@@ -197,13 +197,6 @@ impl QuantumState {
         &self.amps
     }
 
-    /// Consumes the state, returning its amplitude buffer — how backends
-    /// hand buffers back to their [`BufferPool`](crate::backend::BufferPool).
-    #[inline]
-    pub fn into_amplitudes(self) -> Vec<Complex64> {
-        self.amps
-    }
-
     /// Probability of measuring the basis state `index`.
     ///
     /// # Panics

@@ -148,10 +148,11 @@ fn bench_remote_roundtrip(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(11);
-                let state = backend
-                    .execute(black_box(&ghz), 0, &mut rng)
-                    .expect("ghz runs");
-                backend.recycle(state);
+                black_box(
+                    backend
+                        .execute(black_box(&ghz), 0, &mut rng)
+                        .expect("ghz runs"),
+                )
             })
         });
     }
@@ -168,7 +169,6 @@ fn bench_remote_roundtrip(c: &mut Criterion) {
                 )
             })
         });
-        backend.recycle(state);
     }
     for (label, backend) in [
         ("estimate_probability_local", &local),

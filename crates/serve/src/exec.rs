@@ -4,11 +4,10 @@
 //! The host keeps a cache of built backends keyed by the *normalized*
 //! canonical JSON of their config, so a sweep hammering one executor with
 //! thousands of calls builds each backend kind exactly once (backends are
-//! stateless between calls apart from their buffer pools — which is
-//! exactly what makes reuse safe *and* fast). The cache holds at most
-//! `MAX_HOSTED_BACKENDS` configs; a request naming a config past that runs
-//! on a fresh, uncached build. Requests without a `backend` field run
-//! on the host's default backend (`--backend`).
+//! stateless between calls, which is what makes reuse safe). The cache
+//! holds at most `MAX_HOSTED_BACKENDS` configs; a request naming a config
+//! past that runs on a fresh, uncached build. Requests without a `backend`
+//! field run on the host's default backend (`--backend`).
 //!
 //! Execution is confined with `catch_unwind`: a panicking request answers
 //! `500` and the service keeps serving. The host counts in-flight and
@@ -230,6 +229,15 @@ mod tests {
             host.execute(&bell_request(Some("\"statevctor\""))),
             Err(ExecError::BadRequest(_))
         ));
+        let Err(ExecError::BadRequest(message)) =
+            host.execute(&bell_request(Some("\"fused_statevector\"")))
+        else {
+            panic!("a retired backend kind must be a bad request");
+        };
+        assert!(message.contains("unknown backend"), "{message}");
+        for kind in ["statevector", "noisy", "density", "shots", "remote"] {
+            assert!(message.contains(kind), "{message} lists {kind}");
+        }
         let chained = bell_request(Some(
             r#"{"remote": {"addr": "x:1", "inner": "statevector"}}"#,
         ));
@@ -288,7 +296,6 @@ mod tests {
         let amps = response.get("amplitudes").unwrap().clone();
         let backends = [
             r#""statevector""#,
-            r#""fused_statevector""#,
             r#"{"noisy": {"depolarizing": 0.05, "readout_flip": 0.02}}"#,
             r#"{"density": {"depolarizing": 0.05, "readout_flip": 0.01}}"#,
             r#"{"shots": 64}"#,
@@ -335,13 +342,12 @@ mod tests {
 
     /// Op and backend names, one of them misspelt, for the name swaps of
     /// [`fuzz::mutate`].
-    const EXEC_NAMES: [&str; 8] = [
+    const EXEC_NAMES: [&str; 7] = [
         "run",
         "sample",
         "phase_distribution",
         "estimate_probability",
         "statevector",
-        "fused_statevector",
         "statevctor",
         "noisy",
     ];

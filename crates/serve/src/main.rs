@@ -88,8 +88,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Reject a bad QSC_KERNELS before binding: a typo'd tier must be a
-    // usage error, not a silently different tier serving bytes.
+    // Reject a bad QSC_KERNELS or QSC_STATE_BUDGET_BYTES before binding:
+    // a typo'd tier must be a usage error, not a silently different tier
+    // serving bytes, and a typo'd budget not a silent 4 GiB.
     let kernels = match qsc_linalg::kernels::validate() {
         Ok(tier) => tier,
         Err(e) => {
@@ -97,6 +98,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = qsc_sim::budget::validate_state_budget() {
+        eprintln!("qsc-serve: {e}");
+        return ExitCode::from(2);
+    }
     let workers = config.workers;
     let queue = config.queue_capacity;
     let cache_dir = config.cache_dir.display().to_string();

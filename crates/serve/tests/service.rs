@@ -641,3 +641,30 @@ fn stream_concatenates_to_the_exact_csv() {
     );
     wait_done(&base, &slow.id, TIMEOUT).expect("done");
 }
+
+/// The `qsc-serve` binary rejects a `QSC_STATE_BUDGET_BYTES` that is not a
+/// byte count before it binds: exit 2, the variable named on stderr.
+#[test]
+fn binary_rejects_a_bogus_state_budget_before_binding() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_qsc-serve"))
+        .env("QSC_STATE_BUDGET_BYTES", "4GiB")
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    let t0 = std::time::Instant::now();
+    while child.try_wait().expect("wait").is_none() {
+        if t0.elapsed() > TIMEOUT {
+            let _ = child.kill();
+            panic!("qsc-serve started serving with a bogus budget");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("output");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("QSC_STATE_BUDGET_BYTES"), "{stderr}");
+    assert!(stderr.contains("4GiB"), "{stderr}");
+    assert!(output.stdout.is_empty(), "never listened");
+}

@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exact[0b111],
         exact_backend.purity(&rho)
     );
-    exact_backend.recycle(rho);
 
     println!("\ntrajectory averages of the same channel (NoisyStatevector):");
     let trajectory_backend = NoisyStatevector::new(p, 0.0);
@@ -59,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for (slot, a) in mean.iter_mut().zip(state.amplitudes()) {
                 *slot += a.norm_sqr();
             }
-            trajectory_backend.recycle(state);
         }
         let l1: f64 = mean
             .iter()

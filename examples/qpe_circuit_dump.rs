@@ -14,7 +14,6 @@ use qsc_suite::linalg::eig::eig_unitary;
 use qsc_suite::linalg::expm::expi;
 use qsc_suite::sim::backend::{Backend, Statevector};
 use qsc_suite::sim::circuit::{Circuit, Op};
-use qsc_suite::sim::compile::fuse_single_qubit;
 use qsc_suite::sim::qpe::qpe_circuit;
 use qsc_suite::sim::resources::{qpe_resources, qubits_for_dimension};
 use qsc_suite::sim::synthesis::{derived_two_qubit_count, two_level_decompose, zyz_decompose};
@@ -86,13 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the QASM export declares them as opaque gates — nothing is dropped. ---
     let ueig = eig_unitary(&u)?;
     let compiled = qpe_circuit(&ueig, t)?;
-    let fused = fuse_single_qubit(&compiled);
     println!(
-        "\ncompiled QPE circuit on {} qubits: {} ops, depth {} ({} after gate fusion)",
+        "\ncompiled QPE circuit on {} qubits: {} ops, depth {}",
         compiled.num_qubits(),
         compiled.gate_count(),
         compiled.depth(),
-        fused.gate_count(),
     );
     std::fs::write("results/qpe_full.qasm", compiled.to_qasm())?;
     println!("wrote results/qpe_full.qasm");
@@ -114,6 +111,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         backend.name(),
         1 << t
     );
-    backend.recycle(state);
     Ok(())
 }

@@ -232,9 +232,9 @@ fn run_many_is_deterministic_under_four_workers() {
 #[test]
 fn run_many_shares_one_backend_pool_across_instances() {
     setup();
-    // One ShotSampler (and its buffer pool) shared by the whole parallel
-    // batch: still deterministic and identical to the sequential loop,
-    // because the per-instance RNG streams are independent of scheduling.
+    // One ShotSampler shared by the whole parallel batch: still
+    // deterministic and identical to the sequential loop, because the
+    // per-instance RNG streams are independent of scheduling.
     let graphs: Vec<PlantedGraph> = (0..4).map(|s| flow_instance(50, 70 + s)).collect();
     let batch: Vec<GraphInstance> = graphs
         .iter()

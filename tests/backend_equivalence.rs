@@ -1,9 +1,8 @@
 //! Property tests for the backend execution layer: compiled-circuit
 //! execution on the `Statevector` backend must be **bit-identical** to the
 //! old direct state-mutation path, a `NoisyStatevector` with zero noise
-//! must equal the ideal backend, the zero-noise `DensityMatrix` must
-//! reproduce the statevector's distributions, and the gate-fusion compile
-//! pass must preserve amplitudes. Random circuits are
+//! must equal the ideal backend, and the zero-noise `DensityMatrix` must
+//! reproduce the statevector's distributions. Random circuits are
 //! generated from seeded RNG streams via the proptest harness, so failures
 //! are reproducible.
 //!
@@ -19,7 +18,6 @@ use qsc_suite::linalg::expm::expi;
 use qsc_suite::linalg::CMatrix;
 use qsc_suite::sim::backend::{Backend, NoisyStatevector, Statevector};
 use qsc_suite::sim::circuit::{Circuit, Op};
-use qsc_suite::sim::compile::fuse_single_qubit;
 use qsc_suite::sim::{gates, DensityMatrix, QuantumState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,7 +174,6 @@ proptest! {
         let state = backend.execute(&circuit, basis, &mut rng).expect("execute");
 
         prop_assert_eq!(state.amplitudes(), direct.amplitudes());
-        backend.recycle(state);
     }
 
     #[test]
@@ -195,41 +192,6 @@ proptest! {
         prop_assert_eq!(a.amplitudes(), b.amplitudes());
         // Neither backend consumed randomness.
         prop_assert_eq!(rng_a, rng_b);
-    }
-
-    #[test]
-    fn gate_fusion_preserves_amplitudes(
-        seed in 0u64..1_000_000,
-        n in 2usize..5,
-        len in 1usize..40,
-    ) {
-        let circuit = random_circuit(n, len, seed);
-        let fused = fuse_single_qubit(&circuit);
-        prop_assert!(fused.gate_count() <= circuit.gate_count());
-        for basis in [0usize, (1 << n) - 1] {
-            let mut a = QuantumState::basis_state(n, basis);
-            let mut b = QuantumState::basis_state(n, basis);
-            circuit.run(&mut a).expect("unfused");
-            fused.run(&mut b).expect("fused");
-            prop_assert!(
-                max_amp_diff(&a, &b) < 1e-12,
-                "fusion drift {} on basis {}", max_amp_diff(&a, &b), basis
-            );
-        }
-    }
-
-    #[test]
-    fn fused_statevector_backend_matches_fusing_manually(
-        seed in 0u64..1_000_000,
-        n in 2usize..4,
-        len in 1usize..25,
-    ) {
-        let circuit = random_circuit(n, len, seed);
-        let mut rng = StdRng::seed_from_u64(1);
-        let via_backend = Statevector::fused().execute(&circuit, 0, &mut rng).expect("fused backend");
-        let mut manual = QuantumState::zero_state(n);
-        fuse_single_qubit(&circuit).run(&mut manual).expect("manual fuse");
-        prop_assert_eq!(via_backend.amplitudes(), manual.amplitudes());
     }
 
     #[test]
@@ -261,8 +223,6 @@ proptest! {
             dm.estimate_probability(phi, &mut rng).unwrap(),
             sv.estimate_probability(phi, &mut rng).unwrap()
         );
-        dm.recycle(rho);
-        sv.recycle(pure);
     }
 
     #[test]
@@ -298,7 +258,6 @@ fn remote_loopback_is_bit_identical_for_every_hosted_backend_kind() {
 
     let inners = [
         BackendConfig::Statevector,
-        BackendConfig::FusedStatevector,
         BackendConfig::Noisy {
             depolarizing: 0.05,
             readout_flip: 0.02,
@@ -370,8 +329,6 @@ fn remote_loopback_is_bit_identical_for_every_hosted_backend_kind() {
                 inner.kind_name()
             );
             assert_eq!(rng_l, rng_r, "rng streams diverged on distributions");
-            remote.recycle(b);
-            local.recycle(a);
         }
     }
 }

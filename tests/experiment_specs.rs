@@ -155,7 +155,6 @@ fn graph_spec_round_trips_and_rejects_unknown_fields() {
 fn backend_config_round_trips_and_rejects_unknown_fields() {
     for config in [
         BackendConfig::Statevector,
-        BackendConfig::FusedStatevector,
         BackendConfig::Noisy {
             depolarizing: 0.05,
             readout_flip: 0.01,

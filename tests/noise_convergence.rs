@@ -75,7 +75,6 @@ fn trajectory_mean(circuit: &Circuit, p: f64, trajectories: usize) -> Vec<f64> {
         for (slot, a) in acc.iter_mut().zip(state.amplitudes()) {
             *slot += a.norm_sqr();
         }
-        noisy.recycle(state);
     }
     acc.iter().map(|x| x / trajectories as f64).collect()
 }
@@ -88,7 +87,6 @@ fn trajectory_means_converge_to_the_exact_channel_at_monte_carlo_rate() {
     let mut rng = StdRng::seed_from_u64(1);
     let rho = dm.execute(&circuit, 0, &mut rng).unwrap();
     let exact = dm.outcome_distribution(&rho);
-    dm.recycle(rho);
 
     let l1 = |got: &[f64]| -> f64 { got.iter().zip(&exact).map(|(a, b)| (a - b).abs()).sum() };
     let errs: Vec<f64> = [32usize, 256, 2048]
@@ -122,7 +120,6 @@ fn readout_flip_sampling_converges_to_the_exact_distribution() {
     let mut rng = StdRng::seed_from_u64(2);
     let rho = dm.execute(&bell, 0, &mut rng).unwrap();
     let exact = dm.outcome_distribution(&rho);
-    dm.recycle(rho);
     // Closed form: diag (1/2, 0, 0, 1/2) convolved with two independent
     // flips.
     assert!((exact[0b01] - e * (1.0 - e)).abs() < 1e-12);
@@ -138,7 +135,6 @@ fn readout_flip_sampling_converges_to_the_exact_distribution() {
     }
     let l1: f64 = freq.iter().zip(&exact).map(|(a, b)| (a - b).abs()).sum();
     assert!(l1 < 0.02, "sampled readout channel off by {l1}");
-    noisy.recycle(state);
 }
 
 #[test]
