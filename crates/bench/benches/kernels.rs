@@ -13,7 +13,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qsc_core::{GraphInstance, Pipeline};
+use qsc_core::{Clusterer, GraphInstance, KMeans, Pipeline};
 use qsc_graph::generators::{dsbm, random_mixed, DsbmParams, MetaGraph, RandomMixedParams};
 use qsc_graph::{normalized_hermitian_laplacian_csr, Q_CLASSICAL};
 use qsc_linalg::lanczos::{lanczos_lowest_k, lanczos_lowest_k_csr};
@@ -23,6 +23,7 @@ use qsc_sim::QuantumState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// 512×512 dense complex matmul: serial ikj reference vs the blocked,
 /// rayon-parallel kernel.
@@ -124,6 +125,7 @@ fn bench_run_many_8(c: &mut Criterion) {
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
     let pl = Pipeline::hermitian(3);
+    let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
     group.bench_function("sequential_loop", |b| {
         b.iter(|| {
             batch
@@ -138,7 +140,12 @@ fn bench_run_many_8(c: &mut Criterion) {
         })
     });
     group.bench_function("run_many_parallel", |b| {
-        b.iter(|| pl.run_many(black_box(&batch)).expect("run_many"))
+        b.iter(|| {
+            pl.run_many(black_box(&batch), std::slice::from_ref(&kmeans))
+                .into_iter()
+                .map(|outs| outs.expect("run_many"))
+                .collect::<Vec<_>>()
+        })
     });
     group.finish();
 }

@@ -17,10 +17,9 @@
 //! cargo bench                                                          # micro-benches
 //! ```
 //!
-//! The runner batches repetitions through
-//! `Pipeline::run_many_clusterers_isolated` (panic-isolated per
-//! repetition, failed grid points become explicit `failed(<kind>)`
-//! cells): runs whose workload, seeds and resolved recipe differ only in
+//! The runner batches repetitions through `Pipeline::run_many`
+//! (panic-isolated per repetition, failed grid points become explicit
+//! `failed(<kind>)` cells): runs whose workload, seeds and resolved recipe differ only in
 //! the clustering stage (q-means `δ`, `refine`) stage each graph's
 //! embedding once and cluster it once per run, so a δ sweep stages each
 //! QPE embedding once. Specs can attach a `"resilience"` block

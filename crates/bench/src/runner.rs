@@ -5,12 +5,11 @@
 //!
 //! * grid layouts expand the cartesian product of the axes; stacked
 //!   layouts sweep each axis independently around the defaults,
-//! * every repetition batch fans through
-//!   [`Pipeline::run_many_clusterers_isolated`] (rayon-parallel over
-//!   instances, results identical to a sequential loop; panics and errors
-//!   are confined to their repetition, so a failing grid point becomes an
-//!   explicit `failed(<kind>)` cell and the sweep keeps going — see
-//!   `docs/RESILIENCE.md`),
+//! * every repetition batch fans through [`Pipeline::run_many`]
+//!   (rayon-parallel over instances, results identical to a sequential
+//!   loop; panics and errors are confined to their repetition, so a
+//!   failing grid point becomes an explicit `failed(<kind>)` cell and the
+//!   sweep keeps going — see `docs/RESILIENCE.md`),
 //! * one rule, applied by `run_shared` to sweeps and searches alike,
 //!   decides which runs share a batch: runs whose workload, seeds and
 //!   resolved recipe agree apart from the clusterer `δ` and `refine` (the
@@ -1195,7 +1194,7 @@ fn run_combos(
         .iter()
         .map(|_| Vec::with_capacity(batch.len()))
         .collect();
-    for per_instance in pl.run_many_clusterers_isolated(batch, &clusterers) {
+    for per_instance in pl.run_many(batch, &clusterers) {
         match per_instance {
             Ok(outs) => {
                 for (slots, out) in per_recipe.iter_mut().zip(outs) {

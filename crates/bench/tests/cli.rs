@@ -4,6 +4,8 @@
 //! from the service crate's own tests — here we only verify the local
 //! CLI surface, the service round-trip lives in `qsc-serve`).
 
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -156,19 +158,24 @@ fn bogus_kernel_tier_exits_2_with_named_error() {
     let root = tmp_dir("kernels-env");
     let spec = write_tiny_spec(&root);
 
-    let bogus = experiments()
-        .env("QSC_KERNELS", "sse9")
-        .args(["--spec"])
-        .arg(&spec)
-        .output()
-        .expect("binary runs");
-    assert_eq!(bogus.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&bogus.stderr);
-    assert!(
-        stderr.contains("QSC_KERNELS"),
-        "names the variable: {stderr}"
-    );
-    assert!(stderr.contains("sse9"), "names the bad value: {stderr}");
+    // A value that is not UTF-8 is as bogus as a misspelled tier, not
+    // "unset"; it is named by its lossy form.
+    let not_utf8 = OsStr::from_bytes(b"sse\xff");
+    for (value, named) in [(OsStr::new("sse9"), "sse9"), (not_utf8, "sse\u{fffd}")] {
+        let bogus = experiments()
+            .env("QSC_KERNELS", value)
+            .args(["--spec"])
+            .arg(&spec)
+            .output()
+            .expect("binary runs");
+        assert_eq!(bogus.status.code(), Some(2), "{value:?}");
+        let stderr = String::from_utf8_lossy(&bogus.stderr);
+        assert!(
+            stderr.contains("QSC_KERNELS"),
+            "names the variable: {stderr}"
+        );
+        assert!(stderr.contains(named), "names the bad value: {stderr}");
+    }
 
     // The always-available forced tiers run the sweep to completion.
     for tier in ["scalar", "portable"] {

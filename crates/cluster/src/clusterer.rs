@@ -8,7 +8,6 @@
 
 use crate::error::ClusterError;
 use crate::kmeans::{kmeans, KMeansConfig, KMeansResult};
-use crate::qmeans::{qmeans, qmeans_with_backend, QMeansConfig};
 use qsc_sim::backend::Backend;
 
 /// A clustering algorithm usable as the final stage of a spectral pipeline.
@@ -16,34 +15,21 @@ pub trait Clusterer: Send + Sync {
     /// Stage name used in reports and displays.
     fn name(&self) -> &'static str;
 
-    /// Clusters `data` (one feature row per point) under `base`.
+    /// Clusters `data` (one feature row per point) under `base`. A quantum
+    /// stage draws its measurement statistics (finite-shot distance
+    /// estimation, readout bias) through the execution `backend`; a
+    /// classical stage ignores it.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError`] for inconsistent configurations or
-    /// degenerate data.
-    fn cluster(&self, data: &[Vec<f64>], base: &KMeansConfig)
-        -> Result<KMeansResult, ClusterError>;
-
-    /// Clusters `data` with this stage's quantum measurement statistics
-    /// drawn through an execution `backend` (finite-shot distance
-    /// estimation, readout bias). Classical stages, and quantum stages on a
-    /// backend with exact statistics, behave exactly like
-    /// [`cluster`](Clusterer::cluster) — which is also the default
-    /// implementation.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`cluster`](Clusterer::cluster).
-    fn cluster_with_backend(
+    /// Returns [`ClusterError`] for inconsistent configurations, degenerate
+    /// data or a failing backend.
+    fn cluster(
         &self,
         data: &[Vec<f64>],
         base: &KMeansConfig,
         backend: &dyn Backend,
-    ) -> Result<KMeansResult, ClusterError> {
-        let _ = backend;
-        self.cluster(data, base)
-    }
+    ) -> Result<KMeansResult, ClusterError>;
 }
 
 /// Classical Lloyd's k-means with k-means++ seeding and restarts — the
@@ -60,71 +46,17 @@ impl Clusterer for KMeans {
         &self,
         data: &[Vec<f64>],
         base: &KMeansConfig,
+        _backend: &dyn Backend,
     ) -> Result<KMeansResult, ClusterError> {
         kmeans(data, base)
-    }
-}
-
-/// q-means: Lloyd's iteration through δ-bounded quantum noise channels
-/// (distance estimation + centroid tomography errors).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QMeans {
-    /// Noise magnitude `δ ≥ 0` of both channels.
-    pub delta: f64,
-}
-
-impl QMeans {
-    /// Creates the q-means stage with noise magnitude `delta`.
-    pub fn new(delta: f64) -> Self {
-        Self { delta }
-    }
-}
-
-impl Default for QMeans {
-    fn default() -> Self {
-        Self { delta: 0.1 }
-    }
-}
-
-impl Clusterer for QMeans {
-    fn name(&self) -> &'static str {
-        "qmeans"
-    }
-
-    fn cluster(
-        &self,
-        data: &[Vec<f64>],
-        base: &KMeansConfig,
-    ) -> Result<KMeansResult, ClusterError> {
-        qmeans(
-            data,
-            &QMeansConfig {
-                base: base.clone(),
-                delta: self.delta,
-            },
-        )
-    }
-
-    fn cluster_with_backend(
-        &self,
-        data: &[Vec<f64>],
-        base: &KMeansConfig,
-        backend: &dyn Backend,
-    ) -> Result<KMeansResult, ClusterError> {
-        qmeans_with_backend(
-            data,
-            &QMeansConfig {
-                base: base.clone(),
-                delta: self.delta,
-            },
-            backend,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QMeans;
+    use qsc_sim::backend::{ShotSampler, Statevector};
 
     fn blobs() -> Vec<Vec<f64>> {
         vec![
@@ -144,29 +76,16 @@ mod tests {
             seed: 3,
             ..KMeansConfig::default()
         };
-        let via_trait = KMeans.cluster(&blobs(), &cfg).unwrap();
         let direct = kmeans(&blobs(), &cfg).unwrap();
-        assert_eq!(via_trait.labels, direct.labels);
-        assert_eq!(via_trait.inertia, direct.inertia);
-    }
-
-    #[test]
-    fn qmeans_stage_matches_free_function() {
-        let cfg = KMeansConfig {
-            k: 2,
-            seed: 5,
-            ..KMeansConfig::default()
-        };
-        let via_trait = QMeans::new(0.2).cluster(&blobs(), &cfg).unwrap();
-        let direct = qmeans(
-            &blobs(),
-            &QMeansConfig {
-                base: cfg,
-                delta: 0.2,
-            },
-        )
-        .unwrap();
-        assert_eq!(via_trait.labels, direct.labels);
+        // The classical stage ignores the backend, shot-based or not.
+        for via_trait in [
+            KMeans.cluster(&blobs(), &cfg, &Statevector::new()).unwrap(),
+            KMeans
+                .cluster(&blobs(), &cfg, &ShotSampler::new(16))
+                .unwrap(),
+        ] {
+            assert_eq!(via_trait, direct);
+        }
     }
 
     #[test]
@@ -181,6 +100,7 @@ mod tests {
                         k: 2,
                         ..KMeansConfig::default()
                     },
+                    &Statevector::new(),
                 )
                 .unwrap();
             assert_eq!(out.labels.len(), 6);

@@ -1,5 +1,6 @@
 //! Lloyd's k-means with k-means++ initialization and restarts, plus the
-//! shared noisy-execution core that the quantum analogue (q-means) reuses.
+//! shared noisy-execution core (validation, the Lloyd run and the restart
+//! loop) that the quantum analogue, q-means, reuses.
 
 use crate::error::ClusterError;
 use rand::rngs::StdRng;
@@ -49,7 +50,7 @@ pub struct KMeansResult {
 
 /// Pluggable noise channel for the Lloyd iteration — the identity for
 /// classical k-means, and δ-bounded perturbations for q-means.
-pub trait NoiseModel {
+pub(crate) trait NoiseModel {
     /// Perturbs a squared-distance estimate.
     fn distance_sq(&mut self, exact: f64) -> f64;
     /// Perturbs a freshly computed centroid in place.
@@ -57,8 +58,7 @@ pub trait NoiseModel {
 }
 
 /// The exact (classical) noise model: a no-op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactModel;
+pub(crate) struct ExactModel;
 
 impl NoiseModel for ExactModel {
     fn distance_sq(&mut self, exact: f64) -> f64 {
@@ -67,7 +67,7 @@ impl NoiseModel for ExactModel {
     fn centroid(&mut self, _centroid: &mut [f64]) {}
 }
 
-fn validate(data: &[Vec<f64>], config: &KMeansConfig) -> Result<usize, ClusterError> {
+fn validate(data: &[Vec<f64>], config: &KMeansConfig) -> Result<(), ClusterError> {
     if config.k == 0 {
         return Err(ClusterError::InvalidConfig {
             context: "k must be positive".into(),
@@ -85,15 +85,21 @@ fn validate(data: &[Vec<f64>], config: &KMeansConfig) -> Result<usize, ClusterEr
         });
     }
     let d = data[0].len();
-    for p in data {
+    for (i, p) in data.iter().enumerate() {
         if p.len() != d {
             return Err(ClusterError::DimensionMismatch {
                 expected: d,
                 found: p.len(),
             });
         }
+        // A NaN or ∞ coordinate has no nearest centroid.
+        if p.iter().any(|x| !x.is_finite()) {
+            return Err(ClusterError::InvalidConfig {
+                context: format!("point {i} has a non-finite coordinate"),
+            });
+        }
     }
-    Ok(d)
+    Ok(())
 }
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -134,16 +140,17 @@ fn kmeanspp_init(data: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>>
     centroids
 }
 
-/// One full Lloyd run through an arbitrary noise model. Exposed so q-means
-/// can drive the identical control flow.
-pub fn lloyd_run<N: NoiseModel>(
+/// One full Lloyd run (k-means++ init, then at most `config.max_iter`
+/// iterations) through an arbitrary noise model.
+fn lloyd_run<N: NoiseModel>(
     data: &[Vec<f64>],
-    k: usize,
-    max_iter: usize,
-    tol: f64,
+    config: &KMeansConfig,
     rng: &mut StdRng,
     noise: &mut N,
 ) -> KMeansResult {
+    let KMeansConfig {
+        k, max_iter, tol, ..
+    } = *config;
     let n = data.len();
     let d = data[0].len();
     let mut centroids = kmeanspp_init(data, k, rng);
@@ -221,13 +228,39 @@ pub fn lloyd_run<N: NoiseModel>(
     }
 }
 
+/// The restart loop k-means and q-means share: validates `data` against
+/// `config`, then runs `config.restarts` Lloyd runs through `noise` on one
+/// RNG stream seeded from `config.seed` and keeps the first run of
+/// strictly lowest inertia.
+///
+/// # Errors
+///
+/// Returns [`ClusterError`] for invalid configurations, too few points,
+/// ragged data or a non-finite coordinate.
+pub(crate) fn best_of_restarts<N: NoiseModel>(
+    data: &[Vec<f64>],
+    config: &KMeansConfig,
+    noise: &mut N,
+) -> Result<KMeansResult, ClusterError> {
+    validate(data, config)?;
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut best: Option<KMeansResult> = None;
+    for _ in 0..config.restarts {
+        let run = lloyd_run(data, config, &mut rng, noise);
+        if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
+            best = Some(run);
+        }
+    }
+    Ok(best.expect("restarts >= 1"))
+}
+
 /// Classical k-means: k-means++ init, Lloyd iterations, best of
 /// `config.restarts` runs by inertia.
 ///
 /// # Errors
 ///
-/// Returns [`ClusterError`] for invalid configurations, too few points or
-/// ragged data.
+/// Returns [`ClusterError`] for invalid configurations, too few points,
+/// ragged data or a non-finite coordinate.
 ///
 /// # Examples
 ///
@@ -246,23 +279,7 @@ pub fn lloyd_run<N: NoiseModel>(
 /// # }
 /// ```
 pub fn kmeans(data: &[Vec<f64>], config: &KMeansConfig) -> Result<KMeansResult, ClusterError> {
-    validate(data, config)?;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut best: Option<KMeansResult> = None;
-    for _ in 0..config.restarts {
-        let run = lloyd_run(
-            data,
-            config.k,
-            config.max_iter,
-            config.tol,
-            &mut rng,
-            &mut ExactModel,
-        );
-        if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
-            best = Some(run);
-        }
-    }
-    Ok(best.expect("restarts >= 1"))
+    best_of_restarts(data, config, &mut ExactModel)
 }
 
 #[cfg(test)]
@@ -383,6 +400,19 @@ mod tests {
             }
         )
         .is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rows = vec![vec![0.0, 0.0], vec![1.0, bad], vec![2.0, 2.0]];
+            assert!(matches!(
+                kmeans(
+                    &rows,
+                    &KMeansConfig {
+                        k: 2,
+                        ..Default::default()
+                    }
+                ),
+                Err(ClusterError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

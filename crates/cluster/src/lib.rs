@@ -4,8 +4,9 @@
 //! machinery of the evaluation:
 //!
 //! * [`kmeans()`] — Lloyd's algorithm with k-means++ seeding and restarts,
-//! * [`qmeans()`] — the quantum analogue: the same iteration through
+//! * [`QMeans`] — the quantum analogue: the same iteration through
 //!   δ-bounded noise channels (distance estimation + tomography errors),
+//!   with the distance estimates drawn through an execution backend,
 //! * [`clusterer`] — the [`Clusterer`] stage trait ([`KMeans`] / [`QMeans`])
 //!   that `qsc_core::Pipeline` composes with its embedders,
 //! * [`metrics`] — ARI, NMI, purity, Hungarian-matched accuracy,
@@ -43,7 +44,7 @@ pub mod metrics;
 pub mod qmeans;
 pub mod registry;
 
-pub use clusterer::{Clusterer, KMeans, QMeans};
+pub use clusterer::{Clusterer, KMeans};
 pub use error::ClusterError;
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use qmeans::{qmeans, qmeans_with_backend, QMeansConfig};
+pub use qmeans::QMeans;

@@ -13,95 +13,134 @@
 //! The simulation injects uniformly distributed errors of those magnitudes,
 //! which is the standard classical stand-in used by this line of work.
 //!
-//! On top of the δ channels, [`qmeans_with_backend`] routes every distance
-//! estimate through an execution
-//! [`Backend`]'s measurement statistics: with a
-//! `ShotSampler` the squared distances become finite-shot frequencies
-//! (shot-based distance estimation); with a `NoisyStatevector` they pick up
-//! the readout bias. An exact backend leaves the estimates untouched.
+//! On top of the δ channels, [`QMeans`] routes every distance estimate
+//! through the execution [`Backend`] it is handed, when that backend's
+//! statistics are not exact: with a `ShotSampler` the squared distances
+//! become finite-shot frequencies (shot-based distance estimation); with a
+//! `NoisyStatevector` they pick up the readout bias. An exact backend
+//! leaves the estimates untouched.
 
+use crate::clusterer::Clusterer;
 use crate::error::ClusterError;
-use crate::kmeans::{lloyd_run, KMeansConfig, KMeansResult, NoiseModel};
+use crate::kmeans::{best_of_restarts, KMeansConfig, KMeansResult, NoiseModel};
 use qsc_sim::backend::Backend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Configuration for [`qmeans`]: the classical configuration plus the
-/// quantum noise magnitude `δ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QMeansConfig {
-    /// The underlying k-means configuration.
-    pub base: KMeansConfig,
+/// q-means: Lloyd's iteration through δ-bounded quantum noise channels
+/// (distance estimation + centroid tomography errors), best of
+/// `base.restarts` runs by (exact) inertia.
+///
+/// With `delta = 0` on a backend with exact statistics this is numerically
+/// identical to [`crate::kmeans()`] driven by the same seed.
+///
+/// # Examples
+///
+/// ```
+/// use qsc_cluster::{Clusterer, KMeansConfig, QMeans};
+/// use qsc_sim::backend::Statevector;
+///
+/// # fn main() -> Result<(), qsc_cluster::ClusterError> {
+/// let data = vec![
+///     vec![0.0, 0.0], vec![0.1, 0.0],
+///     vec![5.0, 5.0], vec![5.1, 5.0],
+/// ];
+/// let base = KMeansConfig { k: 2, seed: 1, ..KMeansConfig::default() };
+/// let result = QMeans::new(0.05).cluster(&data, &base, &Statevector::new())?;
+/// assert_eq!(result.labels[0], result.labels[1]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QMeans {
     /// Noise magnitude `δ ≥ 0`: bound on both the squared-distance
     /// estimation error and the per-centroid tomography error.
     pub delta: f64,
 }
 
-impl Default for QMeansConfig {
+impl QMeans {
+    /// Creates the q-means stage with noise magnitude `delta`.
+    pub fn new(delta: f64) -> Self {
+        Self { delta }
+    }
+}
+
+impl Default for QMeans {
     fn default() -> Self {
-        Self {
-            base: KMeansConfig::default(),
-            delta: 0.1,
+        Self { delta: 0.1 }
+    }
+}
+
+impl Clusterer for QMeans {
+    fn name(&self) -> &'static str {
+        "qmeans"
+    }
+
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::InvalidConfig`] for a negative or non-finite
+    /// `delta`, the [`crate::kmeans()`] errors for `data` and `base`, and
+    /// [`ClusterError::Backend`] when an estimate through `backend` failed.
+    fn cluster(
+        &self,
+        data: &[Vec<f64>],
+        base: &KMeansConfig,
+        backend: &dyn Backend,
+    ) -> Result<KMeansResult, ClusterError> {
+        if !(self.delta.is_finite() && self.delta >= 0.0) {
+            return Err(ClusterError::InvalidConfig {
+                context: format!("delta = {} must be finite and non-negative", self.delta),
+            });
         }
+        // A backend with exact statistics observes nothing: its run is the
+        // pure δ channel's, bit for bit.
+        let observed = (!backend.exact_statistics()).then_some(backend);
+        let mut noise = QMeansNoise::new(
+            self.delta,
+            base.seed.wrapping_add(0x9e37_79b9),
+            observed,
+            observed.map_or(1.0, |_| distance_scale(data)),
+        );
+        let result = best_of_restarts(data, base, &mut noise)?;
+        if let Some(e) = noise.error {
+            return Err(ClusterError::Backend {
+                context: e.to_string(),
+            });
+        }
+        Ok(result)
     }
 }
 
 /// The δ-bounded noise channel of q-means, optionally composed with an
 /// execution backend's measurement statistics for the distance estimates.
-pub struct QMeansNoise<'b> {
+pub(crate) struct QMeansNoise<'b> {
     delta: f64,
     rng: StdRng,
     /// Measurement-statistics model for the distance estimates; `None`
-    /// keeps the pure δ channel (the historical behavior, bit-identical).
+    /// keeps the pure δ channel.
     backend: Option<&'b dyn Backend>,
     /// Upper bound on the squared distances, normalizing them into the
     /// `[0, 1]` probability the backend's estimator observes.
     distance_scale: f64,
     /// First backend failure, stashed because [`NoiseModel`] hooks are
     /// infallible: once set, later estimates pass through un-observed and
-    /// [`qmeans_inner`] surfaces the error after the run.
+    /// [`QMeans::cluster`] surfaces the error after the run.
     error: Option<qsc_sim::SimError>,
 }
 
 impl<'b> QMeansNoise<'b> {
-    /// Creates the pure δ noise channel with its own RNG stream.
-    pub fn new(delta: f64, seed: u64) -> Self {
+    /// Creates the channel with its own RNG stream; distance estimates are
+    /// additionally drawn through `backend` (shot statistics / readout
+    /// bias) when one is given, with squared distances normalized by
+    /// `distance_scale` (an upper bound on them).
+    fn new(delta: f64, seed: u64, backend: Option<&'b dyn Backend>, distance_scale: f64) -> Self {
         Self {
             delta,
             rng: StdRng::seed_from_u64(seed),
-            backend: None,
-            distance_scale: 1.0,
-            error: None,
-        }
-    }
-
-    /// Creates the channel with distance estimates additionally drawn
-    /// through `backend` (shot statistics / readout bias), with squared
-    /// distances normalized by `distance_scale` (an upper bound on them).
-    pub fn with_backend(
-        delta: f64,
-        seed: u64,
-        backend: &'b dyn Backend,
-        distance_scale: f64,
-    ) -> Self {
-        Self {
-            delta,
-            rng: StdRng::seed_from_u64(seed),
-            backend: Some(backend),
+            backend,
             distance_scale: distance_scale.max(f64::MIN_POSITIVE),
             error: None,
         }
-    }
-}
-
-impl std::fmt::Debug for QMeansNoise<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QMeansNoise")
-            .field("delta", &self.delta)
-            .field("backend", &self.backend.map(|b| b.name()))
-            .field("distance_scale", &self.distance_scale)
-            .finish()
     }
 }
 
@@ -148,62 +187,6 @@ impl NoiseModel for QMeansNoise<'_> {
     }
 }
 
-/// Runs q-means: Lloyd's iteration through the δ-noise channels, best of
-/// `config.base.restarts` runs by (exact) inertia.
-///
-/// With `delta = 0` this is numerically identical to [`crate::kmeans()`]
-/// driven by the same seed.
-///
-/// # Errors
-///
-/// Returns [`ClusterError`] for invalid configurations (including a negative
-/// `delta`), too few points or ragged data.
-///
-/// # Examples
-///
-/// ```
-/// use qsc_cluster::{qmeans, QMeansConfig, KMeansConfig};
-///
-/// # fn main() -> Result<(), qsc_cluster::ClusterError> {
-/// let data = vec![
-///     vec![0.0, 0.0], vec![0.1, 0.0],
-///     vec![5.0, 5.0], vec![5.1, 5.0],
-/// ];
-/// let cfg = QMeansConfig {
-///     base: KMeansConfig { k: 2, seed: 1, ..KMeansConfig::default() },
-///     delta: 0.05,
-/// };
-/// let result = qmeans(&data, &cfg)?;
-/// assert_eq!(result.labels[0], result.labels[1]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn qmeans(data: &[Vec<f64>], config: &QMeansConfig) -> Result<KMeansResult, ClusterError> {
-    qmeans_inner(data, config, None)
-}
-
-/// Runs q-means with the distance estimates drawn through an execution
-/// backend's measurement statistics (finite shots / readout bias) on top of
-/// the δ channels.
-///
-/// With a backend whose statistics are exact
-/// ([`Backend::exact_statistics`]), this is numerically identical to
-/// [`qmeans`].
-///
-/// # Errors
-///
-/// Same contract as [`qmeans`].
-pub fn qmeans_with_backend(
-    data: &[Vec<f64>],
-    config: &QMeansConfig,
-    backend: &dyn Backend,
-) -> Result<KMeansResult, ClusterError> {
-    if backend.exact_statistics() {
-        return qmeans(data, config);
-    }
-    qmeans_inner(data, config, Some(backend))
-}
-
 /// Upper bound on the squared distance between a point and any centroid in
 /// the data's convex hull: `(2·max‖x‖)²` (δ perturbations are clamped into
 /// this range, which only saturates the probability).
@@ -215,70 +198,11 @@ fn distance_scale(data: &[Vec<f64>]) -> f64 {
     (2.0 * max_norm).powi(2).max(f64::MIN_POSITIVE)
 }
 
-fn qmeans_inner(
-    data: &[Vec<f64>],
-    config: &QMeansConfig,
-    backend: Option<&dyn Backend>,
-) -> Result<KMeansResult, ClusterError> {
-    if config.delta < 0.0 {
-        return Err(ClusterError::InvalidConfig {
-            context: format!("delta = {} must be non-negative", config.delta),
-        });
-    }
-    // Validation is shared with kmeans via a zero-iteration dry call.
-    if config.base.k == 0 || config.base.restarts == 0 {
-        return Err(ClusterError::InvalidConfig {
-            context: "k and restarts must be positive".into(),
-        });
-    }
-    if data.len() < config.base.k {
-        return Err(ClusterError::TooFewPoints {
-            points: data.len(),
-            k: config.base.k,
-        });
-    }
-    let d0 = data[0].len();
-    for p in data {
-        if p.len() != d0 {
-            return Err(ClusterError::DimensionMismatch {
-                expected: d0,
-                found: p.len(),
-            });
-        }
-    }
-
-    let mut rng = StdRng::seed_from_u64(config.base.seed);
-    let noise_seed = config.base.seed.wrapping_add(0x9e37_79b9);
-    let mut noise = match backend {
-        Some(b) => QMeansNoise::with_backend(config.delta, noise_seed, b, distance_scale(data)),
-        None => QMeansNoise::new(config.delta, noise_seed),
-    };
-    let mut best: Option<KMeansResult> = None;
-    for _ in 0..config.base.restarts {
-        let run = lloyd_run(
-            data,
-            config.base.k,
-            config.base.max_iter,
-            config.base.tol,
-            &mut rng,
-            &mut noise,
-        );
-        if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
-            best = Some(run);
-        }
-    }
-    if let Some(e) = noise.error {
-        return Err(ClusterError::Backend {
-            context: e.to_string(),
-        });
-    }
-    Ok(best.expect("restarts >= 1"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kmeans::kmeans;
+    use qsc_sim::backend::{ShotSampler, Statevector};
 
     fn blobs() -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(123);
@@ -294,16 +218,21 @@ mod tests {
         data
     }
 
+    fn base(seed: u64) -> KMeansConfig {
+        KMeansConfig {
+            k: 2,
+            seed,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn zero_delta_matches_kmeans() {
         let data = blobs();
-        let base = KMeansConfig {
-            k: 2,
-            seed: 4,
-            ..Default::default()
-        };
-        let classical = kmeans(&data, &base).unwrap();
-        let quantum = qmeans(&data, &QMeansConfig { base, delta: 0.0 }).unwrap();
+        let classical = kmeans(&data, &base(4)).unwrap();
+        let quantum = QMeans::new(0.0)
+            .cluster(&data, &base(4), &Statevector::new())
+            .unwrap();
         assert_eq!(classical.labels, quantum.labels);
         assert!((classical.inertia - quantum.inertia).abs() < 1e-12);
     }
@@ -311,15 +240,9 @@ mod tests {
     #[test]
     fn small_delta_still_separates_blobs() {
         let data = blobs();
-        let cfg = QMeansConfig {
-            base: KMeansConfig {
-                k: 2,
-                seed: 4,
-                ..Default::default()
-            },
-            delta: 0.2,
-        };
-        let result = qmeans(&data, &cfg).unwrap();
+        let result = QMeans::new(0.2)
+            .cluster(&data, &base(4), &Statevector::new())
+            .unwrap();
         // First 25 points belong together, last 25 belong together.
         assert!(result.labels[..25].windows(2).all(|w| w[0] == w[1]));
         assert!(result.labels[25..].windows(2).all(|w| w[0] == w[1]));
@@ -329,33 +252,38 @@ mod tests {
     #[test]
     fn rejects_negative_delta() {
         let data = blobs();
-        let cfg = QMeansConfig {
-            base: KMeansConfig {
-                k: 2,
-                ..Default::default()
-            },
-            delta: -0.1,
-        };
-        assert!(qmeans(&data, &cfg).is_err());
+        for delta in [-0.1, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                QMeans::new(delta).cluster(&data, &base(0), &Statevector::new()),
+                Err(ClusterError::InvalidConfig { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_rows() {
+        let mut data = blobs();
+        data[3][1] = f64::NAN;
+        assert!(matches!(
+            QMeans::new(0.1).cluster(&data, &base(0), &ShotSampler::new(64)),
+            Err(ClusterError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn deterministic_given_seed() {
         let data = blobs();
-        let cfg = QMeansConfig {
-            base: KMeansConfig {
-                k: 2,
-                seed: 9,
-                ..Default::default()
-            },
-            delta: 0.3,
+        let run = || {
+            QMeans::new(0.3)
+                .cluster(&data, &base(9), &Statevector::new())
+                .unwrap()
         };
-        assert_eq!(qmeans(&data, &cfg).unwrap(), qmeans(&data, &cfg).unwrap());
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn noise_channel_bounds_respected() {
-        let mut noise = QMeansNoise::new(0.5, 1);
+        let mut noise = QMeansNoise::new(0.5, 1, None, 1.0);
         for _ in 0..100 {
             let est = noise.distance_sq(3.0);
             assert!((est - 3.0).abs() <= 0.5);
@@ -377,7 +305,7 @@ mod tests {
 
     #[test]
     fn distance_estimates_never_negative() {
-        let mut noise = QMeansNoise::new(1.0, 2);
+        let mut noise = QMeansNoise::new(1.0, 2, None, 1.0);
         for _ in 0..200 {
             assert!(noise.distance_sq(0.01) >= 0.0);
         }
@@ -385,36 +313,24 @@ mod tests {
 
     #[test]
     fn exact_backend_matches_plain_qmeans() {
-        use qsc_sim::backend::Statevector;
+        // An exact backend observes nothing: the run is the pure δ
+        // channel's, on the noise stream seeded at `seed + 0x9e37_79b9`.
         let data = blobs();
-        let cfg = QMeansConfig {
-            base: KMeansConfig {
-                k: 2,
-                seed: 4,
-                ..Default::default()
-            },
-            delta: 0.2,
-        };
-        let plain = qmeans(&data, &cfg).unwrap();
-        let via_backend = qmeans_with_backend(&data, &cfg, &Statevector::new()).unwrap();
+        let mut plain_noise = QMeansNoise::new(0.2, 4 + 0x9e37_79b9, None, 1.0);
+        let plain = best_of_restarts(&data, &base(4), &mut plain_noise).unwrap();
+        let via_backend = QMeans::new(0.2)
+            .cluster(&data, &base(4), &Statevector::new())
+            .unwrap();
         assert_eq!(plain, via_backend);
     }
 
     #[test]
     fn shot_backend_is_deterministic_and_still_separates() {
-        use qsc_sim::backend::ShotSampler;
         let data = blobs();
-        let cfg = QMeansConfig {
-            base: KMeansConfig {
-                k: 2,
-                seed: 4,
-                ..Default::default()
-            },
-            delta: 0.05,
-        };
         let backend = ShotSampler::new(512);
-        let a = qmeans_with_backend(&data, &cfg, &backend).unwrap();
-        let b = qmeans_with_backend(&data, &cfg, &backend).unwrap();
+        let stage = QMeans::new(0.05);
+        let a = stage.cluster(&data, &base(4), &backend).unwrap();
+        let b = stage.cluster(&data, &base(4), &backend).unwrap();
         assert_eq!(a, b, "seeded shot statistics must be reproducible");
         // The blobs are far apart; 512 shots resolve them.
         assert!(a.labels[..25].windows(2).all(|w| w[0] == w[1]));
@@ -424,9 +340,8 @@ mod tests {
 
     #[test]
     fn shot_backend_distance_estimates_are_quantized() {
-        use qsc_sim::backend::ShotSampler;
         let backend = ShotSampler::new(100);
-        let mut noise = QMeansNoise::with_backend(0.0, 7, &backend, 4.0);
+        let mut noise = QMeansNoise::new(0.0, 7, Some(&backend), 4.0);
         for _ in 0..50 {
             let est = noise.distance_sq(1.0);
             // Estimates are multiples of scale/shots = 0.04.

@@ -627,7 +627,8 @@ mod tests {
     fn nested_parallel_calls_complete() {
         // A parallel call whose tasks run parallel calls themselves: on a
         // fixed-size pool this deadlocks unless waiting threads help. The
-        // shape mirrors run_many (outer) over parallel kernels (inner).
+        // shape mirrors `Pipeline::run_many` (outer) over parallel kernels
+        // (inner).
         let mut outer: Vec<u64> = vec![0; 64];
         outer.par_chunks_mut(4).for_each(|chunk| {
             for slot in chunk.iter_mut() {

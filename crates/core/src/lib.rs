@@ -47,9 +47,9 @@
 //! ```
 //!
 //! Batches fan out over the rayon worker pool with
-//! [`Pipeline::run_many`]; clusterer sweeps reuse each graph's staged
-//! embedding through [`Pipeline::embed`] / [`Pipeline::cluster`] (or the
-//! batched [`Pipeline::run_many_clusterers`]).
+//! [`Pipeline::run_many`], which stages each graph's embedding once and
+//! clusters it with a list of clusterers; a single graph's staged
+//! embedding is reused through [`Pipeline::embed`] / [`Pipeline::cluster`].
 //!
 //! # Execution backends
 //!

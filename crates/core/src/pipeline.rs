@@ -20,12 +20,12 @@
 //! For parameter sweeps, [`Pipeline::embed`] stages the expensive prefix
 //! (Laplacian + embedding) once and [`Pipeline::cluster`] re-clusters it —
 //! so e.g. a q-means `δ` sweep never recomputes its QPE inputs. For many
-//! graphs, [`Pipeline::run_many_clusterers`] fans instances out over the
-//! rayon worker pool, staging each embedding once and clustering it with a
-//! list of clusterers; [`Pipeline::run_many`] is its one-clusterer case,
-//! and the `_isolated` pair adds fault isolation. Every instance is
-//! computed independently from its own seed, so batched results are
-//! identical to a sequential loop regardless of the worker count.
+//! graphs, [`Pipeline::run_many`] fans instances out over the rayon worker
+//! pool, staging each embedding once and clustering it with a list of
+//! clusterers, each instance under the pipeline's [`ResiliencePolicy`].
+//! Every instance is computed independently from its own seed, so batched
+//! results are identical to a sequential loop regardless of the worker
+//! count.
 //!
 //! # Examples
 //!
@@ -220,8 +220,9 @@ pub struct StagedEmbedding {
 /// Borrowed, so building a batch never copies graphs:
 ///
 /// ```
-/// use qsc_core::{GraphInstance, Pipeline};
+/// use qsc_core::{Clusterer, GraphInstance, KMeans, Pipeline};
 /// use qsc_graph::generators::{dsbm, DsbmParams};
+/// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), qsc_core::Error> {
 /// let graphs: Vec<_> = (0..3)
@@ -232,8 +233,10 @@ pub struct StagedEmbedding {
 ///     .enumerate()
 ///     .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
 ///     .collect();
-/// let outs = Pipeline::hermitian(2).run_many(&batch)?;
+/// let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
+/// let outs = Pipeline::hermitian(2).run_many(&batch, &[kmeans]);
 /// assert_eq!(outs.len(), 3);
+/// assert!(outs.iter().all(|out| out.is_ok()));
 /// # Ok(())
 /// # }
 /// ```
@@ -408,12 +411,11 @@ impl Pipeline {
     /// chain, and (for chaos testing) a deterministic fault-injection
     /// plan.
     ///
-    /// The policy only drives the **isolated** batch runners
-    /// ([`Pipeline::run_many_isolated`] /
-    /// [`Pipeline::run_many_clusterers_isolated`]), plus the
+    /// The policy drives the batch runner [`Pipeline::run_many`], plus the
     /// `state_budget_bytes` cap which every quantum stage honors through
-    /// [`StageContext`]. The plain runners ([`Pipeline::run`],
-    /// [`Pipeline::run_many`]) behave exactly as without a policy.
+    /// [`StageContext`]. The single-graph calls ([`Pipeline::run`],
+    /// [`Pipeline::embed`], [`Pipeline::cluster`]) behave exactly as
+    /// without a policy.
     ///
     /// Fallback backends are built eagerly here, so a malformed fallback
     /// config fails at build time, not mid-sweep.
@@ -438,9 +440,9 @@ impl Pipeline {
     /// each distinct Laplacian once across every run of every pipeline that
     /// shares the cache. Outputs are bit-identical with or without it.
     ///
-    /// Every runner call ([`Pipeline::embed`], [`Pipeline::run`] and the
-    /// batch runners) is one batch: a miss evicts the entries the batch
-    /// has not looked up. The cache is bypassed while the resilience
+    /// Every runner call ([`Pipeline::embed`], [`Pipeline::run`] and
+    /// [`Pipeline::run_many`]) is one batch: a miss evicts the entries the
+    /// batch has not looked up. The cache is bypassed while the resilience
     /// policy carries an active fault plan.
     pub fn spectrum_cache(mut self, cache: Arc<SpectrumCache>) -> Self {
         self.spectrum_cache = Some(cache);
@@ -583,7 +585,7 @@ impl Pipeline {
         let start = Instant::now();
         let k = self.embedding.k;
         let clustering = ClusteringConfig::default();
-        let result = clusterer.cluster_with_backend(
+        let result = clusterer.cluster(
             &staged.embedding.rows,
             &KMeansConfig {
                 k,
@@ -640,68 +642,6 @@ impl Pipeline {
         self.cluster(&self.embed(g)?)
     }
 
-    /// `work(instance, seed)` for every instance, rayon-parallel, collected
-    /// in instance order; `seed` is the instance's override or the
-    /// pipeline seed.
-    fn per_instance<T: Send>(
-        &self,
-        instances: &[GraphInstance<'_>],
-        work: impl Fn(&GraphInstance<'_>, u64) -> T + Sync,
-    ) -> Vec<T> {
-        self.start_batch();
-        // Ordered parallel collection via an indexed slot vector: the rayon
-        // compat shim only exposes the par_chunks(_mut) surface (no
-        // par_iter), and this shape is also valid under real rayon, keeping
-        // the planned shim→rayon swap a pure dependency change.
-        let mut slots: Vec<Option<T>> = (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            let inst = &instances[i];
-            slot[0] = Some(work(inst, inst.seed.unwrap_or(self.seed)));
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
-    }
-
-    /// Runs the pipeline on a batch of graphs, rayon-parallel over
-    /// instances. Results are in instance order and — because every
-    /// instance is computed independently from its own seed over
-    /// thread-count-independent kernels — identical to a sequential
-    /// [`Pipeline::run`] loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first instance error in batch order, if any.
-    pub fn run_many(
-        &self,
-        instances: &[GraphInstance<'_>],
-    ) -> Result<Vec<ClusteringOutcome>, Error> {
-        let outs = self.run_many_clusterers(instances, std::slice::from_ref(&self.clusterer))?;
-        Ok(outs.into_iter().map(only_outcome).collect())
-    }
-
-    /// Batch runner for clusterer sweeps: every instance's Laplacian and
-    /// embedding are computed **once**, then re-clustered with each stage
-    /// in `clusterers`. Parallel over instances; the result is indexed
-    /// `[instance][clusterer]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error in `(instance, clusterer)` order, if any.
-    pub fn run_many_clusterers(
-        &self,
-        instances: &[GraphInstance<'_>],
-        clusterers: &[Arc<dyn Clusterer>],
-    ) -> Result<Vec<Vec<ClusteringOutcome>>, Error> {
-        self.per_instance(instances, |inst, seed| {
-            self.embed_and_cluster(inst.graph, seed, clusterers)
-        })
-        .into_iter()
-        .collect()
-    }
-
     /// Like [`Pipeline::clusterer`] but sharing an existing stage — the
     /// form a list of swept clusterers comes in.
     pub fn clusterer_shared(mut self, clusterer: Arc<dyn Clusterer>) -> Self {
@@ -712,7 +652,8 @@ impl Pipeline {
     // --- Fault-isolated execution (see docs/RESILIENCE.md) ---------------
 
     /// Seed of retry attempt `attempt` (attempt 0 keeps the original seed,
-    /// so a first-try success is bit-identical to the plain runners).
+    /// so a first-try success is bit-identical to a sequential
+    /// [`Pipeline::run`]).
     fn attempt_seed(seed: u64, attempt: usize) -> u64 {
         seed.wrapping_add((attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
@@ -847,44 +788,44 @@ impl Pipeline {
         }
     }
 
-    /// Fault-isolated batch runner: like [`Pipeline::run_many`], but a
-    /// failing instance — typed error *or panic* — becomes its own
-    /// [`InstanceError`] entry instead of failing (or poisoning) the whole
-    /// batch, and the attached [`ResiliencePolicy`] grants retries,
-    /// deadlines and backend fallbacks per instance.
+    /// The batch runner: stages every instance's Laplacian and embedding
+    /// **once** and clusters it with each stage in `clusterers`, in order.
+    /// Rayon-parallel over instances; the result is indexed
+    /// `[instance][clusterer]` and — because every instance is computed
+    /// independently from its own seed over thread-count-independent
+    /// kernels — identical to a sequential [`Pipeline::embed`] +
+    /// [`Pipeline::cluster`] loop.
     ///
-    /// When nothing fails the outcomes are bit-identical to
-    /// [`Pipeline::run_many`] (attempt 0 uses the unperturbed seed).
-    pub fn run_many_isolated(
-        &self,
-        instances: &[GraphInstance<'_>],
-    ) -> BatchOutcome<ClusteringOutcome> {
-        self.run_many_clusterers_isolated(instances, std::slice::from_ref(&self.clusterer))
-            .into_iter()
-            .map(|outs| outs.map(only_outcome))
-            .collect()
-    }
-
-    /// Fault-isolated counterpart of [`Pipeline::run_many_clusterers`]:
-    /// each instance's staged embedding plus *all* its clusterer variants
-    /// run under one guard, so a failure anywhere marks that instance
-    /// failed (the variants share the embedding, hence its fate).
-    pub fn run_many_clusterers_isolated(
+    /// Each instance, with all its clusterer variants, runs under one guard
+    /// of the attached [`ResiliencePolicy`]: a failing instance — typed
+    /// error *or panic* — becomes its own [`InstanceError`] entry instead
+    /// of failing (or poisoning) the whole batch, and the policy grants
+    /// retries, deadlines and backend fallbacks per instance. The variants
+    /// share the embedding, hence its fate.
+    pub fn run_many(
         &self,
         instances: &[GraphInstance<'_>],
         clusterers: &[Arc<dyn Clusterer>],
     ) -> BatchOutcome<Vec<ClusteringOutcome>> {
-        self.per_instance(instances, |inst, seed| {
-            self.guarded(seed, &|pl: &Pipeline, s| {
+        self.start_batch();
+        // Ordered parallel collection via an indexed slot vector: the rayon
+        // compat shim only exposes the par_chunks(_mut) surface (no
+        // par_iter), and this shape is also valid under real rayon, keeping
+        // the planned shim→rayon swap a pure dependency change.
+        let mut slots: Vec<Option<_>> = (0..instances.len()).map(|_| None).collect();
+        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+            let inst = &instances[i];
+            let seed = inst.seed.unwrap_or(self.seed);
+            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| {
                 pl.embed_and_cluster(inst.graph, s, clusterers)
-            })
-        })
+            }));
+        });
+        slots
+            .into_iter()
+            // Every slot was written by the parallel loop above.
+            .map(|slot| slot.expect("batch slot filled"))
+            .collect()
     }
-}
-
-/// The outcome of a one-clusterer batch entry.
-fn only_outcome(mut outs: Vec<ClusteringOutcome>) -> ClusteringOutcome {
-    outs.pop().expect("one outcome per clusterer")
 }
 
 /// Human-readable form of a caught panic payload (panics carry `&str` or
@@ -973,16 +914,20 @@ mod tests {
             .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
             .collect();
         let pl = Pipeline::hermitian(3);
-        let batched = pl.run_many(&batch).unwrap();
+        let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
+        let batched = pl.run_many(&batch, &[kmeans]);
+        assert_eq!(batched.len(), graphs.len());
         for (i, inst) in graphs.iter().enumerate() {
             let single = pl.clone().seed(i as u64).run(&inst.graph).unwrap();
-            assert_eq!(batched[i].labels, single.labels);
-            assert_eq!(batched[i].spectrum, single.spectrum);
+            let outs = batched[i].as_ref().unwrap();
+            assert_eq!(outs.len(), 1);
+            assert_eq!(outs[0].labels, single.labels);
+            assert_eq!(outs[0].spectrum, single.spectrum);
         }
     }
 
     #[test]
-    fn run_many_clusterers_shares_the_embedding() {
+    fn run_many_shares_the_embedding_across_clusterers() {
         let graphs: Vec<_> = (0..2).map(|s| flow_instance(50, 30 + s)).collect();
         let batch: Vec<GraphInstance> = graphs
             .iter()
@@ -993,7 +938,11 @@ mod tests {
             .quantum(&QuantumParams::default());
         let deltas: Vec<Arc<dyn Clusterer>> =
             vec![Arc::new(QMeans::new(0.05)), Arc::new(QMeans::new(0.5))];
-        let outs = pl.run_many_clusterers(&batch, &deltas).unwrap();
+        let outs: Vec<_> = pl
+            .run_many(&batch, &deltas)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(outs.len(), 2);
         for per_instance in &outs {
             assert_eq!(per_instance.len(), 2);
@@ -1002,12 +951,14 @@ mod tests {
         }
         // And each outcome matches its own full run.
         for (i, inst) in graphs.iter().enumerate() {
-            let full = pl
-                .clone()
-                .clusterer(QMeans::new(0.5))
-                .run(&inst.graph)
-                .unwrap();
-            assert_eq!(outs[i][1].labels, full.labels);
+            for (j, delta) in [0.05, 0.5].into_iter().enumerate() {
+                let full = pl
+                    .clone()
+                    .clusterer(QMeans::new(delta))
+                    .run(&inst.graph)
+                    .unwrap();
+                assert_eq!(outs[i][j].labels, full.labels);
+            }
         }
     }
 
@@ -1100,6 +1051,7 @@ mod tests {
         let plan =
             qsc_fault::FaultPlan::seeded(3).with_rate(qsc_fault::FaultPoint::Allocation, 1e-9);
         assert!(plan.is_active());
+        let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
         let faulted = Pipeline::hermitian(3)
             .spectrum_cache(cache.clone())
             .resilience(ResiliencePolicy {
@@ -1108,7 +1060,7 @@ mod tests {
             })
             .unwrap();
         for _ in 0..2 {
-            for out in faulted.run_many_isolated(&batch) {
+            for out in faulted.run_many(&batch, std::slice::from_ref(&kmeans)) {
                 out.unwrap();
             }
         }
@@ -1116,7 +1068,7 @@ mod tests {
         // Without the plan the same batches go through the cache.
         let plain = Pipeline::hermitian(3).spectrum_cache(cache.clone());
         for _ in 0..2 {
-            for out in plain.run_many_isolated(&batch) {
+            for out in plain.run_many(&batch, std::slice::from_ref(&kmeans)) {
                 out.unwrap();
             }
         }

@@ -3,14 +3,14 @@
 //! deadlines, memory budgets, backend fallback chains and deterministic
 //! fault injection.
 //!
-//! The policy is consumed by the isolated batch runners
-//! ([`Pipeline::run_many_isolated`](crate::Pipeline::run_many_isolated) and
-//! [`Pipeline::run_many_clusterers_isolated`](crate::Pipeline::run_many_clusterers_isolated)),
-//! which catch per-instance panics on the worker pool and convert every
-//! failure — panic or typed error — into an [`InstanceError`] instead of
-//! poisoning the whole batch. The plain runners
+//! The policy is consumed by the batch runner
+//! [`Pipeline::run_many`](crate::Pipeline::run_many), which catches
+//! per-instance panics on the worker pool and converts every failure —
+//! panic or typed error — into an [`InstanceError`] instead of poisoning
+//! the whole batch. The single-graph calls
 //! ([`Pipeline::run`](crate::Pipeline::run),
-//! [`Pipeline::run_many`](crate::Pipeline::run_many)) are untouched by the
+//! [`Pipeline::embed`](crate::Pipeline::embed),
+//! [`Pipeline::cluster`](crate::Pipeline::cluster)) are untouched by the
 //! policy: same results, same error propagation, bit for bit.
 //!
 //! Policies serialize through `qsc-json` as the spec-file `"resilience"`
@@ -34,7 +34,7 @@ use qsc_linalg::LinalgError;
 use qsc_sim::SimError;
 use std::fmt;
 
-/// Per-instance results of an isolated batch run: each instance is either
+/// Per-instance results of a batch run: each instance is either
 /// its outcome or the typed failure that exhausted the resilience policy.
 /// Instance order matches the input batch.
 pub type BatchOutcome<T> = Vec<Result<T, InstanceError>>;

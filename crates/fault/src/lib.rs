@@ -43,8 +43,8 @@ use std::cell::RefCell;
 /// The named places instrumented code may inject a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// The start of one batch work item (`run_many` instance) — fires as a
-    /// panic, exercising panic isolation.
+    /// The start of one batch work item (a `Pipeline::run_many` instance) —
+    /// fires as a panic, exercising panic isolation.
     TaskStart,
     /// A backend's `run` entry point — fires as a typed simulator error.
     BackendRun,

@@ -173,15 +173,17 @@ pub fn detect() -> KernelTier {
 /// # Errors
 ///
 /// Returns [`KernelConfigError::UnknownTier`] when the variable is set to
-/// something that is not a tier name. Availability is *not* checked here
-/// — see [`validate`].
+/// something that is not a tier name, including a value that is not
+/// UTF-8 (named by its lossy form). Availability is *not* checked here —
+/// see [`validate`].
 pub fn requested() -> Result<Option<KernelTier>, KernelConfigError> {
-    match std::env::var(KERNELS_ENV) {
-        Ok(value) => KernelTier::parse(&value)
-            .map(Some)
-            .ok_or(KernelConfigError::UnknownTier(value)),
-        Err(_) => Ok(None),
-    }
+    let Some(raw) = std::env::var_os(KERNELS_ENV) else {
+        return Ok(None);
+    };
+    raw.to_str()
+        .and_then(KernelTier::parse)
+        .map(Some)
+        .ok_or_else(|| KernelConfigError::UnknownTier(raw.to_string_lossy().into_owned()))
 }
 
 /// Resolves the tier this process will run, rejecting bad configuration.

@@ -1,5 +1,5 @@
 //! The job subsystem: a bounded, backpressure-aware submission queue and
-//! a worker pool executing sweeps through the existing isolated runners.
+//! a worker pool executing sweeps through the existing batch runner.
 //!
 //! Each accepted submission becomes a [`Job`]. Cache hits are born
 //! `done` — the simulator is never invoked for them. Misses wait in a
@@ -357,7 +357,7 @@ fn worker_loop(shared: &Shared) {
 fn execute(shared: &Shared, job: &Arc<Job>) {
     job.set_phase(Phase::Running);
     let runner = SweepRunner::new(job.scale).with_fleet(shared.executors.iter().cloned());
-    // The isolated runners already confine per-repetition panics; this
+    // The batch runner already confines per-repetition panics; this
     // outer guard confines anything else (spec-level logic) to the job.
     let run = catch_unwind(AssertUnwindSafe(|| {
         runner.run_with_progress(&job.spec, &mut |event| match event {

@@ -6,7 +6,7 @@
 //! `ExperimentSpec` JSON documents the `experiments` binary reads, the
 //! server validates them with the strict `qsc-json` parser (syntax
 //! errors answer `400` with the parser's line/col message), executes
-//! them through the existing isolated runners — so served tables are
+//! them through the existing batch runner — so served tables are
 //! **bit-identical** to local runs — and keys every finished result in a
 //! content-addressed cache (`SHA-256`, [`qsc_json::sha256`], of canonical spec JSON + code
 //! version + scale). Re-submitting a spec anyone has run before answers

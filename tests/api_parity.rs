@@ -11,8 +11,8 @@
 //!   kernels as before),
 //! * the serializable `BackendConfig` route (`Pipeline::backend_config`)
 //!   reproduces the equivalent builder recipe exactly,
-//! * the rayon-parallel `run_many` batch runner — now on the persistent
-//!   worker pool, with backends shared across instances — remains
+//! * the rayon-parallel `run_many` batch runner — on the persistent worker
+//!   pool, with backends shared across instances — remains
 //!   indistinguishable from a sequential loop under a multi-threaded pool.
 //!
 //! The worker count is pinned to 4 before any pipeline runs (same
@@ -197,6 +197,19 @@ fn nonexact_backends_are_deterministic_but_distinct() {
     );
 }
 
+/// `pl.run_many` with the default quantum parameters' q-means stage (the
+/// stage `Pipeline::quantum` installs): one outcome per instance.
+fn run_batch(pl: &Pipeline, batch: &[GraphInstance<'_>]) -> Vec<ClusteringOutcome> {
+    let qmeans: Arc<dyn Clusterer> = Arc::new(QMeans::new(QuantumParams::default().delta));
+    pl.run_many(batch, &[qmeans])
+        .into_iter()
+        .map(|outs| {
+            let mut outs = outs.expect("run_many");
+            outs.pop().expect("one outcome per clusterer")
+        })
+        .collect()
+}
+
 #[test]
 fn run_many_is_deterministic_under_four_workers() {
     setup();
@@ -221,7 +234,7 @@ fn run_many_is_deterministic_under_four_workers() {
 
     // The parallel batch must agree exactly, run after run.
     for round in 0..2 {
-        let batched = pl.run_many(&batch).expect("run_many");
+        let batched = run_batch(&pl, &batch);
         assert_eq!(batched.len(), sequential.len());
         for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
             assert_outcomes_identical(b, s, &format!("round {round}, instance {i}"));
@@ -245,7 +258,7 @@ fn run_many_shares_one_backend_pool_across_instances() {
     let pl = Pipeline::hermitian(3)
         .quantum(&QuantumParams::default())
         .backend_shared(backend);
-    let batched = pl.run_many(&batch).expect("run_many");
+    let batched = run_batch(&pl, &batch);
     for (i, inst) in batch.iter().enumerate() {
         let single = pl
             .clone()
@@ -261,7 +274,7 @@ fn run_many_shares_one_backend_pool_across_instances() {
 }
 
 #[test]
-fn run_many_clusterers_matches_independent_full_runs() {
+fn run_many_clusterer_sweep_matches_independent_full_runs() {
     setup();
     let graphs: Vec<PlantedGraph> = (0..3).map(|s| flow_instance(50, 60 + s)).collect();
     let batch: Vec<GraphInstance> = graphs
@@ -276,8 +289,9 @@ fn run_many_clusterers_matches_independent_full_runs() {
         .iter()
         .map(|&d| Arc::new(QMeans::new(d)) as Arc<dyn Clusterer>)
         .collect();
-    let swept = pl.run_many_clusterers(&batch, &clusterers).expect("sweep");
+    let swept = pl.run_many(&batch, &clusterers);
     for (i, per_instance) in swept.iter().enumerate() {
+        let per_instance = per_instance.as_ref().expect("sweep");
         for (j, &delta) in deltas.iter().enumerate() {
             let full = pl
                 .clone()

@@ -9,10 +9,11 @@
 
 use qsc_suite::core::config::BackendConfig;
 use qsc_suite::core::{
-    ClusteringOutcome, Error, FailureKind, FaultPlan, FaultPoint, GraphInstance, LanczosCsr,
-    Pipeline, QuantumParams, ResiliencePolicy,
+    Clusterer, ClusteringOutcome, Error, FailureKind, FaultPlan, FaultPoint, GraphInstance,
+    InstanceError, KMeans, LanczosCsr, Pipeline, QMeans, QuantumParams, ResiliencePolicy,
 };
 use qsc_suite::graph::generators::{dsbm, DsbmParams, MetaGraph, PlantedGraph};
+use std::sync::Arc;
 
 /// An outcome with the (inherently non-deterministic) wall-time diagnostic
 /// zeroed, so runs can be compared bit for bit on everything that matters.
@@ -36,6 +37,33 @@ fn flow_instance(n: usize, seed: u64) -> PlantedGraph {
     .expect("valid params")
 }
 
+/// `pl.run_many` with the one stage `clusterer`: one outcome, or the
+/// instance's failure, per instance.
+fn run_batch(
+    pl: &Pipeline,
+    batch: &[GraphInstance<'_>],
+    clusterer: impl Clusterer + 'static,
+) -> Vec<Result<ClusteringOutcome, InstanceError>> {
+    pl.run_many(batch, &[Arc::new(clusterer) as Arc<dyn Clusterer>])
+        .into_iter()
+        .map(|outs| outs.map(|mut outs| outs.pop().expect("one outcome per clusterer")))
+        .collect()
+}
+
+/// The sequential reference for a batch: one `Pipeline::run` per
+/// instance, in order, under the instance's seed.
+fn sequential(pl: &Pipeline, batch: &[GraphInstance<'_>]) -> Vec<ClusteringOutcome> {
+    batch
+        .iter()
+        .map(|inst| {
+            pl.clone()
+                .seed(inst.seed.expect("seeded batch"))
+                .run(inst.graph)
+                .expect("sequential run")
+        })
+        .collect()
+}
+
 /// The seed perturbation `Pipeline::guarded` applies per retry attempt
 /// (attempt 0 runs the unmodified seed).
 fn attempt_seed(seed: u64, attempt: u64) -> u64 {
@@ -51,15 +79,15 @@ fn isolated_runner_matches_plain_runner_without_faults() {
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
     let pl = Pipeline::hermitian(2).seed(3);
-    let plain = pl.run_many(&batch).expect("plain batch");
-    let isolated = pl.run_many_isolated(&batch);
+    let plain = sequential(&pl, &batch);
+    let isolated = run_batch(&pl, &batch, KMeans);
     assert_eq!(isolated.len(), plain.len());
     for (iso, exp) in isolated.iter().zip(&plain) {
         let out = iso.as_ref().expect("no faults injected");
         assert_eq!(
             timeless(out),
             timeless(exp),
-            "isolated runner must be bit-identical"
+            "the batch runner must be bit-identical to the sequential loop"
         );
     }
 }
@@ -91,7 +119,7 @@ fn injected_panics_are_isolated_and_deterministic() {
         "plan seed must mix failures and survivors for this test"
     );
 
-    let first = pl.run_many_isolated(&batch);
+    let first = run_batch(&pl, &batch, KMeans);
     for (slot, &fails) in first.iter().zip(&expected) {
         match slot {
             Ok(_) => assert!(!fails, "survivor where the plan decides a panic"),
@@ -106,7 +134,7 @@ fn injected_panics_are_isolated_and_deterministic() {
 
     // Same plan, same batch → byte-identical reports; and the worker pool
     // survived the panics (a plain batch still runs afterwards).
-    let second = pl.run_many_isolated(&batch);
+    let second = run_batch(&pl, &batch, KMeans);
     for (a, b) in first.iter().zip(&second) {
         match (a, b) {
             (Ok(x), Ok(y)) => assert_eq!(timeless(x), timeless(y)),
@@ -114,11 +142,12 @@ fn injected_panics_are_isolated_and_deterministic() {
             _ => panic!("run-to-run failure pattern diverged"),
         }
     }
-    let plain = Pipeline::hermitian(2)
-        .seed(3)
-        .run_many(&batch)
-        .expect("pool usable after isolated panics");
+    let plain = run_batch(&Pipeline::hermitian(2).seed(3), &batch, KMeans);
     assert_eq!(plain.len(), batch.len());
+    assert!(
+        plain.iter().all(Result::is_ok),
+        "pool usable after isolated panics"
+    );
 }
 
 #[test]
@@ -141,7 +170,7 @@ fn retries_rerun_with_perturbed_seeds() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = fail_fast.run_many_isolated(&batch)[0]
+    let err = run_batch(&fail_fast, &batch, KMeans)[0]
         .as_ref()
         .expect_err("no retries → the injected panic is final")
         .clone();
@@ -154,7 +183,7 @@ fn retries_rerun_with_perturbed_seeds() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = with_retry.run_many_isolated(&batch);
+    let out = run_batch(&with_retry, &batch, KMeans);
     assert!(
         out[0].is_ok(),
         "retry with perturbed seed must survive: {:?}",
@@ -174,7 +203,7 @@ fn lanczos_iteration_fault_reports_non_convergence() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = run_batch(&pl, &batch, KMeans)[0]
         .as_ref()
         .expect_err("every Lanczos iteration is sabotaged")
         .clone();
@@ -193,7 +222,7 @@ fn policy_budget_fails_quantum_stage_with_budget_kind() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = run_batch(&pl, &batch, QMeans::new(QuantumParams::default().delta))[0]
         .as_ref()
         .expect_err("512-byte budget cannot hold a phase register")
         .clone();
@@ -226,7 +255,7 @@ fn budget_failure_degrades_through_fallback_chain() {
         .expect("backend")
         .resilience(ResiliencePolicy::default())
         .expect("policy");
-    let err = no_fallback.run_many_isolated(&batch)[0]
+    let err = run_batch(&no_fallback, &batch, QMeans::new(qp.delta))[0]
         .as_ref()
         .expect_err("no fallbacks → the budget failure is final")
         .clone();
@@ -244,7 +273,7 @@ fn budget_failure_degrades_through_fallback_chain() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = degraded.run_many_isolated(&batch);
+    let out = run_batch(&degraded, &batch, QMeans::new(qp.delta));
     assert!(
         out[0].is_ok(),
         "fallback to statevector must succeed: {:?}",
@@ -264,7 +293,7 @@ fn invalid_requests_fail_immediately_without_retries() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = run_batch(&pl, &batch, KMeans)[0]
         .as_ref()
         .expect_err("k = 0 is invalid")
         .clone();
@@ -309,7 +338,7 @@ fn remote_call_drops_classify_as_transport_errors() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = pl.run_many_isolated(&batch)[0]
+    let err = run_batch(&pl, &batch, QMeans::new(QuantumParams::default().delta))[0]
         .as_ref()
         .expect_err("every remote call drops and there is no fallback")
         .clone();
@@ -341,10 +370,7 @@ fn remote_drops_fall_back_to_local_without_perturbing_the_seed() {
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
     let qp = QuantumParams::default();
-    let expected = Pipeline::hermitian(2)
-        .quantum(&qp)
-        .run_many(&batch)
-        .expect("local ground truth");
+    let expected = sequential(&Pipeline::hermitian(2).quantum(&qp), &batch);
     let remote = Pipeline::hermitian(2)
         .quantum(&qp)
         .backend_config(&remote_config("127.0.0.1:1"))
@@ -355,7 +381,7 @@ fn remote_drops_fall_back_to_local_without_perturbing_the_seed() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = remote.run_many_isolated(&batch);
+    let out = run_batch(&remote, &batch, QMeans::new(qp.delta));
     for (got, exp) in out.iter().zip(&expected) {
         let got = got.as_ref().expect("the fallback chain must engage");
         assert_eq!(
@@ -392,10 +418,7 @@ fn remote_fault_pattern_is_worker_count_invariant() {
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
     let qp = QuantumParams::default();
-    let expected = Pipeline::hermitian(2)
-        .quantum(&qp)
-        .run_many(&batch)
-        .expect("local ground truth");
+    let expected = sequential(&Pipeline::hermitian(2).quantum(&qp), &batch);
     let remote = Pipeline::hermitian(2)
         .quantum(&qp)
         .backend_config(&remote_config(&addr))
@@ -407,8 +430,8 @@ fn remote_fault_pattern_is_worker_count_invariant() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let first = remote.run_many_isolated(&batch);
-    let second = remote.run_many_isolated(&batch);
+    let first = run_batch(&remote, &batch, QMeans::new(qp.delta));
+    let second = run_batch(&remote, &batch, QMeans::new(qp.delta));
     for ((a, b), exp) in first.iter().zip(&second).zip(&expected) {
         let a = a.as_ref().expect("fallback covers every injected drop");
         let b = b.as_ref().expect("fallback covers every injected drop");
@@ -423,21 +446,35 @@ fn remote_fault_pattern_is_worker_count_invariant() {
 
 #[test]
 fn clusterer_sweep_isolation_matches_plain_sweep() {
-    use qsc_suite::core::{Clusterer, KMeans};
-    use std::sync::Arc;
-
     let insts: Vec<PlantedGraph> = (0..3).map(|i| flow_instance(30, 40 + i)).collect();
     let batch: Vec<GraphInstance<'_>> = insts
         .iter()
         .enumerate()
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
-    let clusterers: Vec<Arc<dyn Clusterer>> = vec![Arc::new(KMeans), Arc::new(KMeans)];
+    let clusterers: Vec<Arc<dyn Clusterer>> = vec![Arc::new(KMeans), Arc::new(QMeans::new(0.2))];
     let pl = Pipeline::hermitian(2).seed(9);
-    let plain = pl
-        .run_many_clusterers(&batch, &clusterers)
-        .expect("plain sweep");
-    let isolated = pl.run_many_clusterers_isolated(&batch, &clusterers);
+    // Sequential reference: each instance staged once, then clustered by
+    // each stage in order.
+    let plain: Vec<Vec<ClusteringOutcome>> = batch
+        .iter()
+        .map(|inst| {
+            let seeded = pl.clone().seed(inst.seed.expect("seeded batch"));
+            let staged = seeded.embed(inst.graph).expect("embed");
+            clusterers
+                .iter()
+                .map(|c| {
+                    seeded
+                        .clone()
+                        .clusterer_shared(c.clone())
+                        .cluster(&staged)
+                        .expect("cluster")
+                })
+                .collect()
+        })
+        .collect();
+    let isolated = pl.run_many(&batch, &clusterers);
+    assert_eq!(isolated.len(), plain.len());
     for (iso, exp) in isolated.iter().zip(&plain) {
         let iso = iso.as_ref().expect("no faults injected");
         assert_eq!(iso.len(), exp.len());

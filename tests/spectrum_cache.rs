@@ -16,7 +16,8 @@ use qsc_bench::spec::ExperimentKind;
 use qsc_bench::{builtin, ExperimentSpec, Scale, SweepRunner};
 use qsc_suite::core::config::QuantumParams;
 use qsc_suite::core::{
-    ClusteringOutcome, GraphInstance, Pipeline, SpectrumCache, SpectrumCacheStats,
+    Clusterer, ClusteringOutcome, GraphInstance, KMeans, Pipeline, QMeans, SpectrumCache,
+    SpectrumCacheStats,
 };
 use qsc_suite::graph::spec::{GeneratedInstance, GraphSpec};
 use std::sync::Arc;
@@ -125,11 +126,11 @@ fn instances(name: &str, n: Option<usize>) -> Vec<(GeneratedInstance, u64)> {
         .collect()
 }
 
-/// Runs every pipeline on every instance, in order, each pipeline as one
-/// batch, with and without one shared cache; asserts the outcomes are
-/// bit-identical and returns the cache's reuse.
+/// Runs every pipeline with its clustering stage on every instance, in
+/// order, each pipeline as one batch, with and without one shared cache;
+/// asserts the outcomes are bit-identical and returns the cache's reuse.
 fn assert_cache_is_invisible(
-    pipelines: &[Pipeline],
+    pipelines: &[(Pipeline, Arc<dyn Clusterer>)],
     instances: &[(GeneratedInstance, u64)],
 ) -> SpectrumCacheStats {
     let batch: Vec<GraphInstance> = instances
@@ -137,12 +138,19 @@ fn assert_cache_is_invisible(
         .map(|(inst, seed)| GraphInstance::with_seed(&inst.graph, *seed))
         .collect();
     let cache = Arc::new(SpectrumCache::new());
-    for (p, pl) in pipelines.iter().enumerate() {
-        let cached = pl.clone().spectrum_cache(cache.clone()).run_many(&batch);
-        let plain = pl.run_many(&batch);
-        let (cached, plain) = (cached.expect("cached run"), plain.expect("plain run"));
+    for (p, (pl, clusterer)) in pipelines.iter().enumerate() {
+        let clusterers = std::slice::from_ref(clusterer);
+        let cached = pl
+            .clone()
+            .spectrum_cache(cache.clone())
+            .run_many(&batch, clusterers);
+        let plain = pl.run_many(&batch, clusterers);
         for (rep, (c, u)) in cached.iter().zip(&plain).enumerate() {
-            assert_identical(c, u, &format!("pipeline {p}, rep {rep}"));
+            let (c, u) = (
+                c.as_ref().expect("cached run"),
+                u.as_ref().expect("plain run"),
+            );
+            assert_identical(&c[0], &u[0], &format!("pipeline {p}, rep {rep}"));
         }
     }
     cache.stats()
@@ -169,10 +177,15 @@ fn table1_pipelines_are_bit_identical_with_the_cache() {
     // variants: the quantum variant reuses the classical reduction.
     for n in [100, 200, 300, 400] {
         let classical = Pipeline::hermitian(3);
+        let params = QuantumParams::default();
+        let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
         let pipelines = [
-            classical.clone(),
-            classical.clone().quantum(&QuantumParams::default()),
-            classical.symmetrize(),
+            (classical.clone(), kmeans.clone()),
+            (
+                classical.clone().quantum(&params),
+                Arc::new(QMeans::new(params.delta)) as Arc<dyn Clusterer>,
+            ),
+            (classical.symmetrize(), kmeans),
         ];
         let stats = assert_cache_is_invisible(&pipelines, &instances("table1", Some(n)));
         assert_eq!(stats, SpectrumCacheStats { hits: 3, misses: 6 }, "n = {n}");
@@ -192,10 +205,13 @@ fn table3_pipelines_are_bit_identical_with_the_cache() {
         tomography_shots,
         ..params.clone()
     });
-    let pipelines: Vec<Pipeline> = bits
+    let pipelines: Vec<(Pipeline, Arc<dyn Clusterer>)> = bits
         .iter()
         .chain(&shots)
-        .map(|p| Pipeline::hermitian(3).quantum(p))
+        .map(|p| {
+            let qmeans: Arc<dyn Clusterer> = Arc::new(QMeans::new(p.delta));
+            (Pipeline::hermitian(3).quantum(p), qmeans)
+        })
         .collect();
     let stats = assert_cache_is_invisible(&pipelines, &instances("table3", None));
     assert_eq!(
