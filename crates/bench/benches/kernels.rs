@@ -13,15 +13,19 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qsc_core::cost::{incidence_mu, incidence_mu_reference};
 use qsc_core::{Clusterer, GraphInstance, KMeans, Pipeline};
 use qsc_graph::generators::{dsbm, random_mixed, DsbmParams, MetaGraph, RandomMixedParams};
 use qsc_graph::{normalized_hermitian_laplacian_csr, Q_CLASSICAL};
+use qsc_json::sha256::sha256;
 use qsc_linalg::lanczos::{lanczos_lowest_k, lanczos_lowest_k_csr};
 use qsc_linalg::{CMatrix, Complex64};
 use qsc_sim::qpe::{qpe_gate_level, qpe_gate_level_repeated_squaring};
 use qsc_sim::QuantumState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -150,11 +154,70 @@ fn bench_run_many_8(c: &mut Criterion) {
     group.finish();
 }
 
+/// The bookkeeping around the eigensolver at n = 400 (a table1 workload):
+/// μ(B) against its one-`powf`-per-weight oracle, and one spectrum-cache
+/// key, as the streamed SHA-256 of the CSR words it used to be against the
+/// bucket hash plus the bitwise compare with the stored copy that a hit
+/// makes now.
+fn bench_bookkeeping_400(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bookkeeping");
+    group.sample_size(10);
+    let g = dsbm(&DsbmParams {
+        n: 400,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 0.9,
+        meta: MetaGraph::Cycle,
+        seed: 1,
+        ..DsbmParams::default()
+    })
+    .expect("dsbm")
+    .graph;
+    group.bench_function("mu400_reference", |b| {
+        b.iter(|| incidence_mu_reference(black_box(&g)))
+    });
+    group.bench_function("mu400_memoised", |b| b.iter(|| incidence_mu(black_box(&g))));
+    let laplacian = normalized_hermitian_laplacian_csr(&g, Q_CLASSICAL);
+    let stored = laplacian.clone();
+    group.bench_function("cache_key400_sha256_reference", |b| {
+        b.iter(|| {
+            let m = black_box(&laplacian);
+            let mut words = Vec::new();
+            words.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
+            words.extend_from_slice(&(m.ncols() as u64).to_le_bytes());
+            let mut end = 0u64;
+            for i in 0..m.nrows() {
+                let (cols, values) = m.row(i);
+                end += cols.len() as u64;
+                words.extend_from_slice(&end.to_le_bytes());
+                for &j in cols {
+                    words.extend_from_slice(&(j as u64).to_le_bytes());
+                }
+                for z in values {
+                    words.extend_from_slice(&z.re.to_bits().to_le_bytes());
+                    words.extend_from_slice(&z.im.to_bits().to_le_bytes());
+                }
+            }
+            sha256(&words)
+        })
+    });
+    let state = RandomState::new();
+    group.bench_function("cache_key400_hash_and_compare", |b| {
+        b.iter(|| {
+            let m = black_box(&laplacian);
+            (state.hash_one(m.bits()), m.bits() == stored.bits())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_matmul_512,
     bench_qpe_12_qubits,
     bench_lanczos_2000,
-    bench_run_many_8
+    bench_run_many_8,
+    bench_bookkeeping_400
 );
 criterion_main!(kernels);

@@ -39,6 +39,7 @@ use qsc_graph::spec::{GeneratedInstance, GraphSpec};
 use qsc_json::{FromJson, JsonError, ToJson, Value};
 use qsc_linalg::eigvalsh;
 use qsc_linalg::expm::expi;
+use qsc_linalg::parallel::map_indexed;
 use qsc_sim::resources::{pipeline_resources, qpe_resources, qubits_for_dimension};
 use qsc_sim::synthesis::{derived_two_qubit_count, two_level_decompose};
 use qsc_sim::PhaseEstimator;
@@ -880,13 +881,15 @@ impl SweepRunner {
 
         // Consecutive rows of one segment whose runs have pairwise-equal
         // keys form a window, executed as one `run_shared` call.
+        // Each window keeps the instance sets the one before generated.
         let mut window: Vec<(RowCtx<'_>, Vec<Run>)> = Vec::new();
         let mut window_segment = 0;
+        let mut sets = InstanceSets::default();
         for (segment, ctx, points) in rows {
             let runs = match self.resolve_row(spec, p, &points) {
                 Ok(runs) => runs,
                 Err(e) => {
-                    self.run_window(p, reps, &window, &mut table)?;
+                    self.run_window(p, reps, &window, &mut sets, &mut table)?;
                     flush_rows(&table, &mut sent, on_progress);
                     return Err(e);
                 }
@@ -896,14 +899,14 @@ impl SweepRunner {
                     last.iter().zip(&runs).all(|(a, b)| a.key() == b.key())
                 });
             if !joins {
-                self.run_window(p, reps, &window, &mut table)?;
+                self.run_window(p, reps, &window, &mut sets, &mut table)?;
                 flush_rows(&table, &mut sent, on_progress);
                 window.clear();
                 window_segment = segment;
             }
             window.push((ctx, runs));
         }
-        self.run_window(p, reps, &window, &mut table)?;
+        self.run_window(p, reps, &window, &mut sets, &mut table)?;
         flush_rows(&table, &mut sent, on_progress);
         Ok(table)
     }
@@ -945,10 +948,11 @@ impl SweepRunner {
         p: &PipelineSpec,
         reps: usize,
         window: &[(RowCtx<'_>, Vec<Run>)],
+        sets: &mut InstanceSets,
         table: &mut Table,
     ) -> Result<(), BenchError> {
         let runs: Vec<&Run> = window.iter().flat_map(|(_, runs)| runs).collect();
-        let mut batches = run_shared(&runs, 0..reps, |recipe| {
+        let mut batches = run_shared(sets, &runs, 0..reps, |recipe| {
             let (recipe, policy) = self.fleet_wrap(recipe, &p.resilience);
             Ok(self.pipeline(&recipe)?.resilience(policy)?)
         })?
@@ -1126,17 +1130,81 @@ impl SweepRunner {
 /// its group, and one slot per repetition.
 pub(crate) type RunBatch = (Rc<Vec<GeneratedInstance>>, Vec<RunSlot>);
 
+/// Generated instance sets by the workload, seeding and repetitions they
+/// were generated from. [`run_shared`] takes every set through here, so
+/// the groups of one call that run one workload share one set. A caller
+/// that passes the same `InstanceSets` to consecutive calls keeps one
+/// call's sets for the next: a set is generated again only if the call
+/// before did not read it.
+#[derive(Default)]
+pub(crate) struct InstanceSets(Vec<InstanceSet>);
+
+struct InstanceSet {
+    graph: GraphSpec,
+    seeds: SeedPolicy,
+    reps: Range<usize>,
+    instances: Rc<Vec<GeneratedInstance>>,
+}
+
+impl InstanceSets {
+    /// Drops every set that none of `runs` reads over `reps`.
+    fn keep_only(&mut self, runs: &[&Run], reps: &Range<usize>) {
+        self.0.retain(|set| {
+            set.reps == *reps
+                && runs
+                    .iter()
+                    .any(|run| run.graph == set.graph && run.seeds == set.seeds)
+        });
+    }
+
+    /// The instances of `graph` seeded by `seeds` over `reps`, generated
+    /// on the pool if no set holds them yet. A failure returns the first
+    /// failing repetition's error.
+    fn get(
+        &mut self,
+        graph: &GraphSpec,
+        seeds: SeedPolicy,
+        reps: &Range<usize>,
+    ) -> Result<Rc<Vec<GeneratedInstance>>, BenchError> {
+        let held = self
+            .0
+            .iter()
+            .find(|set| set.graph == *graph && set.seeds == seeds && set.reps == *reps);
+        if let Some(set) = held {
+            return Ok(Rc::clone(&set.instances));
+        }
+        let instances: Vec<GeneratedInstance> = map_indexed(reps.len(), |i| {
+            let mut g = graph.clone();
+            g.set_seed(seeds.graph_seed(reps.start + i));
+            g.generate()
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        let instances = Rc::new(instances);
+        self.0.push(InstanceSet {
+            graph: graph.clone(),
+            seeds,
+            reps: reps.clone(),
+            instances: Rc::clone(&instances),
+        });
+        Ok(instances)
+    }
+}
+
 /// Executes `runs` over the repetitions `reps` — the one place that decides
 /// which runs share work. Runs with equal [`Run::key`]s form a group, in
-/// first-appearance order; each group generates its instances once and
-/// makes one [`run_combos`] call through the pipeline `pipeline` builds
-/// from its first recipe, with one clusterer per member. Returns each
-/// run's batch, in `runs` order.
+/// first-appearance order; each group makes one [`run_combos`] call through
+/// the pipeline `pipeline` builds from its first recipe, with one clusterer
+/// per member. Groups take their instances from `sets`, which first drops
+/// the sets this call does not read. Returns each run's batch, in `runs`
+/// order.
 pub(crate) fn run_shared(
+    sets: &mut InstanceSets,
     runs: &[&Run],
     reps: Range<usize>,
     pipeline: impl Fn(&Recipe) -> Result<Pipeline, BenchError>,
 ) -> Result<Vec<RunBatch>, BenchError> {
+    sets.keep_only(runs, &reps);
     let keys: Vec<_> = runs.iter().map(|run| run.key()).collect();
     let mut batches: Vec<Option<RunBatch>> = runs.iter().map(|_| None).collect();
     for lead in 0..runs.len() {
@@ -1147,15 +1215,7 @@ pub(crate) fn run_shared(
             .filter(|&i| keys[i] == keys[lead])
             .collect();
         let Run { graph, seeds, .. } = runs[lead];
-        let instances: Rc<Vec<GeneratedInstance>> = Rc::new(
-            reps.clone()
-                .map(|rep| {
-                    let mut g = graph.clone();
-                    g.set_seed(seeds.graph_seed(rep));
-                    g.generate()
-                })
-                .collect::<Result<_, _>>()?,
-        );
+        let instances = sets.get(graph, *seeds, &reps)?;
         let batch: Vec<GraphInstance> = instances
             .iter()
             .zip(reps.clone())
@@ -1343,6 +1403,77 @@ mod tests {
         let cubic: Vec<f64> = ns.iter().map(|n: &f64| n.powi(3) * 7.0).collect();
         let slope = log_log_slope(&ns, &cubic);
         assert!((slope - 3.0).abs() < 1e-9);
+    }
+
+    /// A builtin pipeline spec.
+    fn pipeline_spec(name: &str) -> ExperimentSpec {
+        crate::builtin::builtin_spec(name)
+            .expect("builtin spec")
+            .expect("builtin spec parses")
+    }
+
+    #[test]
+    fn run_shared_generates_each_instance_set_once() {
+        let runner = SweepRunner::new(Scale::Quick);
+        let pipeline = |recipe: &Recipe| runner.pipeline(recipe);
+
+        // table1: a window is one `n`, whose three variants are three
+        // groups over one workload. They all get one set.
+        let spec = pipeline_spec("table1");
+        let ExperimentKind::Pipeline(p) = &spec.kind else {
+            panic!("table1 is a pipeline sweep");
+        };
+        let reps = *p.reps.get(Scale::Quick);
+        let row = runner
+            .resolve_row(&spec, p, &cartesian(&p.axes, Scale::Quick)[0])
+            .unwrap();
+        let runs: Vec<&Run> = row.iter().collect();
+        let mut sets = InstanceSets::default();
+        let batches = run_shared(&mut sets, &runs, 0..reps, pipeline).unwrap();
+        assert_eq!(batches.len(), 3);
+        assert!(batches
+            .iter()
+            .all(|(set, _)| Rc::ptr_eq(set, &batches[0].0)));
+        assert_eq!(sets.0.len(), 1);
+
+        // table3: consecutive windows (two QPE-bit points) run one
+        // workload, and the second reuses the first one's set.
+        let spec = pipeline_spec("table3");
+        let ExperimentKind::Pipeline(p) = &spec.kind else {
+            panic!("table3 is a pipeline sweep");
+        };
+        let reps = *p.reps.get(Scale::Quick);
+        let mut sets = InstanceSets::default();
+        let mut first: Option<Rc<Vec<GeneratedInstance>>> = None;
+        for point in &p.axes[0].points.get(Scale::Quick)[..2] {
+            let row = runner.resolve_row(&spec, p, &[point]).unwrap();
+            let runs: Vec<&Run> = row.iter().collect();
+            let batches = run_shared(&mut sets, &runs, 0..reps, pipeline).unwrap();
+            let set = first.get_or_insert_with(|| Rc::clone(&batches[0].0));
+            assert!(Rc::ptr_eq(set, &batches[0].0));
+        }
+        // A window over another workload drops the set before it runs:
+        // only `first` still holds it afterwards.
+        let first = first.unwrap();
+        let row = runner
+            .resolve_row(&spec, p, &[&p.axes[0].points.get(Scale::Quick)[0]])
+            .unwrap();
+        let mut other = Run {
+            graph: row[0].graph.clone(),
+            seeds: row[0].seeds,
+            recipe: row[0].recipe.clone(),
+        };
+        assign(
+            &mut other.graph,
+            &mut other.recipe,
+            "graph.n",
+            &Value::Num(30.0),
+        )
+        .unwrap();
+        let batches = run_shared(&mut sets, &[&other], 0..1, pipeline).unwrap();
+        assert_eq!(Rc::strong_count(&first), 1);
+        assert!(!Rc::ptr_eq(&first, &batches[0].0));
+        assert_eq!(sets.0.len(), 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! repetition index, so ranges compose without re-evaluation.
 
 use crate::runner::{
-    assign, run_shared, slot_metric_values, BenchError, Recipe, Run, RunSlot, SweepRunner,
+    assign, run_shared, slot_metric_values, BenchError, InstanceSets, Recipe, Run, RunSlot,
+    SweepRunner,
 };
 use crate::spec::{ExperimentSpec, SearchExperiment};
 use qsc_core::report::{fmt, mean, Table};
@@ -374,9 +375,14 @@ fn evaluate(
         return Ok(());
     }
     let runs: Vec<&Run> = active.iter().map(|&ci| &prepared[ci].run).collect();
-    let batches = run_shared(&runs, rep_lo..rep_hi, |recipe| {
-        Ok(runner.pipeline(recipe)?.resilience(se.resilience.clone())?)
-    })?;
+    // No two calls evaluate the same repetitions, so no instance set
+    // outlives its call.
+    let batches = run_shared(
+        &mut InstanceSets::default(),
+        &runs,
+        rep_lo..rep_hi,
+        |recipe| Ok(runner.pipeline(recipe)?.resilience(se.resilience.clone())?),
+    )?;
     for (&ci, (instances, slots)) in active.iter().zip(batches) {
         accumulate(&mut states[ci], &slots, &instances, &prepared[ci], se);
     }

@@ -40,21 +40,89 @@ pub fn classical_cost(n: usize, k: usize, iters: usize) -> f64 {
 ///
 /// `μ` is the minimum of the Frobenius norm and
 /// `sqrt(s_{2p}(B)·s_{2(1−p)}(Bᵀ))` over a grid of `p`.
+///
+/// Bit-identical to [`incidence_mu_reference`]: the same powers, each sum
+/// and maximum taken in the same order, but all nine grid points share one
+/// pass over the weights, and a weight's powers are recomputed only when it
+/// differs from the previous weight (nearly every weight is `1.0`).
 pub fn incidence_mu(g: &MixedGraph) -> f64 {
+    let (weights, incident) = incident_weights(g);
+    if weights.is_empty() {
+        return 0.0;
+    }
+    let fro = (2.0 * weights.iter().sum::<f64>()).sqrt();
+    let grid: [f64; GRID] = std::array::from_fn(|step| step as f64 / 8.0);
+    let mut row_pow = PowMemo::new(grid.map(|p| 2.0 * p / 2.0));
+    let mut col_pow = PowMemo::new(grid.map(|p| 2.0 * (1.0 - p) / 2.0));
+    // What `Iterator::sum` starts from, so each row sum below is its fold.
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let mut s_rows = [0.0f64; GRID];
+    for ws in &incident {
+        let mut sums = [zero; GRID];
+        for &w in ws {
+            for (sum, x) in sums.iter_mut().zip(row_pow.of(w)) {
+                *sum += x;
+            }
+        }
+        for (s, sum) in s_rows.iter_mut().zip(sums) {
+            *s = s.max(sum);
+        }
+    }
+    let mut s_cols = [0.0f64; GRID];
+    for &w in &weights {
+        for (s, x) in s_cols.iter_mut().zip(col_pow.of(w)) {
+            *s = s.max(2.0 * x);
+        }
+    }
+    let mut best = fro;
+    for (r, c) in s_rows.into_iter().zip(s_cols) {
+        let candidate = (r * c).sqrt();
+        if candidate.is_finite() && candidate > 0.0 {
+            best = best.min(candidate);
+        }
+    }
+    best
+}
+
+/// Number of points `p = 0, 1/8, …, 1` in `μ`'s grid.
+const GRID: usize = 9;
+
+/// `w^e` for each grid exponent `e`, recomputed only when `w`'s bits differ
+/// from the last call's.
+struct PowMemo {
+    exps: [f64; GRID],
+    bits: u64,
+    values: [f64; GRID],
+}
+
+impl PowMemo {
+    fn new(exps: [f64; GRID]) -> Self {
+        Self {
+            exps,
+            bits: 1.0f64.to_bits(),
+            values: exps.map(|e| 1.0f64.powf(e)),
+        }
+    }
+
+    fn of(&mut self, w: f64) -> [f64; GRID] {
+        if w.to_bits() != self.bits {
+            self.bits = w.to_bits();
+            self.values = self.exps.map(|e| w.powf(e));
+        }
+        self.values
+    }
+}
+
+/// Every connection's weight (edges, then arcs) and, per vertex, the
+/// weights of the connections incident to it, in that order.
+fn incident_weights(g: &MixedGraph) -> (Vec<f64>, Vec<Vec<f64>>) {
     let weights: Vec<f64> = g
         .edges()
         .iter()
         .map(|e| e.weight)
         .chain(g.arcs().iter().map(|a| a.weight))
         .collect();
-    if weights.is_empty() {
-        return 0.0;
-    }
-    let fro = (2.0 * weights.iter().sum::<f64>()).sqrt();
-
-    // Per-vertex incident weights.
-    let n = g.num_vertices();
-    let mut incident: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut incident: Vec<Vec<f64>> = vec![Vec::new(); g.num_vertices()];
     for e in g.edges() {
         incident[e.u].push(e.weight);
         incident[e.v].push(e.weight);
@@ -63,6 +131,18 @@ pub fn incidence_mu(g: &MixedGraph) -> f64 {
         incident[a.from].push(a.weight);
         incident[a.to].push(a.weight);
     }
+    (weights, incident)
+}
+
+/// The plain form of [`incidence_mu`]: one `powf` per weight and `p`. Kept
+/// as the differential oracle for `incidence_mu`, which every staged
+/// embedding evaluates.
+pub fn incidence_mu_reference(g: &MixedGraph) -> f64 {
+    let (weights, incident) = incident_weights(g);
+    if weights.is_empty() {
+        return 0.0;
+    }
+    let fro = (2.0 * weights.iter().sum::<f64>()).sqrt();
 
     let s_rows = |p: f64| -> f64 {
         incident
@@ -169,6 +249,73 @@ mod tests {
         // Fixed edge probability ⇒ ‖B‖_F ~ n; μ must not grow faster.
         let ratio = m400 / m200;
         assert!(ratio < 3.0, "μ growth ratio {ratio} too steep");
+    }
+
+    /// `incidence_mu` against its oracle, bit for bit.
+    fn assert_mu_matches_reference(g: &MixedGraph, what: &str) {
+        let (fast, reference) = (incidence_mu(g), incidence_mu_reference(g));
+        assert_eq!(
+            fast.to_bits(),
+            reference.to_bits(),
+            "{what}: {fast} vs {reference}"
+        );
+    }
+
+    #[test]
+    fn memoised_mu_is_bit_identical_to_the_reference() {
+        use qsc_graph::generators::{dsbm, random_mixed, DsbmParams, RandomMixedParams};
+        for (n, seed) in [(60, 1), (128, 2), (300, 3)] {
+            let inst = dsbm(&DsbmParams {
+                n,
+                seed,
+                ..DsbmParams::default()
+            })
+            .unwrap();
+            assert_mu_matches_reference(&inst.graph, "dsbm unit weights");
+            assert_mu_matches_reference(&inst.graph.symmetrized(), "symmetrized dsbm");
+        }
+        for seed in 0..4 {
+            let g = random_mixed(&RandomMixedParams {
+                n: 80,
+                p_undirected: 0.1,
+                p_directed: 0.1,
+                weight_range: (0.5, 2.0),
+                seed,
+            })
+            .unwrap();
+            assert_mu_matches_reference(&g, "random_mixed weights in (0.5, 2.0)");
+            assert_mu_matches_reference(&g.symmetrized(), "symmetrized random_mixed");
+        }
+    }
+
+    #[test]
+    fn memoised_mu_handles_repeats_isolated_vertices_and_empty_graphs() {
+        // Runs of repeated weights, a change back to an earlier weight, and
+        // vertex 7 with no connection at all.
+        let mut g = MixedGraph::new(8);
+        let weights = [1.0, 1.0, 2.5, 2.5, 2.5, 0.5, 1.0, 0.5, 0.5, 3.0];
+        let pairs = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (0, 6),
+            (1, 5),
+        ];
+        for (&(u, v), &w) in pairs.iter().zip(&weights) {
+            g.add_edge(u, v, w).unwrap();
+        }
+        g.add_arc(2, 6, weights[8]).unwrap();
+        g.add_arc(6, 3, weights[9]).unwrap();
+        assert_mu_matches_reference(&g, "repeated weights, one isolated vertex");
+        assert_mu_matches_reference(&g.symmetrized(), "symmetrized repeats");
+        for n in [0, 1, 5] {
+            let empty = MixedGraph::new(n);
+            assert_mu_matches_reference(&empty, "empty graph");
+            assert_eq!(incidence_mu(&empty), 0.0);
+        }
     }
 
     #[test]

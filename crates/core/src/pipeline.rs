@@ -55,11 +55,11 @@ use crate::resilience::{BatchOutcome, FailureKind, InstanceError, ResiliencePoli
 use crate::spectrum_cache::SpectrumCache;
 use qsc_cluster::{Clusterer, KMeans, KMeansConfig, QMeans};
 use qsc_graph::{normalized_hermitian_laplacian_csr, MixedGraph};
+use qsc_linalg::parallel::map_indexed;
 use qsc_linalg::params::condition_number_from_eigenvalues;
 use qsc_linalg::CsrMatrix;
 use qsc_sim::backend::{Backend, Statevector};
 use qsc_sim::SimError;
-use rayon::prelude::*;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -808,23 +808,13 @@ impl Pipeline {
         clusterers: &[Arc<dyn Clusterer>],
     ) -> BatchOutcome<Vec<ClusteringOutcome>> {
         self.start_batch();
-        // Ordered parallel collection via an indexed slot vector: the rayon
-        // compat shim only exposes the par_chunks(_mut) surface (no
-        // par_iter), and this shape is also valid under real rayon, keeping
-        // the planned shim→rayon swap a pure dependency change.
-        let mut slots: Vec<Option<_>> = (0..instances.len()).map(|_| None).collect();
-        slots.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+        map_indexed(instances.len(), |i| {
             let inst = &instances[i];
             let seed = inst.seed.unwrap_or(self.seed);
-            slot[0] = Some(self.guarded(seed, &|pl: &Pipeline, s| {
+            self.guarded(seed, &|pl: &Pipeline, s| {
                 pl.embed_and_cluster(inst.graph, s, clusterers)
-            }));
-        });
-        slots
-            .into_iter()
-            // Every slot was written by the parallel loop above.
-            .map(|slot| slot.expect("batch slot filled"))
-            .collect()
+            })
+        })
     }
 }
 

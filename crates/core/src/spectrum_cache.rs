@@ -11,12 +11,15 @@
 //! stage on a matrix it has seen re-runs only the `O(n²)` QL recurrence.
 //! QL is deterministic, so a hit returns exactly the bits of a fresh solve.
 //!
-//! * **Key:** `n`, `nnz` and the SHA-256 of the CSR Laplacian (dimensions,
-//!   row pointers, column indices, value bits), hashed row by row. The
-//!   matrix itself is never copied: at the sweep sizes a copy would be as
-//!   large as the reduction it indexes.
-//! * **Value:** the reduction (`~8·n²` bytes) and the seconds it took,
-//!   which a hit charges to the stage's wall time (see
+//! * **Key:** the CSR Laplacian itself. A 64-bit hash of its words
+//!   (dimensions, row pointers, column indices, value bits; see
+//!   [`CsrBits`](qsc_linalg::CsrBits)) picks a bucket, and a hit needs the
+//!   entry's stored copy to equal the matrix bit for bit, so a hash
+//!   collision costs one comparison, never a wrong spectrum. The copy is
+//!   `nnz·24 + n·8` bytes, ~1 MB for the sweeps' n = 400 Laplacians, next
+//!   to a reduction of `~8·n²` bytes.
+//! * **Value:** the reduction and the seconds it took, which a hit charges
+//!   to the stage's wall time (see
 //!   [`Embedding::reused_seconds`](crate::Embedding::reused_seconds)).
 //! * **Retention:** every call of a [`Pipeline`](crate::Pipeline) runner is
 //!   one batch and starts a new generation. A lookup stamps its entry with
@@ -24,14 +27,16 @@
 //!   not stamped, then reduces. Entries live on through batches that only
 //!   hit them, and a batch that misses keeps only its own matrices.
 //! * **Scope:** one cache per sweep job, dropped with it. Two concurrent
-//!   misses on the same matrix both reduce, which costs time, never bytes.
+//!   misses on the same matrix both reduce, which costs time, never bytes;
+//!   the later one's entry replaces the earlier.
 //!   Under an active fault plan the pipeline does not consult the cache,
 //!   so fault decisions and retries see the uncached code path.
 
 use crate::error::Error;
-use qsc_json::sha256::Sha256;
 use qsc_linalg::{CsrMatrix, HermitianReduction, HermitianSpectrum};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -50,51 +55,20 @@ pub struct SpectrumCacheStats {
 #[derive(Debug, Default)]
 pub struct SpectrumCache {
     generation: AtomicU64,
-    entries: Mutex<HashMap<Key, Entry>>,
+    /// Entries by the hash of their Laplacian's words.
+    entries: Mutex<HashMap<u64, Vec<Entry>>>,
+    hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
-    n: usize,
-    nnz: usize,
-    digest: [u8; 32],
-}
-
-impl Key {
-    /// Hashes `m` one row at a time: the dimensions, then per row its end
-    /// offset (the next row pointer), column indices and value bits.
-    fn of(m: &CsrMatrix) -> Self {
-        let mut hasher = Sha256::new();
-        hasher.update(&(m.nrows() as u64).to_le_bytes());
-        hasher.update(&(m.ncols() as u64).to_le_bytes());
-        let mut row_bytes = Vec::new();
-        let mut end = 0u64;
-        for i in 0..m.nrows() {
-            let (cols, values) = m.row(i);
-            end += cols.len() as u64;
-            row_bytes.clear();
-            row_bytes.extend_from_slice(&end.to_le_bytes());
-            for &j in cols {
-                row_bytes.extend_from_slice(&(j as u64).to_le_bytes());
-            }
-            for z in values {
-                row_bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
-                row_bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
-            }
-            hasher.update(&row_bytes);
-        }
-        Key {
-            n: m.nrows(),
-            nnz: m.nnz(),
-            digest: hasher.finalize(),
-        }
-    }
+    /// Sends every matrix to one bucket, so tests can collide keys.
+    #[cfg(test)]
+    one_bucket: bool,
 }
 
 #[derive(Debug)]
 struct Entry {
+    /// A copy of the Laplacian the reduction is of.
+    laplacian: CsrMatrix,
     reduction: Arc<HermitianReduction>,
     /// Wall-clock seconds the densify + reduction took.
     seconds: f64,
@@ -125,49 +99,85 @@ impl SpectrumCache {
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn entries(&self) -> MutexGuard<'_, HashMap<Key, Entry>> {
+    fn entries(&self) -> MutexGuard<'_, HashMap<u64, Vec<Entry>>> {
         // The map is consistent after every statement that holds the lock,
         // so a panic elsewhere in the holder's thread leaves nothing torn.
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The bucket `laplacian`'s entry lives in.
+    fn bucket(&self, laplacian: &CsrMatrix) -> u64 {
+        #[cfg(test)]
+        if self.one_bucket {
+            return 0;
+        }
+        self.hasher.hash_one(laplacian.bits())
     }
 
     /// The recorded reduction seconds of `laplacian`'s entry, if cached.
     #[cfg(test)]
     pub(crate) fn reduction_seconds(&self, laplacian: &CsrMatrix) -> Option<f64> {
         self.entries()
-            .get(&Key::of(laplacian))
+            .get(&self.bucket(laplacian))?
+            .iter()
+            .find(|entry| entry.laplacian.bits() == laplacian.bits())
             .map(|entry| entry.seconds)
     }
 
     /// The spectrum of `laplacian`, and the seconds of reduction work a hit
     /// reused (`0.0` on a miss).
     fn spectrum(&self, laplacian: &CsrMatrix) -> Result<(HermitianSpectrum, f64), Error> {
-        let key = Key::of(laplacian);
+        let bucket = self.bucket(laplacian);
         let generation = self.generation.load(Ordering::Relaxed);
-        let hit = self.entries().get_mut(&key).map(|entry| {
-            entry.generation = generation;
-            (Arc::clone(&entry.reduction), entry.seconds)
-        });
+        let hit = self
+            .entries()
+            .get_mut(&bucket)
+            .and_then(|entries| {
+                entries
+                    .iter_mut()
+                    .find(|entry| entry.laplacian.bits() == laplacian.bits())
+            })
+            .map(|entry| {
+                entry.generation = generation;
+                (Arc::clone(&entry.reduction), entry.seconds)
+            });
         if let Some((reduction, seconds)) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((reduction.spectrum()?, seconds));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.entries()
-            .retain(|_, entry| entry.generation == generation);
+        self.entries().retain(|_, entries| {
+            entries.retain(|entry| entry.generation == generation);
+            !entries.is_empty()
+        });
         let start = Instant::now();
         let reduction = Arc::new(HermitianReduction::new(laplacian.to_dense())?);
         let seconds = start.elapsed().as_secs_f64();
         let spectrum = reduction.spectrum()?;
-        self.entries().insert(
-            key,
+        self.store(
+            bucket,
             Entry {
+                laplacian: laplacian.clone(),
                 reduction,
                 seconds,
                 generation,
             },
         );
         Ok((spectrum, 0.0))
+    }
+
+    /// Adds `entry` to `bucket`, replacing an entry of the same matrix that
+    /// a concurrent miss stored first.
+    fn store(&self, bucket: u64, entry: Entry) {
+        let mut entries = self.entries();
+        let slot = entries.entry(bucket).or_default();
+        match slot
+            .iter_mut()
+            .find(|held| held.laplacian.bits() == entry.laplacian.bits())
+        {
+            Some(held) => *held = entry,
+            None => slot.push(entry),
+        }
     }
 }
 
@@ -219,14 +229,89 @@ mod tests {
     }
 
     #[test]
-    fn key_tells_apart_values_structure_and_dimension() {
+    fn equal_matrices_share_a_bucket() {
+        let cache = SpectrumCache::new();
         let a = laplacian(30, 2);
-        assert_eq!(Key::of(&a), Key::of(&a.clone()));
-        assert_ne!(Key::of(&a), Key::of(&laplacian(30, 3)));
-        assert_ne!(Key::of(&a), Key::of(&laplacian(31, 2)));
-        // One value bit flipped, same sparsity pattern.
-        let flipped = a.scaled(qsc_linalg::Complex64::real(1.0 + f64::EPSILON));
-        assert_ne!(Key::of(&a), Key::of(&flipped));
+        assert_eq!(cache.bucket(&a), cache.bucket(&a.clone()));
+        assert_ne!(cache.bucket(&a), cache.bucket(&laplacian(30, 3)));
+        assert_ne!(cache.bucket(&a), cache.bucket(&laplacian(31, 2)));
+    }
+
+    /// A 2×2 Hermitian matrix whose off-diagonal entries carry `im` and
+    /// `-im`.
+    fn with_off_diagonal_im(im: f64) -> CsrMatrix {
+        use qsc_linalg::{CMatrix, Complex64};
+        let dense = CMatrix::from_fn(2, 2, |i, j| match (i, j) {
+            (0, 1) => Complex64::new(0.5, im),
+            (1, 0) => Complex64::new(0.5, -im),
+            _ => Complex64::real(1.0 + i as f64),
+        });
+        CsrMatrix::from_dense(&dense, 0.0)
+    }
+
+    #[test]
+    fn signed_zeros_are_distinct_entries() {
+        let (plus, minus) = (with_off_diagonal_im(0.0), with_off_diagonal_im(-0.0));
+        // Float `==` cannot tell the two apart; the cache must, whether or
+        // not their hashes collide.
+        assert_eq!(plus, minus);
+        for one_bucket in [false, true] {
+            let cache = SpectrumCache {
+                one_bucket,
+                ..SpectrumCache::default()
+            };
+            hermitian_spectrum(&plus, Some(&cache)).unwrap();
+            hermitian_spectrum(&minus, Some(&cache)).unwrap();
+            assert_eq!(cache.stats(), SpectrumCacheStats { hits: 0, misses: 2 });
+            hermitian_spectrum(&minus, Some(&cache)).unwrap();
+            hermitian_spectrum(&plus, Some(&cache)).unwrap();
+            assert_eq!(cache.stats(), SpectrumCacheStats { hits: 2, misses: 2 });
+            let entries = cache.entries();
+            let stored: usize = entries.values().map(Vec::len).sum();
+            assert_eq!(stored, 2, "one bucket: {one_bucket}");
+        }
+    }
+
+    #[test]
+    fn matrices_in_one_bucket_each_get_their_own_spectrum() {
+        let cache = SpectrumCache {
+            one_bucket: true,
+            ..SpectrumCache::default()
+        };
+        let (a, b) = (laplacian(24, 7), laplacian(24, 8));
+        for _ in 0..2 {
+            for l in [&a, &b] {
+                let fresh = qsc_linalg::eigh_spectrum(l.to_dense()).unwrap();
+                let (cached, _) = hermitian_spectrum(l, Some(&cache)).unwrap();
+                assert_eq!(cached.eigenvalues, fresh.eigenvalues);
+                assert_eq!(
+                    cached.eigenvectors(&[0, 1, 2]),
+                    fresh.eigenvectors(&[0, 1, 2])
+                );
+            }
+        }
+        assert_eq!(cache.stats(), SpectrumCacheStats { hits: 2, misses: 2 });
+        let entries = cache.entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[&0].len(), 2);
+    }
+
+    #[test]
+    fn a_second_store_of_one_matrix_replaces_the_first() {
+        // Two concurrent misses on one matrix both reduce it and both
+        // store: the cache keeps one entry, the later one.
+        let cache = SpectrumCache::new();
+        let l = laplacian(20, 9);
+        let entry = |seconds| Entry {
+            laplacian: l.clone(),
+            reduction: Arc::new(HermitianReduction::new(l.to_dense()).unwrap()),
+            seconds,
+            generation: 0,
+        };
+        cache.store(cache.bucket(&l), entry(1.0));
+        cache.store(cache.bucket(&l), entry(2.0));
+        assert_eq!(cache.entries()[&cache.bucket(&l)].len(), 1);
+        assert_eq!(cache.reduction_seconds(&l), Some(2.0));
     }
 
     #[test]
@@ -240,11 +325,10 @@ mod tests {
         // `b` only.
         hermitian_spectrum(&a, Some(&cache)).unwrap();
         hermitian_spectrum(&c, Some(&cache)).unwrap();
-        let entries = cache.entries();
-        assert!(entries.contains_key(&Key::of(&a)));
-        assert!(!entries.contains_key(&Key::of(&b)));
-        assert!(entries.contains_key(&Key::of(&c)));
-        drop(entries);
+        assert!(cache.reduction_seconds(&a).is_some());
+        assert!(cache.reduction_seconds(&b).is_none());
+        assert!(cache.reduction_seconds(&c).is_some());
+        assert_eq!(cache.entries().len(), 2, "no empty bucket is left behind");
         assert_eq!(cache.stats(), SpectrumCacheStats { hits: 1, misses: 3 });
     }
 }

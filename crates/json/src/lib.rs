@@ -12,8 +12,8 @@
 //!   fields** (a typo in a spec file is an error, never a silent no-op),
 //! * [`ToJson`] / [`FromJson`] — the conversion traits domain types
 //!   implement by hand,
-//! * [`sha256`] — FIPS 180-4 SHA-256, streaming, the one content hash of
-//!   the workspace (service cache keys, per-job spectrum cache keys).
+//! * [`sha256`] — FIPS 180-4 SHA-256, the content hash behind the
+//!   service's cache keys.
 //!
 //! Numbers are `f64` (as in JSON itself) and round-trip bit-exactly:
 //! parsing uses Rust's correctly-rounded `str::parse::<f64>` and writing

@@ -1,12 +1,9 @@
 //! Dependency-free SHA-256 (FIPS 180-4) — the hash behind the service's
-//! content-addressed result cache and the pipeline's per-job spectrum
-//! cache keys.
+//! content-addressed result cache.
 //!
-//! [`Sha256`] hashes a stream fed in pieces of any size, so a caller can
-//! digest a large structure without first serializing it into one buffer;
-//! [`sha256`] and [`sha256_hex`] are its one-shot forms. The implementation
-//! is a straightforward single-block-at-a-time one, and correctness is
-//! pinned by the FIPS test vectors below.
+//! [`sha256`] and [`sha256_hex`] digest one buffer. The implementation is
+//! a straightforward single-block-at-a-time one, and correctness is pinned
+//! by the FIPS test vectors below.
 
 /// First 32 bits of the fractional parts of the cube roots of the first
 /// 64 primes (the SHA-256 round constants).
@@ -75,17 +72,7 @@ const H0: [u32; 8] = [
 /// A streaming SHA-256 hasher: [`Sha256::update`] any number of times, then
 /// [`Sha256::finalize`]. The digest depends only on the concatenated input,
 /// not on how it was split.
-///
-/// ```
-/// use qsc_json::sha256::{sha256, Sha256};
-///
-/// let mut hasher = Sha256::new();
-/// hasher.update(b"ab");
-/// hasher.update(b"c");
-/// assert_eq!(hasher.finalize(), sha256(b"abc"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sha256 {
+struct Sha256 {
     state: [u32; 8],
     /// Input not yet compressed (fewer than 64 bytes).
     buffer: [u8; 64],
@@ -94,15 +81,9 @@ pub struct Sha256 {
     len: u64,
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Sha256 {
     /// A hasher that has seen no input.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             state: H0,
             buffer: [0; 64],
@@ -112,7 +93,7 @@ impl Sha256 {
     }
 
     /// Appends `data` to the hashed stream.
-    pub fn update(&mut self, mut data: &[u8]) {
+    fn update(&mut self, mut data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
         if self.buffered > 0 {
             let take = (64 - self.buffered).min(data.len());
@@ -135,7 +116,7 @@ impl Sha256 {
     }
 
     /// The digest of everything passed to [`Sha256::update`].
-    pub fn finalize(mut self) -> [u8; 32] {
+    fn finalize(mut self) -> [u8; 32] {
         // Padding: 0x80, zeros, 64-bit big-endian bit length.
         let bit_len = self.len.wrapping_mul(8);
         let rem = self.buffered;

@@ -16,6 +16,7 @@ use crate::error::LinalgError;
 use crate::matrix::CMatrix;
 use crate::parallel;
 use rayon::prelude::*;
+use std::hash::{Hash, Hasher};
 
 /// Tolerance used when classifying a freshly built matrix as Hermitian.
 const HERMITIAN_CHECK_TOL: f64 = 1e-12;
@@ -313,6 +314,51 @@ impl CsrMatrix {
     pub fn is_hermitian_within(&self, tol: f64) -> bool {
         self.hermitian || self.check_hermitian(tol)
     }
+
+    /// A view that hashes and compares the matrix's exact words; see
+    /// [`CsrBits`].
+    pub fn bits(&self) -> CsrBits<'_> {
+        CsrBits(self)
+    }
+}
+
+/// A borrowed view of a [`CsrMatrix`]'s words: its dimensions, row
+/// pointers, column indices and the bits of every value. Two views are
+/// equal exactly when those words are. Unlike the matrix's float `==`, a
+/// view tells `0.0` from `-0.0` and equates a NaN with the same NaN, so it
+/// can key a cache whose hits must return a bit-identical result.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrBits<'a>(&'a CsrMatrix);
+
+impl PartialEq for CsrBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        a.nrows == b.nrows
+            && a.ncols == b.ncols
+            && a.row_ptr == b.row_ptr
+            && a.col_idx == b.col_idx
+            && a.values.len() == b.values.len()
+            && a.values
+                .iter()
+                .zip(&b.values)
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
+    }
+}
+
+impl Eq for CsrBits<'_> {}
+
+impl Hash for CsrBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let m = self.0;
+        m.nrows.hash(state);
+        m.ncols.hash(state);
+        m.row_ptr.hash(state);
+        m.col_idx.hash(state);
+        for z in &m.values {
+            state.write_u64(z.re.to_bits());
+            state.write_u64(z.im.to_bits());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -336,6 +382,36 @@ mod tests {
             }
         }
         m
+    }
+
+    #[test]
+    fn bits_compare_and_hash_exact_words() {
+        use std::collections::hash_map::RandomState;
+        use std::hash::BuildHasher;
+        let a = CsrMatrix::from_dense(&random_sparse_hermitian(12, 0.3, 5), 0.0);
+        let state = RandomState::new();
+        assert_eq!(a.bits(), a.clone().bits());
+        assert_eq!(state.hash_one(a.bits()), state.hash_one(a.clone().bits()));
+        // One value bit flipped, same sparsity pattern.
+        let flipped = a.scaled(Complex64::real(1.0 + f64::EPSILON));
+        assert_ne!(a.bits(), flipped.bits());
+        // Signed zeros differ, where float `==` equates them.
+        let zero = |z: f64| {
+            let dense = CMatrix::from_fn(1, 2, |_, j| Complex64::new(1.0 - j as f64, z));
+            CsrMatrix::from_dense(&dense, 0.0)
+        };
+        assert_eq!(zero(0.0), zero(-0.0));
+        assert_ne!(zero(0.0).bits(), zero(-0.0).bits());
+        // A NaN equals itself, where float `==` does not.
+        let nan = zero(0.0).scaled(Complex64::real(f64::NAN));
+        assert_ne!(nan, nan.clone());
+        assert_eq!(nan.bits(), nan.clone().bits());
+        // Same values, other shape or structure.
+        let wide = CsrMatrix::from_triplets(1, 3, &[(0, 0, Complex64::real(1.0))], 0.0).unwrap();
+        let moved = CsrMatrix::from_triplets(1, 2, &[(0, 1, Complex64::real(1.0))], 0.0).unwrap();
+        assert_eq!(zero(0.0).nnz(), 1);
+        assert_ne!(zero(0.0).bits(), wide.bits());
+        assert_ne!(zero(0.0).bits(), moved.bits());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod qr;
 pub mod vector;
 
 pub use complex::{Complex64, C_I, C_ONE, C_ZERO};
-pub use csr::CsrMatrix;
+pub use csr::{CsrBits, CsrMatrix};
 pub use eig::{
     eigh, eigh_jacobi, eigh_spectrum, eigvalsh, HermitianEigen, HermitianReduction,
     HermitianSpectrum,

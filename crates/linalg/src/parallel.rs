@@ -29,6 +29,8 @@
 //! operand order (no FMA, no reassociation), so the tier in use — like the
 //! thread count — cannot change a single output bit.
 
+use rayon::prelude::*;
+
 /// Number of scalar mul-adds below which a kernel stays serial.
 ///
 /// Chosen so a kernel goes parallel only once it is comfortably past the
@@ -65,6 +67,25 @@ pub fn row_block(nrows: usize, row_work: usize) -> usize {
         .div_ceil(4 * num_threads().max(1))
         .max(min_rows)
         .max(1)
+}
+
+/// `[f(0), …, f(len − 1)]`, evaluated on the pool one index per task.
+///
+/// Ordered parallel collection via an indexed slot vector: the rayon compat
+/// shim only exposes the `par_chunks(_mut)` surface (no `par_iter`), and
+/// this shape is also valid under real rayon, keeping the planned
+/// shim→rayon swap a pure dependency change.
+pub fn map_indexed<T: Send>(len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
+    slots
+        .par_chunks_mut(1)
+        .enumerate()
+        .for_each(|(i, slot)| slot[0] = Some(f(i)));
+    slots
+        .into_iter()
+        // Every slot was written by the parallel loop above.
+        .map(|slot| slot.expect("map_indexed slot filled"))
+        .collect()
 }
 
 #[cfg(test)]
