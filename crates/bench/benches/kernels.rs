@@ -19,7 +19,7 @@ use qsc_graph::generators::{dsbm, random_mixed, DsbmParams, MetaGraph, RandomMix
 use qsc_graph::{normalized_hermitian_laplacian_csr, Q_CLASSICAL};
 use qsc_json::sha256::sha256;
 use qsc_linalg::lanczos::{lanczos_lowest_k, lanczos_lowest_k_csr};
-use qsc_linalg::{CMatrix, Complex64};
+use qsc_linalg::{eigvalsh, CMatrix, Complex64};
 use qsc_sim::qpe::{qpe_gate_level, qpe_gate_level_repeated_squaring};
 use qsc_sim::QuantumState;
 use rand::rngs::StdRng;
@@ -212,12 +212,32 @@ fn bench_bookkeeping_400(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Householder reduction at n = 400, through `eigvalsh` (reduction
+/// plus the vector-free QL): a real symmetric matrix, which runs the real
+/// twin of the reduction, and a complex Hermitian one, which runs the
+/// complex loop and its `kernels::rank2` update on the active tier.
+fn bench_reduction_400(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reduction400");
+    group.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(8);
+    let complex = CMatrix::random_hermitian(400, &mut rng);
+    let real = CMatrix::from_fn(400, 400, |i, j| Complex64::real(complex[(i, j)].re));
+    group.bench_function("eigvalsh_real_symmetric", |b| {
+        b.iter(|| eigvalsh(black_box(&real)).expect("eigvalsh"))
+    });
+    group.bench_function("eigvalsh_complex_hermitian", |b| {
+        b.iter(|| eigvalsh(black_box(&complex)).expect("eigvalsh"))
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
     bench_matmul_512,
     bench_qpe_12_qubits,
     bench_lanczos_2000,
     bench_run_many_8,
-    bench_bookkeeping_400
+    bench_bookkeeping_400,
+    bench_reduction_400
 );
 criterion_main!(kernels);

@@ -128,7 +128,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 /// Every available experiment: built-ins first (suite order), then files
-/// loaded with `--spec`. The `bool` marks built-ins.
+/// loaded with `--spec`. The `bool` marks built-ins not named by a
+/// `--spec` file: a file whose spec equals a built-in's selects that
+/// built-in, and one that differs under a taken name is refused.
 fn load_all(args: &Args) -> Result<Vec<(bool, ExperimentSpec)>, CliError> {
     let mut specs: Vec<(bool, ExperimentSpec)> = BUILTIN
         .iter()
@@ -145,14 +147,19 @@ fn load_all(args: &Args) -> Result<Vec<(bool, ExperimentSpec)>, CliError> {
         // mistake (typo, contradictory search block) → usage error.
         let spec = ExperimentSpec::parse(&text)
             .map_err(|e| CliError::Usage(format!("{}: {e}", path.display())))?;
-        if specs.iter().any(|(_, s)| s.name == spec.name) {
-            return Err(CliError::Runtime(format!(
-                "{}: experiment name `{}` is already taken",
-                path.display(),
-                spec.name
-            )));
+        match specs.iter_mut().find(|(_, s)| s.name == spec.name) {
+            // The same experiment as one already loaded (a copy of a
+            // built-in's file, say): run that one, as if loaded here.
+            Some((builtin, taken)) if *taken == spec => *builtin = false,
+            Some(_) => {
+                return Err(CliError::Runtime(format!(
+                    "{}: experiment name `{}` is already taken",
+                    path.display(),
+                    spec.name
+                )))
+            }
+            None => specs.push((false, spec)),
         }
-        specs.push((false, spec));
     }
     Ok(specs)
 }

@@ -241,3 +241,97 @@ fn bogus_state_budget_exits_2_with_named_error() {
     );
     assert!(out_dir.join("cli_tiny.csv").exists());
 }
+
+/// The CSV at `path` with its `*_wall_s` columns dropped: the columns a
+/// rerun may change.
+fn csv_without_wall_columns(path: &Path) -> Vec<Vec<String>> {
+    let text = std::fs::read_to_string(path).expect("csv readable");
+    let header = text.lines().next().expect("header");
+    let keep: Vec<bool> = header.split(',').map(|h| !h.ends_with("_wall_s")).collect();
+    text.lines()
+        .map(|line| {
+            line.split(',')
+                .zip(&keep)
+                .filter(|(_, &k)| k)
+                .map(|(cell, _)| cell.to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// A `--spec` file equal to a built-in (here the shipped
+/// `specs/table1.json`) runs as that experiment, and only that one: the
+/// same CSV as the built-in run, outside the wall-clock columns.
+#[test]
+fn spec_file_equal_to_a_builtin_runs_as_that_builtin() {
+    let root = tmp_dir("builtin-copy");
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/table1.json");
+    let (from_file, builtin) = (root.join("from-file"), root.join("builtin"));
+
+    let output = experiments()
+        .args(["--spec"])
+        .arg(&spec)
+        .args(["--out-dir"])
+        .arg(&from_file)
+        .output()
+        .expect("binary runs");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let written: Vec<String> = std::fs::read_dir(&from_file)
+        .expect("out dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert_eq!(written, ["table1.csv"], "only the selected experiment runs");
+
+    let output = experiments()
+        .args(["table1", "--out-dir"])
+        .arg(&builtin)
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success());
+    assert_eq!(
+        csv_without_wall_columns(&from_file.join("table1.csv")),
+        csv_without_wall_columns(&builtin.join("table1.csv"))
+    );
+}
+
+/// A different spec under a built-in's name is still refused: exit 1,
+/// naming the taken name, before any experiment runs.
+#[test]
+fn edited_spec_under_a_taken_name_exits_1() {
+    let root = tmp_dir("builtin-edit");
+    std::fs::create_dir_all(&root).expect("spec dir");
+    let shipped = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/table1.json"),
+    )
+    .expect("shipped spec");
+    let edited = shipped.replacen("\"quick\": 3", "\"quick\": 2", 1);
+    assert_ne!(edited, shipped, "the edit applies");
+    let path = root.join("table1.json");
+    std::fs::write(&path, edited).expect("write spec");
+    let out_dir = root.join("out");
+
+    let output = experiments()
+        .args(["--spec"])
+        .arg(&path)
+        .args(["--out-dir"])
+        .arg(&out_dir)
+        .output()
+        .expect("binary runs");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("`table1` is already taken"),
+        "names the taken name: {stderr}"
+    );
+    assert!(!out_dir.join("table1.csv").exists(), "no experiment ran");
+}

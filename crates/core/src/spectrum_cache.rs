@@ -17,7 +17,7 @@
 //!   entry's stored copy to equal the matrix bit for bit, so a hash
 //!   collision costs one comparison, never a wrong spectrum. The copy is
 //!   `nnz·24 + n·8` bytes, ~1 MB for the sweeps' n = 400 Laplacians, next
-//!   to a reduction of `~8·n²` bytes.
+//!   to a reduction of `~8·n²` bytes (`~4·n²` for a real Laplacian).
 //! * **Value:** the reduction and the seconds it took, which a hit charges
 //!   to the stage's wall time (see
 //!   [`Embedding::reused_seconds`](crate::Embedding::reused_seconds)).

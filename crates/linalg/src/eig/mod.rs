@@ -25,10 +25,14 @@
 //!
 //! * [`tridiagonalize`] forms `p = τ·A·v` one row at a time through
 //!   [`kernels::dot`](crate::kernels::dot), runs the rank-2 update row by
-//!   row over precomputed `conj(w)` / `conj(v)`, and accumulates `Q` in two
+//!   row through [`kernels::rank2`](crate::kernels::rank2) over
+//!   precomputed `conj(w)` / `conj(v)`, and accumulates `Q` in two
 //!   row-major passes per reflector (`y = v†·Q` through
 //!   [`kernels::axpy`](crate::kernels::axpy), then `Q −= v·(τ·y)`) over the
-//!   active columns only.
+//!   active columns only. A real input (every `im == 0.0`, no `−0.0`
+//!   real part) runs a real twin of the same loops on one `f64` buffer, with real reflectors,
+//!   bit-identical in `d`, `e` and the real parts of `Q`
+//!   (`docs/KERNELS.md` gives the argument).
 //! * [`tql_implicit`] transposes `z` in place, applies each real Givens
 //!   rotation to two adjacent rows, and transposes back on every exit.
 //!
@@ -197,14 +201,14 @@ pub fn eigh(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
 ///
 /// Instead of `Q` and the rotated `z`, it keeps the Householder reflectors
 /// (shared with the [`HermitianReduction`] it came from) and the log of QL
-/// rotations, about `30·n²` bytes in all.
+/// rotations, about `30·n²` bytes in all (`26·n²` for a real input).
 #[derive(Debug, Clone)]
 pub struct HermitianSpectrum {
     /// Eigenvalues in ascending order, bit-identical to [`eigh`]'s.
     pub eigenvalues: Vec<f64>,
     /// `order[j]` is the QL index of `eigenvalues[j]`.
     order: Vec<usize>,
-    reflectors: Arc<Vec<householder::Reflector>>,
+    reflectors: Arc<householder::Reflectors>,
     rotations: RotationLog,
 }
 
@@ -233,10 +237,7 @@ impl HermitianSpectrum {
             .collect();
         // Eigenvector j of T is R·e_{order[j]}; Q maps it to one of A.
         let x = self.rotations.replay(n, &cols);
-        let k = cols.len();
-        let mut v = CMatrix::from_real_fn(n, k, |i, c| x[i * k + c]);
-        householder::apply_q(&self.reflectors, &mut v);
-        v
+        self.reflectors.apply(x, n, cols.len(), false)
     }
 
     /// The `n × k` matrix of eigenvectors belonging to the `k` smallest
@@ -256,14 +257,15 @@ impl HermitianSpectrum {
 /// Householder reflectors.
 ///
 /// It stores the diagonal and subdiagonal of `T` and the reflectors, about
-/// `8·n²` bytes. [`HermitianReduction::spectrum`] runs the `O(n²)` QL
-/// recurrence on a copy of the diagonal, so one reduction can serve any
-/// number of spectra, each bit-identical to [`eigh_spectrum`]'s.
+/// `8·n²` bytes, or `4·n²` for a real input, whose reflectors are real.
+/// [`HermitianReduction::spectrum`] runs the `O(n²)` QL recurrence on a
+/// copy of the diagonal, so one reduction can serve any number of spectra,
+/// each bit-identical to [`eigh_spectrum`]'s.
 #[derive(Debug, Clone)]
 pub struct HermitianReduction {
     d: Vec<f64>,
     e: Vec<f64>,
-    reflectors: Arc<Vec<householder::Reflector>>,
+    reflectors: Arc<householder::Reflectors>,
 }
 
 impl HermitianReduction {
@@ -374,7 +376,7 @@ mod tests {
     use super::*;
     use crate::complex::{C_I, C_ZERO};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn fast_path_reconstructs_random_hermitian() {
@@ -503,6 +505,70 @@ mod tests {
                     ref_vectors,
                     "{name}, spectrum {round}: eigenvectors"
                 );
+            }
+        }
+    }
+
+    /// `a`'s reduction by the complex loop, whatever its entries.
+    fn complex_path_reduction(a: CMatrix) -> HermitianReduction {
+        let (d, e, reflectors) = householder::reduce_complex(a);
+        HermitianReduction {
+            d,
+            e,
+            reflectors: Arc::new(householder::Reflectors::Complex(reflectors)),
+        }
+    }
+
+    #[test]
+    fn real_reflectors_rebuild_the_complex_paths_eigenvectors() {
+        // A real input runs the real twin of the reduction; its spectrum's
+        // eigenvectors must equal the complex loop's in their real parts
+        // to the bit, with zero imaginary parts.
+        let mut rng = StdRng::seed_from_u64(60);
+        let real_symmetric = |n: usize, zeros: u32, rng: &mut StdRng| {
+            let mut a = CMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let re = if rng.gen_range(0..10u32) < zeros {
+                        0.0
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    };
+                    let im = if rng.gen::<bool>() { -0.0 } else { 0.0 };
+                    a[(i, j)] = Complex64::new(re, im);
+                    a[(j, i)] = Complex64::new(re, -im);
+                }
+            }
+            a
+        };
+        let split = direct_sum(
+            &real_symmetric(7, 0, &mut rng),
+            &real_symmetric(5, 6, &mut rng),
+        );
+        let mut cases = vec![("split tridiagonal".to_string(), split)];
+        for n in [1usize, 2, 5, 24, 61] {
+            for zeros in [0, 7] {
+                let a = real_symmetric(n, zeros, &mut rng);
+                cases.push((format!("n = {n}, {zeros}/10 zeros"), a));
+            }
+        }
+        for (name, a) in cases {
+            let n = a.nrows();
+            let all: Vec<usize> = (0..n).collect();
+            let real = HermitianReduction::new(a.clone()).unwrap();
+            assert!(
+                matches!(*real.reflectors, householder::Reflectors::Real(_)),
+                "{name}: not the real path"
+            );
+            let complex = complex_path_reduction(a);
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&real.d), bits(&complex.d), "{name}: d");
+            assert_eq!(bits(&real.e), bits(&complex.e), "{name}: e");
+            let got = real.spectrum().unwrap().eigenvectors(&all);
+            let want = complex.spectrum().unwrap().eigenvectors(&all);
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(g.re.to_bits(), w.re.to_bits(), "{name}: entry {i}");
+                assert_eq!(g.im.to_bits(), 0, "{name}: entry {i}: imaginary part");
             }
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Every dense numeric hot path in the workspace — single-qubit gate pair
 //! loops, the blocked matmul/matvec inner products, flat-buffer density
-//! gate application, vector axpy/dot — bottoms out in one of five
-//! primitive kernels defined here:
+//! gate application, vector axpy/dot, the Householder rank-2 update —
+//! bottoms out in one of six primitive kernels defined here:
 //!
 //! | kernel | operation | contract |
 //! |---|---|---|
@@ -12,6 +12,7 @@
 //! | [`axpy`] | `y_i ← y_i + α · x_i` | **bit-identical** across tiers |
 //! | [`dot`] | `Σ x_i · y_i` (ascending `i`) | **bit-identical** across tiers |
 //! | [`cdot`] | `Σ conj(x_i) · y_i` (ascending `i`) | **bit-identical** across tiers |
+//! | [`rank2`] | `m_j ← m_j − (v·wc_j + w·vc_j)` | **bit-identical** across tiers |
 //!
 //! Three tiers implement each kernel:
 //!
@@ -359,6 +360,48 @@ pub fn cdot_with(tier: KernelTier, x: &[Complex64], y: &[Complex64]) -> Complex6
     }
 }
 
+/// One row of the Householder rank-2 update `A −= v·w† + w·v†`:
+/// `m_j ← m_j − (v·wc_j + w·vc_j)`, with `wc = conj(w)` and `vc = conj(v)`
+/// precomputed for the row and `v`, `w` the row's own entries —
+/// bit-identical to the scalar `*m_j -= v * wc_j + w * vc_j` loop on every
+/// tier.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline]
+pub fn rank2(v: Complex64, w: Complex64, wc: &[Complex64], vc: &[Complex64], m: &mut [Complex64]) {
+    rank2_with(active(), v, w, wc, vc, m);
+}
+
+/// [`rank2`] on an explicit tier.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn rank2_with(
+    tier: KernelTier,
+    v: Complex64,
+    w: Complex64,
+    wc: &[Complex64],
+    vc: &[Complex64],
+    m: &mut [Complex64],
+) {
+    assert!(
+        wc.len() == m.len() && vc.len() == m.len(),
+        "rank2: length mismatch"
+    );
+    match effective(tier) {
+        KernelTier::Scalar => scalar::rank2(v, w, wc, vc, m),
+        KernelTier::Portable => portable::rank2(v, w, wc, vc, m),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `effective` only returns Avx2 when the CPU has it.
+        KernelTier::Avx2 => unsafe { avx2::rank2(v, w, wc, vc, m) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 => unreachable!("avx2 tier on a non-x86_64 target"),
+    }
+}
+
 /// Degrades an explicitly requested tier to one the CPU can execute.
 #[inline]
 fn effective(tier: KernelTier) -> KernelTier {
@@ -419,6 +462,18 @@ mod scalar {
             acc += a.conj() * *b;
         }
         acc
+    }
+
+    pub(super) fn rank2(
+        v: Complex64,
+        w: Complex64,
+        wc: &[Complex64],
+        vc: &[Complex64],
+        m: &mut [Complex64],
+    ) {
+        for ((mj, &wj), &vj) in m.iter_mut().zip(wc).zip(vc) {
+            *mj -= v * wj + w * vj;
+        }
     }
 }
 
@@ -499,6 +554,23 @@ mod portable {
             acc += a.conj() * *b;
         }
         acc
+    }
+
+    pub(super) fn rank2(
+        v: Complex64,
+        w: Complex64,
+        wc: &[Complex64],
+        vc: &[Complex64],
+        m: &mut [Complex64],
+    ) {
+        let mut mc = m.chunks_exact_mut(2);
+        let mut wcc = wc.chunks_exact(2);
+        let mut vcc = vc.chunks_exact(2);
+        for ((m2, w2), v2) in (&mut mc).zip(&mut wcc).zip(&mut vcc) {
+            m2[0] -= v * w2[0] + w * v2[0];
+            m2[1] -= v * w2[1] + w * v2[1];
+        }
+        scalar::rank2(v, w, wcc.remainder(), vcc.remainder(), mc.into_remainder());
     }
 }
 
@@ -690,6 +762,37 @@ mod avx2 {
         }
         z
     }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn rank2(
+        v: Complex64,
+        w: Complex64,
+        wc: &[Complex64],
+        vc: &[Complex64],
+        m: &mut [Complex64],
+    ) {
+        let n = m.len();
+        let vre = _mm256_set1_pd(v.re);
+        let vim = _mm256_set1_pd(v.im);
+        let wre = _mm256_set1_pd(w.re);
+        let wim = _mm256_set1_pd(w.im);
+        let wp = wc.as_ptr().cast::<f64>();
+        let vp = vc.as_ptr().cast::<f64>();
+        let mp = m.as_mut_ptr().cast::<f64>();
+        for i in 0..n / 2 {
+            let wv = _mm256_loadu_pd(wp.add(4 * i));
+            let vv = _mm256_loadu_pd(vp.add(4 * i));
+            let mv = _mm256_loadu_pd(mp.add(4 * i));
+            // m − (v·wc + w·vc): products with self = v and w, the first
+            // product as the left add operand, m as the left sub operand
+            // — the scalar `*mj -= v * wj + w * vj` order.
+            let s = _mm256_add_pd(cmul_splat(vre, vim, wv), cmul_splat(wre, wim, vv));
+            _mm256_storeu_pd(mp.add(4 * i), _mm256_sub_pd(mv, s));
+        }
+        if n % 2 == 1 {
+            m[n - 1] -= v * wc[n - 1] + w * vc[n - 1];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -753,6 +856,61 @@ mod tests {
 
     fn scalar_reference_dot(x: &[Complex64], y: &[Complex64]) -> Complex64 {
         x.iter().zip(y).map(|(a, b)| *a * *b).sum()
+    }
+
+    #[test]
+    fn rank2_matches_the_scalar_update_loop_on_every_tier() {
+        let specials = [
+            0.0,
+            -0.0,
+            1.5,
+            -0.75,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // A deterministic walk over the specials, so every length mixes
+        // signed zeros, infinities and NaNs in both components.
+        let pick = |i: usize| specials[(i * 5 + i / 3) % specials.len()];
+        let entry = |i: usize| Complex64::new(pick(i), pick(i + 2));
+        for len in [0usize, 1, 2, 3, 4, 7, 8, 9] {
+            for (v, w) in [
+                (Complex64::new(0.5, -2.0), Complex64::new(-1.25, 0.0)),
+                (
+                    Complex64::new(-0.0, 0.0),
+                    Complex64::new(f64::INFINITY, -0.0),
+                ),
+                (Complex64::new(f64::NAN, 1.0), Complex64::new(0.0, -0.0)),
+            ] {
+                let wc: Vec<Complex64> = (0..len).map(|i| entry(3 * i + 1)).collect();
+                let vc: Vec<Complex64> = (0..len).map(|i| entry(7 * i + 2)).collect();
+                let m0: Vec<Complex64> = (0..len).map(|i| entry(11 * i + 5)).collect();
+                let mut want = m0.clone();
+                for ((mij, &wj), &vj) in want.iter_mut().zip(&wc).zip(&vc) {
+                    *mij -= v * wj + w * vj;
+                }
+                for tier in KernelTier::ALL {
+                    let mut got = m0.clone();
+                    rank2_with(tier, v, w, &wc, &vc, &mut got);
+                    for (j, (g, x)) in got.iter().zip(&want).enumerate() {
+                        for (part, gv, xv) in [("re", g.re, x.re), ("im", g.im, x.im)] {
+                            assert_eq!(
+                                gv.is_nan(),
+                                xv.is_nan(),
+                                "{tier}, len {len}, entry {j}.{part}: NaN position"
+                            );
+                            if !xv.is_nan() {
+                                assert_eq!(
+                                    gv.to_bits(),
+                                    xv.to_bits(),
+                                    "{tier}, len {len}, entry {j}.{part}: {gv} vs {xv}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

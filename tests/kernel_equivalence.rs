@@ -928,6 +928,221 @@ fn eigensolver_stages_keep_the_reference_nan_pattern() {
 }
 
 // ---------------------------------------------------------------------------
+// Real inputs: the real twin of the reduction vs the complex oracle.
+// ---------------------------------------------------------------------------
+
+/// A random real symmetric matrix, stored complex with `+0.0` imaginary
+/// parts.
+fn random_real_symmetric(n: usize, rng: &mut StdRng) -> CMatrix {
+    let mut a = CMatrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let x = Complex64::real(rng.gen_range(-1.0..1.0));
+            a[(i, j)] = x;
+            a[(j, i)] = x;
+        }
+    }
+    a
+}
+
+/// `got`'s real parts bit-equal to `want`'s (NaN positions pinned, not
+/// payloads), and every imaginary part of `got` a zero of either sign, or
+/// NaN beside a NaN real part.
+fn assert_real_parts_match(got: &CMatrix, want: &CMatrix, context: &str) {
+    assert_eq!(
+        (got.nrows(), got.ncols()),
+        (want.nrows(), want.ncols()),
+        "{context}: shape"
+    );
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert!(
+            g.im == 0.0 || (g.im.is_nan() && g.re.is_nan()),
+            "{context}: entry {i}: imaginary part {}",
+            g.im
+        );
+        assert_eq!(g.re.is_nan(), w.re.is_nan(), "{context}: entry {i}: NaN");
+        if !w.re.is_nan() {
+            assert_eq!(
+                g.re.to_bits(),
+                w.re.to_bits(),
+                "{context}: entry {i}: got {}, want {}",
+                g.re,
+                w.re
+            );
+        }
+    }
+}
+
+/// [`assert_f64_bits_eq`] with NaN positions pinned instead of payloads.
+fn assert_f64_pattern_eq(got: &[f64], want: &[f64], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.is_nan(), w.is_nan(), "{context}[{i}]: NaN");
+        if !w.is_nan() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{context}[{i}]: got {g}, want {w}"
+            );
+        }
+    }
+}
+
+/// Runs the production solver on a real input (every `im == 0.0`, so the
+/// real twin of the reduction) and the complex column-strided oracle on
+/// the same matrix: `d`, `e`, the QL eigenvalues and the eigenvalues of
+/// `eigh`, `eigvalsh` and `eigh_spectrum` agree to the bit; `Q`, the QL
+/// vectors and `eigh`'s eigenvectors agree in their real parts to the bit,
+/// with zero imaginary parts. `eigh_spectrum`'s vectors have zero
+/// imaginary parts and keep their `4·n·ε` contract with `eigh`'s.
+/// Non-finite input runs only the stages, with NaN positions pinned.
+fn assert_real_path_matches_complex_oracle(a: &CMatrix, context: &str) {
+    assert!(
+        a.as_slice().iter().all(|z| z.im == 0.0),
+        "{context}: not a real input"
+    );
+    let got = tridiagonalize(a);
+    let want = reference::tridiagonalize(a);
+    assert_f64_pattern_eq(&got.d, &want.d, &format!("{context}: d"));
+    assert_f64_pattern_eq(&got.e, &want.e, &format!("{context}: e"));
+    assert_real_parts_match(&got.q, &want.q, &format!("{context}: Q"));
+
+    let (mut gd, mut ge, mut gz) = (got.d, got.e, got.q);
+    let (mut wd, mut we, mut wz) = (want.d, want.e, want.q);
+    let got_ql = tql_implicit(&mut gd, &mut ge, &mut gz).map_err(|e| e.to_string());
+    let want_ql = reference::tql_implicit(&mut wd, &mut we, &mut wz).map_err(|e| e.to_string());
+    assert_eq!(got_ql, want_ql, "{context}: QL outcome");
+    assert_f64_pattern_eq(&gd, &wd, &format!("{context}: QL eigenvalues"));
+    assert_real_parts_match(&gz, &wz, &format!("{context}: QL eigenvectors"));
+    if !a.as_slice().iter().all(|z| z.is_finite()) {
+        return;
+    }
+
+    let mut order: Vec<usize> = (0..wd.len()).collect();
+    order.sort_by(|&i, &j| wd[i].partial_cmp(&wd[j]).unwrap());
+    let sorted: Vec<f64> = order.iter().map(|&i| wd[i]).collect();
+    let eig = eigh(a).expect("eigh");
+    assert_f64_bits_eq(
+        &eig.eigenvalues,
+        &sorted,
+        &format!("{context}: eigh values"),
+    );
+    assert_real_parts_match(
+        &eig.eigenvectors,
+        &wz.select_columns(&order),
+        &format!("{context}: eigh vectors"),
+    );
+    let values = eigvalsh(a).expect("eigvalsh");
+    assert_f64_bits_eq(&values, &sorted, &format!("{context}: eigvalsh"));
+    let spectrum = eigh_spectrum(a.clone()).expect("eigh_spectrum");
+    assert_f64_bits_eq(
+        &spectrum.eigenvalues,
+        &sorted,
+        &format!("{context}: eigh_spectrum values"),
+    );
+    let n = a.nrows();
+    let v = spectrum.eigenvectors(&(0..n).collect::<Vec<_>>());
+    assert!(
+        v.as_slice().iter().all(|z| z.im == 0.0),
+        "{context}: eigh_spectrum vectors are not real"
+    );
+    let diff = max_abs_diff(&v, &eig.eigenvectors);
+    let bound = 4.0 * n as f64 * f64::EPSILON;
+    assert!(diff <= bound, "{context}: max|ΔV| = {diff:e} > {bound:e}");
+}
+
+#[test]
+fn real_reduction_is_bit_identical_to_the_complex_oracle() {
+    let mut rng = StdRng::seed_from_u64(408);
+    for n in [1usize, 2, 3, 5, 17, 64, 128, 200] {
+        let a = random_real_symmetric(n, &mut rng);
+        assert_real_path_matches_complex_oracle(&a, &format!("random symmetric n={n}"));
+    }
+}
+
+#[test]
+fn real_reduction_matches_on_zero_columns_and_signed_zeros() {
+    let mut rng = StdRng::seed_from_u64(409);
+    // Exact-zero rows and columns: the `xnorm == 0` branch, with `α = 0`
+    // (an all-zero column) and `α ≠ 0` (a tridiagonal leading block).
+    let mut zero_cols = random_real_symmetric(17, &mut rng);
+    for z in [0usize, 5, 6, 15] {
+        for j in 0..17 {
+            zero_cols[(z, j)] = C_ZERO;
+            zero_cols[(j, z)] = C_ZERO;
+        }
+    }
+    let mut banded = random_real_symmetric(12, &mut rng);
+    for i in 0..12usize {
+        for j in 0..12 {
+            if i.abs_diff(j) > 1 && i.min(j) < 6 {
+                banded[(i, j)] = C_ZERO;
+            }
+        }
+    }
+    assert_real_path_matches_complex_oracle(&zero_cols, "zero columns n=17");
+    assert_real_path_matches_complex_oracle(&banded, "tridiagonal leading block n=12");
+
+    // Signed zeros: `−0.0` imaginary parts everywhere, and a sparse
+    // pattern of exact zeros whose imaginary parts carry either sign.
+    for n in [2usize, 9, 33] {
+        let mut a = random_real_symmetric(n, &mut rng);
+        for i in 0..n {
+            for j in 0..=i {
+                let im = if rng.gen::<bool>() { -0.0 } else { 0.0 };
+                let re = if rng.gen_range(0..3) == 0 {
+                    0.0
+                } else {
+                    a[(i, j)].re
+                };
+                a[(i, j)] = Complex64::new(re, im);
+                a[(j, i)] = Complex64::new(re, -im);
+            }
+        }
+        assert_real_path_matches_complex_oracle(&a, &format!("signed zeros n={n}"));
+        let negative_im = CMatrix::from_fn(n, n, |i, j| Complex64::new(a[(i, j)].re, -0.0));
+        assert_real_path_matches_complex_oracle(&negative_im, &format!("−0.0 im n={n}"));
+    }
+}
+
+#[test]
+fn real_reduction_matches_on_nearly_symmetric_and_nan_input() {
+    // Symmetric only to within 1e-10: the full update keeps the asymmetry.
+    let mut rng = StdRng::seed_from_u64(410);
+    for n in [17usize, 64] {
+        let mut a = random_real_symmetric(n, &mut rng);
+        for i in 0..n {
+            for j in i + 1..n {
+                a[(i, j)] += Complex64::real(rng.gen_range(-1e-10..1e-10));
+            }
+        }
+        assert!(!a.is_hermitian(0.0) && a.is_hermitian(1e-9));
+        assert_real_path_matches_complex_oracle(&a, &format!("nearly symmetric n={n}"));
+    }
+    // A real NaN pair: the stages only (`eigh` rejects it), NaN pinned.
+    let mut a = random_real_symmetric(9, &mut rng);
+    a[(6, 4)] = Complex64::real(f64::NAN);
+    a[(4, 6)] = Complex64::real(f64::NAN);
+    assert_real_path_matches_complex_oracle(&a, "real NaN pair n=9");
+}
+
+#[test]
+fn real_reduction_matches_on_a_symmetrized_dsbm_laplacian() {
+    let inst = dsbm(&DsbmParams {
+        n: 96,
+        k: 3,
+        p_intra: 0.25,
+        p_inter: 0.25,
+        eta_flow: 0.9,
+        seed: 402,
+        ..DsbmParams::default()
+    })
+    .expect("dsbm");
+    let l = normalized_hermitian_laplacian(&inst.graph.symmetrized(), 0.25);
+    assert_real_path_matches_complex_oracle(&l, "symmetrized flow-DSBM Laplacian n=96");
+}
+
+// ---------------------------------------------------------------------------
 // Partial eigensolver (`eigh_spectrum`) vs `eigh`.
 // ---------------------------------------------------------------------------
 
