@@ -13,8 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsc_cluster::metrics::matched_accuracy;
 use qsc_core::{
-    Clusterer, DensityMatrix, GraphInstance, NoisyStatevector, Pipeline, QMeans, QuantumParams,
-    ShotSampler,
+    DensityMatrix, GraphInstance, NoisyStatevector, Pipeline, QuantumParams, ShotSampler,
 };
 use qsc_graph::generators::{dsbm, DsbmParams, MetaGraph};
 use qsc_linalg::CMatrix;
@@ -23,7 +22,6 @@ use qsc_sim::qpe::qpe_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// Compiled 12-qubit QPE circuit (4 system + 8 phase bits) executed on the
 /// statevector backend.
@@ -73,11 +71,10 @@ fn bench_noise_curve(c: &mut Criterion) {
     let batch: Vec<GraphInstance> = (0..5u64)
         .map(|s| GraphInstance::with_seed(&inst.graph, 11 + s))
         .collect();
-    let qmeans: Arc<dyn Clusterer> = Arc::new(QMeans::new(params.delta));
     let mean_acc = |pl: &Pipeline| {
-        let outs = pl.run_many(&batch, std::slice::from_ref(&qmeans));
+        let outs = Pipeline::run_many(std::slice::from_ref(pl), &batch).concat();
         outs.iter()
-            .map(|o| matched_accuracy(&inst.labels, &o.as_ref().expect("noise batch")[0].labels))
+            .map(|o| matched_accuracy(&inst.labels, &o.as_ref().expect("noise batch").labels))
             .sum::<f64>()
             / outs.len() as f64
     };

@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsc_core::cost::{incidence_mu, incidence_mu_reference};
-use qsc_core::{Clusterer, GraphInstance, KMeans, Pipeline};
+use qsc_core::{GraphInstance, Pipeline};
 use qsc_graph::generators::{dsbm, random_mixed, DsbmParams, MetaGraph, RandomMixedParams};
 use qsc_graph::{normalized_hermitian_laplacian_csr, Q_CLASSICAL};
 use qsc_json::sha256::sha256;
@@ -27,7 +27,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// 512×512 dense complex matmul: serial ikj reference vs the blocked,
 /// rayon-parallel kernel.
@@ -129,14 +128,13 @@ fn bench_run_many_8(c: &mut Criterion) {
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
     let pl = Pipeline::hermitian(3);
-    let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
     group.bench_function("sequential_loop", |b| {
         b.iter(|| {
             batch
                 .iter()
                 .map(|inst| {
                     pl.clone()
-                        .seed(inst.seed.expect("seeded batch"))
+                        .seed(inst.seed)
                         .run(black_box(inst.graph))
                         .expect("run")
                 })
@@ -145,9 +143,10 @@ fn bench_run_many_8(c: &mut Criterion) {
     });
     group.bench_function("run_many_parallel", |b| {
         b.iter(|| {
-            pl.run_many(black_box(&batch), std::slice::from_ref(&kmeans))
+            Pipeline::run_many(std::slice::from_ref(&pl), black_box(&batch))
+                .concat()
                 .into_iter()
-                .map(|outs| outs.expect("run_many"))
+                .map(|out| out.expect("run_many"))
                 .collect::<Vec<_>>()
         })
     });

@@ -19,9 +19,9 @@
 //!
 //! The runner batches repetitions through `Pipeline::run_many`
 //! (panic-isolated per repetition, failed grid points become explicit
-//! `failed(<kind>)` cells): runs whose workload, seeds and resolved recipe differ only in
-//! the clustering stage (q-means `δ`, `refine`) stage each graph's
-//! embedding once and cluster it once per run, so a δ sweep stages each
+//! `failed(<kind>)` cells): runs whose workload, seeds and resolved recipe
+//! differ only in the clustering stage (q-means `δ`, `refine`) are one
+//! batch of pipeline variants, one per run, so a δ sweep stages each
 //! QPE embedding once. Specs can attach a `"resilience"` block
 //! (retries, deadlines, budgets, backend fallbacks, fault injection) —
 //! see `docs/RESILIENCE.md`. Quick-scale output of the spec suite is

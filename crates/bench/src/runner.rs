@@ -13,10 +13,11 @@
 //! * one rule, applied by `run_shared` to sweeps and searches alike,
 //!   decides which runs share a batch: runs whose workload, seeds and
 //!   resolved recipe agree apart from the clusterer `δ` and `refine` (the
-//!   recipe's stage key) stage each graph's embedding once and cluster it
-//!   once per run. Sweep rows are collected into windows of consecutive
-//!   rows with equal keys (a stacked layout's windows stay within one
-//!   axis), so a q-means `δ` axis is one batch per graph,
+//!   recipe's stage key) are one `run_many` batch, one pipeline variant
+//!   per run, which stages each graph's embedding once. Resolved rows
+//!   form windows of consecutive rows with equal keys (a stacked layout's
+//!   windows stay within one axis), so a q-means `δ` axis is one batch per
+//!   graph,
 //! * metrics aggregate through the registry
 //!   ([`qsc_cluster::registry::MetricKind`]) into formatted columns.
 
@@ -31,8 +32,8 @@ use qsc_core::config::{BackendConfig, QuantumParams};
 use qsc_core::refine::{refine_partition, RefineConfig};
 use qsc_core::report::{fmt, fmt_mean_std, mean, SinkFormat, Table};
 use qsc_core::{
-    Clusterer, ClusteringOutcome, FailureKind, GraphInstance, KMeans, LanczosCsr, LanczosDense,
-    Pipeline, QMeans, ResiliencePolicy, SpectrumCache,
+    BatchOutcome, Clusterer, ClusteringOutcome, FailureKind, GraphInstance, KMeans, LanczosCsr,
+    LanczosDense, Pipeline, QMeans, ResiliencePolicy, SpectrumCache,
 };
 use qsc_graph::normalized_hermitian_laplacian;
 use qsc_graph::spec::{GeneratedInstance, GraphSpec};
@@ -879,21 +880,19 @@ impl SweepRunner {
                 .collect(),
         };
 
+        // Resolve every row first: a spec that cannot finish does no work.
+        let rows: Vec<(usize, RowCtx<'_>, Vec<Run>)> = rows
+            .into_iter()
+            .map(|(segment, ctx, points)| Ok((segment, ctx, self.resolve_row(spec, p, &points)?)))
+            .collect::<Result<_, BenchError>>()?;
+
         // Consecutive rows of one segment whose runs have pairwise-equal
         // keys form a window, executed as one `run_shared` call.
         // Each window keeps the instance sets the one before generated.
         let mut window: Vec<(RowCtx<'_>, Vec<Run>)> = Vec::new();
         let mut window_segment = 0;
         let mut sets = InstanceSets::default();
-        for (segment, ctx, points) in rows {
-            let runs = match self.resolve_row(spec, p, &points) {
-                Ok(runs) => runs,
-                Err(e) => {
-                    self.run_window(p, reps, &window, &mut sets, &mut table)?;
-                    flush_rows(&table, &mut sent, on_progress);
-                    return Err(e);
-                }
-            };
+        for (segment, ctx, runs) in rows {
             let joins = segment == window_segment
                 && window.last().is_some_and(|(_, last)| {
                     last.iter().zip(&runs).all(|(a, b)| a.key() == b.key())
@@ -1194,7 +1193,7 @@ impl InstanceSets {
 /// Executes `runs` over the repetitions `reps` — the one place that decides
 /// which runs share work. Runs with equal [`Run::key`]s form a group, in
 /// first-appearance order; each group makes one [`run_combos`] call through
-/// the pipeline `pipeline` builds from its first recipe, with one clusterer
+/// the pipeline `pipeline` builds from its first recipe, with one variant
 /// per member. Groups take their instances from `sets`, which first drops
 /// the sets this call does not read. Returns each run's batch, in `runs`
 /// order.
@@ -1236,39 +1235,22 @@ pub(crate) fn run_shared(
         .collect())
 }
 
-/// Runs a repetition batch through `pl`: each rep's embedding is staged
-/// once and clustered with every recipe's [`Recipe::clusterer`], all under
-/// one guard, so a failed staging fails every recipe of that rep. The
-/// batch is one generation of `pl`'s spectrum cache, if it has one.
-/// Returns `[recipe][rep]` slots, post-processed under each recipe.
+/// Runs a repetition batch through `pl` with each recipe's
+/// [`Recipe::clusterer`] as one [`Pipeline::run_many`] call: each rep's
+/// embedding is staged once, all recipes under one guard, so a failed
+/// staging fails every recipe of that rep. One generation of `pl`'s
+/// spectrum cache. Returns `[recipe][rep]` slots, post-processed.
 fn run_combos(
     pl: &Pipeline,
     batch: &[GraphInstance<'_>],
     instances: &[GeneratedInstance],
     recipes: &[&Recipe],
 ) -> Vec<Vec<RunSlot>> {
-    let clusterers: Vec<Arc<dyn Clusterer>> = recipes.iter().map(|r| r.clusterer()).collect();
-    // `[instance][recipe]` → `[recipe][rep]`, by value: no outcome
-    // (embedding) clones.
-    let mut per_recipe: Vec<Vec<Result<ClusteringOutcome, FailureKind>>> = recipes
+    let variants: Vec<Pipeline> = recipes
         .iter()
-        .map(|_| Vec::with_capacity(batch.len()))
+        .map(|recipe| pl.clone().clusterer_shared(recipe.clusterer()))
         .collect();
-    for per_instance in pl.run_many(batch, &clusterers) {
-        match per_instance {
-            Ok(outs) => {
-                for (slots, out) in per_recipe.iter_mut().zip(outs) {
-                    slots.push(Ok(out));
-                }
-            }
-            Err(err) => {
-                for slots in per_recipe.iter_mut() {
-                    slots.push(Err(err.kind));
-                }
-            }
-        }
-    }
-    per_recipe
+    Pipeline::run_many(&variants, batch)
         .into_iter()
         .zip(recipes)
         .map(|(outs, recipe)| to_slots(outs, instances, recipe))
@@ -1276,7 +1258,7 @@ fn run_combos(
 }
 
 fn to_slots(
-    outs: Vec<Result<ClusteringOutcome, FailureKind>>,
+    outs: BatchOutcome<ClusteringOutcome>,
     instances: &[GeneratedInstance],
     recipe: &Recipe,
 ) -> Vec<RunSlot> {
@@ -1285,7 +1267,7 @@ fn to_slots(
         .map(|(out, inst)| {
             let outcome = match out {
                 Ok(outcome) => outcome,
-                Err(kind) => return RunSlot::Failed(kind),
+                Err(err) => return RunSlot::Failed(err.kind),
             };
             let labels = if recipe.refine {
                 refine_partition(

@@ -48,7 +48,7 @@
 //!
 //! Batches fan out over the rayon worker pool with
 //! [`Pipeline::run_many`], which stages each graph's embedding once and
-//! clusters it with a list of clusterers; a single graph's staged
+//! clusters it with each variant's own clusterer; a single graph's staged
 //! embedding is reused through [`Pipeline::embed`] / [`Pipeline::cluster`].
 //!
 //! # Execution backends

@@ -21,8 +21,8 @@
 //! (Laplacian + embedding) once and [`Pipeline::cluster`] re-clusters it —
 //! so e.g. a q-means `δ` sweep never recomputes its QPE inputs. For many
 //! graphs, [`Pipeline::run_many`] fans instances out over the rayon worker
-//! pool, staging each embedding once and clustering it with a list of
-//! clusterers, each instance under the pipeline's [`ResiliencePolicy`].
+//! pool, staging each embedding once and clustering it with each of its
+//! pipeline variants' own clusterer, under their [`ResiliencePolicy`].
 //! Every instance is computed independently from its own seed, so batched
 //! results are identical to a sequential loop regardless of the worker
 //! count.
@@ -91,8 +91,8 @@ pub(crate) fn validate_request(g: &MixedGraph, k: usize) -> Result<(), Error> {
 pub struct StageContext {
     /// Number of clusters `k`.
     pub k: usize,
-    /// Effective master seed of this run (pipeline seed or the per-instance
-    /// override from [`GraphInstance`]).
+    /// Effective master seed of this run (the pipeline's seed, or the
+    /// [`GraphInstance`]'s in a batch).
     pub seed: u64,
     /// Row-normalize the embedding before clustering.
     pub normalize_rows: bool,
@@ -215,14 +215,13 @@ pub struct StagedEmbedding {
     pub embed_seconds: f64,
 }
 
-/// One graph of a batch, with an optional per-instance seed override.
+/// One graph of a batch, with the master seed it is clustered under.
 ///
 /// Borrowed, so building a batch never copies graphs:
 ///
 /// ```
-/// use qsc_core::{Clusterer, GraphInstance, KMeans, Pipeline};
+/// use qsc_core::{GraphInstance, Pipeline, QMeans};
 /// use qsc_graph::generators::{dsbm, DsbmParams};
-/// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), qsc_core::Error> {
 /// let graphs: Vec<_> = (0..3)
@@ -233,10 +232,12 @@ pub struct StagedEmbedding {
 ///     .enumerate()
 ///     .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
 ///     .collect();
-/// let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
-/// let outs = Pipeline::hermitian(2).run_many(&batch, &[kmeans]);
-/// assert_eq!(outs.len(), 3);
-/// assert!(outs.iter().all(|out| out.is_ok()));
+/// // k-means and q-means at δ = 0.1 over one staged embedding per graph.
+/// let kmeans = Pipeline::hermitian(2);
+/// let qmeans = kmeans.clone().clusterer(QMeans::new(0.1));
+/// let outs = Pipeline::run_many(&[kmeans, qmeans], &batch);
+/// assert_eq!(outs.len(), 2);
+/// assert!(outs.iter().flatten().all(|out| out.is_ok()));
 /// # Ok(())
 /// # }
 /// ```
@@ -244,28 +245,14 @@ pub struct StagedEmbedding {
 pub struct GraphInstance<'g> {
     /// The graph to cluster.
     pub graph: &'g MixedGraph,
-    /// Seed for this instance (`None` → the pipeline's seed).
-    pub seed: Option<u64>,
+    /// Master seed of this instance's run.
+    pub seed: u64,
 }
 
 impl<'g> GraphInstance<'g> {
-    /// An instance clustered under the pipeline's own seed.
-    pub fn new(graph: &'g MixedGraph) -> Self {
-        Self { graph, seed: None }
-    }
-
     /// An instance with its own master seed.
     pub fn with_seed(graph: &'g MixedGraph, seed: u64) -> Self {
-        Self {
-            graph,
-            seed: Some(seed),
-        }
-    }
-}
-
-impl<'g> From<&'g MixedGraph> for GraphInstance<'g> {
-    fn from(graph: &'g MixedGraph) -> Self {
-        Self::new(graph)
+        Self { graph, seed }
     }
 }
 
@@ -617,21 +604,6 @@ impl Pipeline {
         })
     }
 
-    /// Stages `g`'s embedding once and clusters it with each stage in
-    /// `clusterers`, in order.
-    fn embed_and_cluster(
-        &self,
-        g: &MixedGraph,
-        seed: u64,
-        clusterers: &[Arc<dyn Clusterer>],
-    ) -> Result<Vec<ClusteringOutcome>, Error> {
-        let staged = self.embed_seeded(g, seed)?;
-        clusterers
-            .iter()
-            .map(|c| self.cluster_seeded(c.as_ref(), &staged, seed))
-            .collect()
-    }
-
     /// Runs the full pipeline on one graph.
     ///
     /// # Errors
@@ -642,8 +614,7 @@ impl Pipeline {
         self.cluster(&self.embed(g)?)
     }
 
-    /// Like [`Pipeline::clusterer`] but sharing an existing stage — the
-    /// form a list of swept clusterers comes in.
+    /// Like [`Pipeline::clusterer`] but sharing an existing stage.
     pub fn clusterer_shared(mut self, clusterer: Arc<dyn Clusterer>) -> Self {
         self.clusterer = clusterer;
         self
@@ -788,33 +759,73 @@ impl Pipeline {
         }
     }
 
-    /// The batch runner: stages every instance's Laplacian and embedding
-    /// **once** and clusters it with each stage in `clusterers`, in order.
-    /// Rayon-parallel over instances; the result is indexed
-    /// `[instance][clusterer]` and — because every instance is computed
-    /// independently from its own seed over thread-count-independent
-    /// kernels — identical to a sequential [`Pipeline::embed`] +
-    /// [`Pipeline::cluster`] loop.
+    /// Whether `other` stages embeddings as `self` does, differing at most
+    /// in its clustering stage and seed.
+    fn stages_like(&self, other: &Pipeline) -> bool {
+        let cache = |pl: &Pipeline| pl.spectrum_cache.as_ref().map(Arc::as_ptr);
+        self.laplacian == other.laplacian
+            && self.embedding == other.embedding
+            && self.resilience == other.resilience
+            && Arc::ptr_eq(&self.embedder, &other.embedder)
+            && Arc::ptr_eq(&self.backend, &other.backend)
+            && cache(self) == cache(other)
+    }
+
+    /// The batch runner over `variants` that differ only in their clustering
+    /// stage (`pl.clone().clusterer(...)`; any other difference makes every
+    /// entry [`FailureKind::Invalid`], without any work): stages every
+    /// instance's Laplacian and embedding **once**, through the first
+    /// variant, and clusters it with each variant's own stage. Parallel
+    /// over instances; the result is indexed `[variant][instance]` and —
+    /// as each instance runs from its own seed over thread-count-independent
+    /// kernels — identical to a sequential [`Pipeline::run`] loop.
     ///
-    /// Each instance, with all its clusterer variants, runs under one guard
-    /// of the attached [`ResiliencePolicy`]: a failing instance — typed
-    /// error *or panic* — becomes its own [`InstanceError`] entry instead
-    /// of failing (or poisoning) the whole batch, and the policy grants
-    /// retries, deadlines and backend fallbacks per instance. The variants
-    /// share the embedding, hence its fate.
+    /// Each instance, with all its variants, runs under one guard of the
+    /// [`ResiliencePolicy`]: a failing instance — typed error *or panic* —
+    /// becomes its own [`InstanceError`] entry instead of failing (or
+    /// poisoning) the whole batch, and the policy grants retries, deadlines
+    /// and backend fallbacks per instance. The variants share the
+    /// embedding, hence its fate, and the backend it ran on.
     pub fn run_many(
-        &self,
+        variants: &[Pipeline],
         instances: &[GraphInstance<'_>],
-        clusterers: &[Arc<dyn Clusterer>],
-    ) -> BatchOutcome<Vec<ClusteringOutcome>> {
-        self.start_batch();
-        map_indexed(instances.len(), |i| {
-            let inst = &instances[i];
-            let seed = inst.seed.unwrap_or(self.seed);
-            self.guarded(seed, &|pl: &Pipeline, s| {
-                pl.embed_and_cluster(inst.graph, s, clusterers)
+    ) -> Vec<BatchOutcome<ClusteringOutcome>> {
+        let mut per_variant = vec![Vec::new(); variants.len()];
+        let Some(lead) = variants.first() else {
+            return per_variant;
+        };
+        // The lead is compared with no one: a lone pipeline always runs.
+        let per_instance = if variants[1..].iter().all(|v| lead.stages_like(v)) {
+            lead.start_batch();
+            map_indexed(instances.len(), |i| {
+                let inst = &instances[i];
+                lead.guarded(inst.seed, &|pl: &Pipeline, s| {
+                    let staged = pl.embed_seeded(inst.graph, s)?;
+                    variants
+                        .iter()
+                        .map(|v| pl.cluster_seeded(v.clusterer.as_ref(), &staged, s))
+                        .collect::<Result<Vec<_>, _>>()
+                })
             })
-        })
+        } else {
+            let refusal = InstanceError {
+                kind: FailureKind::Invalid,
+                message: "a batch variant differs from the first beyond its clusterer".into(),
+                attempts: 1,
+            };
+            vec![Err(refusal); instances.len()]
+        };
+        // `[instance][variant]` → `[variant][instance]`, by value.
+        for outcome in per_instance {
+            let mut outs = outcome.map(Vec::into_iter);
+            for column in &mut per_variant {
+                column.push(match &mut outs {
+                    Ok(outs) => Ok(outs.next().expect("one outcome per variant")),
+                    Err(err) => Err(err.clone()),
+                });
+            }
+        }
+        per_variant
     }
 }
 
@@ -904,15 +915,14 @@ mod tests {
             .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
             .collect();
         let pl = Pipeline::hermitian(3);
-        let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
-        let batched = pl.run_many(&batch, &[kmeans]);
-        assert_eq!(batched.len(), graphs.len());
+        let batched = Pipeline::run_many(std::slice::from_ref(&pl), &batch);
+        assert_eq!(batched.len(), 1);
+        assert_eq!(batched[0].len(), graphs.len());
         for (i, inst) in graphs.iter().enumerate() {
             let single = pl.clone().seed(i as u64).run(&inst.graph).unwrap();
-            let outs = batched[i].as_ref().unwrap();
-            assert_eq!(outs.len(), 1);
-            assert_eq!(outs[0].labels, single.labels);
-            assert_eq!(outs[0].spectrum, single.spectrum);
+            let out = batched[0][i].as_ref().unwrap();
+            assert_eq!(out.labels, single.labels);
+            assert_eq!(out.spectrum, single.spectrum);
         }
     }
 
@@ -921,33 +931,67 @@ mod tests {
         let graphs: Vec<_> = (0..2).map(|s| flow_instance(50, 30 + s)).collect();
         let batch: Vec<GraphInstance> = graphs
             .iter()
-            .map(|inst| GraphInstance::new(&inst.graph))
+            .map(|inst| GraphInstance::with_seed(&inst.graph, 5))
             .collect();
         let pl = Pipeline::hermitian(3)
             .seed(5)
             .quantum(&QuantumParams::default());
-        let deltas: Vec<Arc<dyn Clusterer>> =
-            vec![Arc::new(QMeans::new(0.05)), Arc::new(QMeans::new(0.5))];
-        let outs: Vec<_> = pl
-            .run_many(&batch, &deltas)
+        let deltas = [0.05, 0.5];
+        let variants: Vec<Pipeline> = deltas
+            .iter()
+            .map(|&delta| pl.clone().clusterer(QMeans::new(delta)))
+            .collect();
+        let outs: Vec<Vec<ClusteringOutcome>> = Pipeline::run_many(&variants, &batch)
             .into_iter()
-            .map(Result::unwrap)
+            .map(|column| column.into_iter().map(Result::unwrap).collect())
             .collect();
         assert_eq!(outs.len(), 2);
-        for per_instance in &outs {
-            assert_eq!(per_instance.len(), 2);
-            // Same staged embedding behind both outcomes.
-            assert_eq!(per_instance[0].embedding, per_instance[1].embedding);
+        // Same staged embedding behind both outcomes of an instance.
+        for (a, b) in outs[0].iter().zip(&outs[1]) {
+            assert_eq!(a.embedding, b.embedding);
         }
         // And each outcome matches its own full run.
         for (i, inst) in graphs.iter().enumerate() {
-            for (j, delta) in [0.05, 0.5].into_iter().enumerate() {
-                let full = pl
-                    .clone()
-                    .clusterer(QMeans::new(delta))
-                    .run(&inst.graph)
-                    .unwrap();
-                assert_eq!(outs[i][j].labels, full.labels);
+            for (j, variant) in variants.iter().enumerate() {
+                let full = variant.run(&inst.graph).unwrap();
+                assert_eq!(outs[j][i].labels, full.labels);
+            }
+        }
+    }
+
+    #[test]
+    fn run_many_refuses_variants_that_stage_differently() {
+        let inst = flow_instance(40, 35);
+        let batch = [
+            GraphInstance::with_seed(&inst.graph, 1),
+            GraphInstance::with_seed(&inst.graph, 2),
+        ];
+        let cache = Arc::new(SpectrumCache::new());
+        let pl = Pipeline::hermitian(3).spectrum_cache(cache.clone());
+        let mut other_k = pl.clone();
+        other_k.embedding.k = 2;
+        for other in [
+            pl.clone().embedder(crate::LanczosCsr),
+            other_k,
+            pl.clone().backend(Statevector::new()),
+        ] {
+            let outs = Pipeline::run_many(&[pl.clone(), other.clone()], &batch);
+            assert_eq!(outs.len(), 2, "{other:?}");
+            for entry in outs.iter().flatten() {
+                let err = entry.as_ref().expect_err("a mismatched batch is refused");
+                assert_eq!(err.kind, FailureKind::Invalid, "{other:?}");
+                assert_eq!(err.attempts, 1);
+            }
+        }
+        // Nothing ran: the cache saw no lookup.
+        assert_eq!(cache.stats(), SpectrumCacheStats::default());
+        // A lone pipeline is never refused, whatever its stages.
+        for lone in [
+            pl.clone().embedder(crate::LanczosCsr),
+            pl.quantum(&QuantumParams::default()),
+        ] {
+            for out in Pipeline::run_many(&[lone], &batch).concat() {
+                out.unwrap();
             }
         }
     }
@@ -1034,14 +1078,13 @@ mod tests {
         let graphs: Vec<_> = (0..3).map(|s| flow_instance(40, 50 + s)).collect();
         let batch: Vec<GraphInstance> = graphs
             .iter()
-            .map(|i| GraphInstance::new(&i.graph))
+            .map(|i| GraphInstance::with_seed(&i.graph, 0))
             .collect();
         let cache = Arc::new(SpectrumCache::new());
         // A plan that never fires is still active: its counters run.
         let plan =
             qsc_fault::FaultPlan::seeded(3).with_rate(qsc_fault::FaultPoint::Allocation, 1e-9);
         assert!(plan.is_active());
-        let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
         let faulted = Pipeline::hermitian(3)
             .spectrum_cache(cache.clone())
             .resilience(ResiliencePolicy {
@@ -1050,7 +1093,7 @@ mod tests {
             })
             .unwrap();
         for _ in 0..2 {
-            for out in faulted.run_many(&batch, std::slice::from_ref(&kmeans)) {
+            for out in Pipeline::run_many(std::slice::from_ref(&faulted), &batch).concat() {
                 out.unwrap();
             }
         }
@@ -1058,7 +1101,7 @@ mod tests {
         // Without the plan the same batches go through the cache.
         let plain = Pipeline::hermitian(3).spectrum_cache(cache.clone());
         for _ in 0..2 {
-            for out in plain.run_many(&batch, std::slice::from_ref(&kmeans)) {
+            for out in Pipeline::run_many(std::slice::from_ref(&plain), &batch).concat() {
                 out.unwrap();
             }
         }

@@ -20,8 +20,8 @@
 //! exercises its parallel path even on single-core CI runners.
 
 use qsc_suite::core::{
-    BackendConfig, Clusterer, ClusteringOutcome, GraphInstance, LanczosCsr, NoisyStatevector,
-    Pipeline, QMeans, QuantumParams, ShotSampler, Statevector,
+    BackendConfig, ClusteringOutcome, GraphInstance, LanczosCsr, NoisyStatevector, Pipeline,
+    QMeans, QuantumParams, ShotSampler, Statevector,
 };
 use qsc_suite::graph::generators::{dsbm, DsbmParams, MetaGraph, PlantedGraph};
 use std::sync::Arc;
@@ -197,16 +197,15 @@ fn nonexact_backends_are_deterministic_but_distinct() {
     );
 }
 
-/// `pl.run_many` with the default quantum parameters' q-means stage (the
-/// stage `Pipeline::quantum` installs): one outcome per instance.
+/// `pl` alone through `Pipeline::run_many`, clustered by its own stage:
+/// one outcome per instance. Nothing restates the stage, so comparing a
+/// `.quantum()` batch with `Pipeline::run` pins that the batch runs the
+/// pipeline's own q-means.
 fn run_batch(pl: &Pipeline, batch: &[GraphInstance<'_>]) -> Vec<ClusteringOutcome> {
-    let qmeans: Arc<dyn Clusterer> = Arc::new(QMeans::new(QuantumParams::default().delta));
-    pl.run_many(batch, &[qmeans])
+    Pipeline::run_many(std::slice::from_ref(pl), batch)
+        .concat()
         .into_iter()
-        .map(|outs| {
-            let mut outs = outs.expect("run_many");
-            outs.pop().expect("one outcome per clusterer")
-        })
+        .map(|out| out.expect("run_many"))
         .collect()
 }
 
@@ -226,7 +225,7 @@ fn run_many_is_deterministic_under_four_workers() {
         .iter()
         .map(|inst| {
             pl.clone()
-                .seed(inst.seed.expect("seeded batch"))
+                .seed(inst.seed)
                 .run(inst.graph)
                 .expect("sequential run")
         })
@@ -260,11 +259,7 @@ fn run_many_shares_one_backend_pool_across_instances() {
         .backend_shared(backend);
     let batched = run_batch(&pl, &batch);
     for (i, inst) in batch.iter().enumerate() {
-        let single = pl
-            .clone()
-            .seed(inst.seed.expect("seeded"))
-            .run(inst.graph)
-            .expect("single");
+        let single = pl.clone().seed(inst.seed).run(inst.graph).expect("single");
         assert_outcomes_identical(
             &batched[i],
             &single,
@@ -285,22 +280,21 @@ fn run_many_clusterer_sweep_matches_independent_full_runs() {
     let params = QuantumParams::default();
     let pl = Pipeline::hermitian(3).quantum(&params);
     let deltas = [0.05, 0.9];
-    let clusterers: Vec<Arc<dyn Clusterer>> = deltas
+    let variants: Vec<Pipeline> = deltas
         .iter()
-        .map(|&d| Arc::new(QMeans::new(d)) as Arc<dyn Clusterer>)
+        .map(|&d| pl.clone().clusterer(QMeans::new(d)))
         .collect();
-    let swept = pl.run_many(&batch, &clusterers);
-    for (i, per_instance) in swept.iter().enumerate() {
-        let per_instance = per_instance.as_ref().expect("sweep");
-        for (j, &delta) in deltas.iter().enumerate() {
-            let full = pl
+    let swept = Pipeline::run_many(&variants, &batch);
+    for (column, (variant, delta)) in swept.iter().zip(variants.iter().zip(deltas)) {
+        assert_eq!(column.len(), graphs.len());
+        for (i, out) in column.iter().enumerate() {
+            let full = variant
                 .clone()
                 .seed(i as u64)
-                .clusterer(QMeans::new(delta))
                 .run(&graphs[i].graph)
                 .expect("full run");
             assert_outcomes_identical(
-                &per_instance[j],
+                out.as_ref().expect("sweep"),
                 &full,
                 &format!("instance {i}, delta {delta}"),
             );

@@ -4,13 +4,16 @@
 //! **bit-identical** to the retired hand-written experiment functions (the
 //! goldens under `crates/bench/goldens/` were generated by the old code
 //! immediately before its removal), a third pins `specs/noise_shots.json`'s
-//! quick CSV to its golden, and the serde round-trip tests pin the
-//! spec model: `ExperimentSpec`, `GraphSpec` and `BackendConfig` all
-//! survive serialize → parse unchanged and reject unknown fields.
+//! quick CSV to its golden, a fourth pins every other built-in pipeline
+//! sweep's quick CSV outside its `*_wall_s` columns, and the serde
+//! round-trip tests pin the spec model: `ExperimentSpec`, `GraphSpec` and
+//! `BackendConfig` all survive serialize → parse unchanged and reject
+//! unknown fields.
 
 use qsc_bench::builtin;
-use qsc_bench::{ExperimentSpec, Scale, SweepRunner};
+use qsc_bench::{BenchError, ExperimentSpec, Progress, Scale, SweepRunner};
 use qsc_json::{FromJson, ToJson, Value};
+use qsc_suite::core::report::Table;
 use qsc_suite::core::BackendConfig;
 use qsc_suite::graph::spec::GraphSpec;
 
@@ -64,6 +67,81 @@ fn noise_shots_quick_csv_matches_golden() {
         NOISE_SHOTS_GOLDEN,
         "noise_shots drifted from its golden"
     );
+}
+
+/// The built-in pipeline sweeps no other test pins, with their quick
+/// goldens (generated without the `*_wall_s` columns).
+const PIPELINE_GOLDENS: [(&str, &str); 7] = [
+    (
+        "table2",
+        include_str!("../crates/bench/goldens/table2_quick.csv"),
+    ),
+    (
+        "table4",
+        include_str!("../crates/bench/goldens/table4_quick.csv"),
+    ),
+    (
+        "table5",
+        include_str!("../crates/bench/goldens/table5_quick.csv"),
+    ),
+    (
+        "table6",
+        include_str!("../crates/bench/goldens/table6_quick.csv"),
+    ),
+    (
+        "fig2",
+        include_str!("../crates/bench/goldens/fig2_quick.csv"),
+    ),
+    (
+        "fig4",
+        include_str!("../crates/bench/goldens/fig4_quick.csv"),
+    ),
+    ("a3", include_str!("../crates/bench/goldens/a3_quick.csv")),
+];
+
+/// `table`'s CSV without its `*_wall_s` columns: wall-clock time is the
+/// one thing a run may not reproduce.
+fn pinned_csv(table: &Table) -> String {
+    let keep: Vec<usize> = (0..table.columns().len())
+        .filter(|&c| !table.columns()[c].ends_with("_wall_s"))
+        .collect();
+    let mut pinned = Table::new(keep.iter().map(|&c| table.columns()[c].as_str()));
+    for row in table.rows() {
+        pinned.push_row(keep.iter().map(|&c| row[c].as_str()));
+    }
+    pinned.to_csv()
+}
+
+#[test]
+fn pipeline_spec_quick_csvs_match_their_goldens() {
+    for (name, golden) in PIPELINE_GOLDENS {
+        let output = run_builtin(name);
+        assert_eq!(
+            pinned_csv(&output.primary),
+            golden,
+            "{name} drifted from its golden"
+        );
+    }
+}
+
+#[test]
+fn a_row_that_cannot_resolve_fails_the_sweep_before_any_row_runs() {
+    // table1 with a fractional `n` at its last quick point: only that
+    // row's `graph.n` assignment rejects it.
+    let text = include_str!("../specs/table1.json")
+        .replace(r#""name": "table1""#, r#""name": "table1_fractional_n""#)
+        .replace("[100, 200, 300, 400]", "[100, 200, 300, 400.5]");
+    let spec = ExperimentSpec::parse(&text).expect("spec parses");
+    let mut rows = 0;
+    let err = SweepRunner::new(Scale::Quick)
+        .run_with_progress(&spec, &mut |event| {
+            if let Progress::Row { .. } = event {
+                rows += 1;
+            }
+        })
+        .expect_err("`graph.n = 400.5` cannot resolve");
+    assert!(matches!(err, BenchError::Spec(_)), "{err}");
+    assert_eq!(rows, 0, "no row may run before every row resolves");
 }
 
 #[test]

@@ -9,11 +9,10 @@
 
 use qsc_suite::core::config::BackendConfig;
 use qsc_suite::core::{
-    Clusterer, ClusteringOutcome, Error, FailureKind, FaultPlan, FaultPoint, GraphInstance,
-    InstanceError, KMeans, LanczosCsr, Pipeline, QMeans, QuantumParams, ResiliencePolicy,
+    ClusteringOutcome, Error, FailureKind, FaultPlan, FaultPoint, GraphInstance, InstanceError,
+    LanczosCsr, Pipeline, QMeans, QuantumParams, ResiliencePolicy,
 };
 use qsc_suite::graph::generators::{dsbm, DsbmParams, MetaGraph, PlantedGraph};
-use std::sync::Arc;
 
 /// An outcome with the (inherently non-deterministic) wall-time diagnostic
 /// zeroed, so runs can be compared bit for bit on everything that matters.
@@ -37,17 +36,15 @@ fn flow_instance(n: usize, seed: u64) -> PlantedGraph {
     .expect("valid params")
 }
 
-/// `pl.run_many` with the one stage `clusterer`: one outcome, or the
+/// `pl` alone through `Pipeline::run_many`: one outcome, or the
 /// instance's failure, per instance.
 fn run_batch(
     pl: &Pipeline,
     batch: &[GraphInstance<'_>],
-    clusterer: impl Clusterer + 'static,
 ) -> Vec<Result<ClusteringOutcome, InstanceError>> {
-    pl.run_many(batch, &[Arc::new(clusterer) as Arc<dyn Clusterer>])
-        .into_iter()
-        .map(|outs| outs.map(|mut outs| outs.pop().expect("one outcome per clusterer")))
-        .collect()
+    Pipeline::run_many(std::slice::from_ref(pl), batch)
+        .pop()
+        .expect("one column per variant")
 }
 
 /// The sequential reference for a batch: one `Pipeline::run` per
@@ -57,7 +54,7 @@ fn sequential(pl: &Pipeline, batch: &[GraphInstance<'_>]) -> Vec<ClusteringOutco
         .iter()
         .map(|inst| {
             pl.clone()
-                .seed(inst.seed.expect("seeded batch"))
+                .seed(inst.seed)
                 .run(inst.graph)
                 .expect("sequential run")
         })
@@ -80,7 +77,7 @@ fn isolated_runner_matches_plain_runner_without_faults() {
         .collect();
     let pl = Pipeline::hermitian(2).seed(3);
     let plain = sequential(&pl, &batch);
-    let isolated = run_batch(&pl, &batch, KMeans);
+    let isolated = run_batch(&pl, &batch);
     assert_eq!(isolated.len(), plain.len());
     for (iso, exp) in isolated.iter().zip(&plain) {
         let out = iso.as_ref().expect("no faults injected");
@@ -119,7 +116,7 @@ fn injected_panics_are_isolated_and_deterministic() {
         "plan seed must mix failures and survivors for this test"
     );
 
-    let first = run_batch(&pl, &batch, KMeans);
+    let first = run_batch(&pl, &batch);
     for (slot, &fails) in first.iter().zip(&expected) {
         match slot {
             Ok(_) => assert!(!fails, "survivor where the plan decides a panic"),
@@ -134,7 +131,7 @@ fn injected_panics_are_isolated_and_deterministic() {
 
     // Same plan, same batch → byte-identical reports; and the worker pool
     // survived the panics (a plain batch still runs afterwards).
-    let second = run_batch(&pl, &batch, KMeans);
+    let second = run_batch(&pl, &batch);
     for (a, b) in first.iter().zip(&second) {
         match (a, b) {
             (Ok(x), Ok(y)) => assert_eq!(timeless(x), timeless(y)),
@@ -142,7 +139,7 @@ fn injected_panics_are_isolated_and_deterministic() {
             _ => panic!("run-to-run failure pattern diverged"),
         }
     }
-    let plain = run_batch(&Pipeline::hermitian(2).seed(3), &batch, KMeans);
+    let plain = run_batch(&Pipeline::hermitian(2).seed(3), &batch);
     assert_eq!(plain.len(), batch.len());
     assert!(
         plain.iter().all(Result::is_ok),
@@ -170,7 +167,7 @@ fn retries_rerun_with_perturbed_seeds() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = run_batch(&fail_fast, &batch, KMeans)[0]
+    let err = run_batch(&fail_fast, &batch)[0]
         .as_ref()
         .expect_err("no retries → the injected panic is final")
         .clone();
@@ -183,7 +180,7 @@ fn retries_rerun_with_perturbed_seeds() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = run_batch(&with_retry, &batch, KMeans);
+    let out = run_batch(&with_retry, &batch);
     assert!(
         out[0].is_ok(),
         "retry with perturbed seed must survive: {:?}",
@@ -203,7 +200,7 @@ fn lanczos_iteration_fault_reports_non_convergence() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = run_batch(&pl, &batch, KMeans)[0]
+    let err = run_batch(&pl, &batch)[0]
         .as_ref()
         .expect_err("every Lanczos iteration is sabotaged")
         .clone();
@@ -222,7 +219,7 @@ fn policy_budget_fails_quantum_stage_with_budget_kind() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = run_batch(&pl, &batch, QMeans::new(QuantumParams::default().delta))[0]
+    let err = run_batch(&pl, &batch)[0]
         .as_ref()
         .expect_err("512-byte budget cannot hold a phase register")
         .clone();
@@ -255,7 +252,7 @@ fn budget_failure_degrades_through_fallback_chain() {
         .expect("backend")
         .resilience(ResiliencePolicy::default())
         .expect("policy");
-    let err = run_batch(&no_fallback, &batch, QMeans::new(qp.delta))[0]
+    let err = run_batch(&no_fallback, &batch)[0]
         .as_ref()
         .expect_err("no fallbacks → the budget failure is final")
         .clone();
@@ -273,7 +270,7 @@ fn budget_failure_degrades_through_fallback_chain() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = run_batch(&degraded, &batch, QMeans::new(qp.delta));
+    let out = run_batch(&degraded, &batch);
     assert!(
         out[0].is_ok(),
         "fallback to statevector must succeed: {:?}",
@@ -293,7 +290,7 @@ fn invalid_requests_fail_immediately_without_retries() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = run_batch(&pl, &batch, KMeans)[0]
+    let err = run_batch(&pl, &batch)[0]
         .as_ref()
         .expect_err("k = 0 is invalid")
         .clone();
@@ -338,7 +335,7 @@ fn remote_call_drops_classify_as_transport_errors() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let err = run_batch(&pl, &batch, QMeans::new(QuantumParams::default().delta))[0]
+    let err = run_batch(&pl, &batch)[0]
         .as_ref()
         .expect_err("every remote call drops and there is no fallback")
         .clone();
@@ -381,7 +378,7 @@ fn remote_drops_fall_back_to_local_without_perturbing_the_seed() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let out = run_batch(&remote, &batch, QMeans::new(qp.delta));
+    let out = run_batch(&remote, &batch);
     for (got, exp) in out.iter().zip(&expected) {
         let got = got.as_ref().expect("the fallback chain must engage");
         assert_eq!(
@@ -430,8 +427,8 @@ fn remote_fault_pattern_is_worker_count_invariant() {
             ..ResiliencePolicy::default()
         })
         .expect("policy");
-    let first = run_batch(&remote, &batch, QMeans::new(qp.delta));
-    let second = run_batch(&remote, &batch, QMeans::new(qp.delta));
+    let first = run_batch(&remote, &batch);
+    let second = run_batch(&remote, &batch);
     for ((a, b), exp) in first.iter().zip(&second).zip(&expected) {
         let a = a.as_ref().expect("fallback covers every injected drop");
         let b = b.as_ref().expect("fallback covers every injected drop");
@@ -452,34 +449,23 @@ fn clusterer_sweep_isolation_matches_plain_sweep() {
         .enumerate()
         .map(|(i, inst)| GraphInstance::with_seed(&inst.graph, i as u64))
         .collect();
-    let clusterers: Vec<Arc<dyn Clusterer>> = vec![Arc::new(KMeans), Arc::new(QMeans::new(0.2))];
     let pl = Pipeline::hermitian(2).seed(9);
-    // Sequential reference: each instance staged once, then clustered by
-    // each stage in order.
-    let plain: Vec<Vec<ClusteringOutcome>> = batch
-        .iter()
-        .map(|inst| {
-            let seeded = pl.clone().seed(inst.seed.expect("seeded batch"));
-            let staged = seeded.embed(inst.graph).expect("embed");
-            clusterers
-                .iter()
-                .map(|c| {
-                    seeded
-                        .clone()
-                        .clusterer_shared(c.clone())
-                        .cluster(&staged)
-                        .expect("cluster")
-                })
-                .collect()
-        })
-        .collect();
-    let isolated = pl.run_many(&batch, &clusterers);
-    assert_eq!(isolated.len(), plain.len());
-    for (iso, exp) in isolated.iter().zip(&plain) {
-        let iso = iso.as_ref().expect("no faults injected");
-        assert_eq!(iso.len(), exp.len());
-        for (a, b) in iso.iter().zip(exp) {
-            assert_eq!(timeless(a), timeless(b));
+    let variants = [pl.clone(), pl.clone().clusterer(QMeans::new(0.2))];
+    let isolated = Pipeline::run_many(&variants, &batch);
+    assert_eq!(isolated.len(), variants.len());
+    // Sequential reference: each variant's full run per instance.
+    for (variant, column) in variants.iter().zip(&isolated) {
+        assert_eq!(column.len(), batch.len());
+        for (inst, iso) in batch.iter().zip(column) {
+            let exp = variant
+                .clone()
+                .seed(inst.seed)
+                .run(inst.graph)
+                .expect("sequential run");
+            assert_eq!(
+                timeless(iso.as_ref().expect("no faults injected")),
+                timeless(&exp)
+            );
         }
     }
 }

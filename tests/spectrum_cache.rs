@@ -16,8 +16,7 @@ use qsc_bench::spec::ExperimentKind;
 use qsc_bench::{builtin, ExperimentSpec, Scale, SweepRunner};
 use qsc_suite::core::config::QuantumParams;
 use qsc_suite::core::{
-    Clusterer, ClusteringOutcome, GraphInstance, KMeans, Pipeline, QMeans, SpectrumCache,
-    SpectrumCacheStats,
+    ClusteringOutcome, GraphInstance, Pipeline, SpectrumCache, SpectrumCacheStats,
 };
 use qsc_suite::graph::spec::{GeneratedInstance, GraphSpec};
 use std::sync::Arc;
@@ -126,11 +125,11 @@ fn instances(name: &str, n: Option<usize>) -> Vec<(GeneratedInstance, u64)> {
         .collect()
 }
 
-/// Runs every pipeline with its clustering stage on every instance, in
-/// order, each pipeline as one batch, with and without one shared cache;
-/// asserts the outcomes are bit-identical and returns the cache's reuse.
+/// Runs every pipeline on every instance, in order, each pipeline as one
+/// batch, with and without one shared cache; asserts the outcomes are
+/// bit-identical and returns the cache's reuse.
 fn assert_cache_is_invisible(
-    pipelines: &[(Pipeline, Arc<dyn Clusterer>)],
+    pipelines: &[Pipeline],
     instances: &[(GeneratedInstance, u64)],
 ) -> SpectrumCacheStats {
     let batch: Vec<GraphInstance> = instances
@@ -138,19 +137,15 @@ fn assert_cache_is_invisible(
         .map(|(inst, seed)| GraphInstance::with_seed(&inst.graph, *seed))
         .collect();
     let cache = Arc::new(SpectrumCache::new());
-    for (p, (pl, clusterer)) in pipelines.iter().enumerate() {
-        let clusterers = std::slice::from_ref(clusterer);
-        let cached = pl
-            .clone()
-            .spectrum_cache(cache.clone())
-            .run_many(&batch, clusterers);
-        let plain = pl.run_many(&batch, clusterers);
-        for (rep, (c, u)) in cached.iter().zip(&plain).enumerate() {
+    for (p, pl) in pipelines.iter().enumerate() {
+        let cached = Pipeline::run_many(&[pl.clone().spectrum_cache(cache.clone())], &batch);
+        let plain = Pipeline::run_many(std::slice::from_ref(pl), &batch);
+        for (rep, (c, u)) in cached[0].iter().zip(&plain[0]).enumerate() {
             let (c, u) = (
                 c.as_ref().expect("cached run"),
                 u.as_ref().expect("plain run"),
             );
-            assert_identical(&c[0], &u[0], &format!("pipeline {p}, rep {rep}"));
+            assert_identical(c, u, &format!("pipeline {p}, rep {rep}"));
         }
     }
     cache.stats()
@@ -177,15 +172,10 @@ fn table1_pipelines_are_bit_identical_with_the_cache() {
     // variants: the quantum variant reuses the classical reduction.
     for n in [100, 200, 300, 400] {
         let classical = Pipeline::hermitian(3);
-        let params = QuantumParams::default();
-        let kmeans: Arc<dyn Clusterer> = Arc::new(KMeans);
         let pipelines = [
-            (classical.clone(), kmeans.clone()),
-            (
-                classical.clone().quantum(&params),
-                Arc::new(QMeans::new(params.delta)) as Arc<dyn Clusterer>,
-            ),
-            (classical.symmetrize(), kmeans),
+            classical.clone(),
+            classical.clone().quantum(&QuantumParams::default()),
+            classical.symmetrize(),
         ];
         let stats = assert_cache_is_invisible(&pipelines, &instances("table1", Some(n)));
         assert_eq!(stats, SpectrumCacheStats { hits: 3, misses: 6 }, "n = {n}");
@@ -205,13 +195,10 @@ fn table3_pipelines_are_bit_identical_with_the_cache() {
         tomography_shots,
         ..params.clone()
     });
-    let pipelines: Vec<(Pipeline, Arc<dyn Clusterer>)> = bits
+    let pipelines: Vec<Pipeline> = bits
         .iter()
         .chain(&shots)
-        .map(|p| {
-            let qmeans: Arc<dyn Clusterer> = Arc::new(QMeans::new(p.delta));
-            (Pipeline::hermitian(3).quantum(p), qmeans)
-        })
+        .map(|p| Pipeline::hermitian(3).quantum(p))
         .collect();
     let stats = assert_cache_is_invisible(&pipelines, &instances("table3", None));
     assert_eq!(
